@@ -38,10 +38,8 @@ from .decoherence import (
     signal,
 )
 from .filters import (
-    FilterValue,
     bessel_approx,
     equidistant_closed_form,
-    filter_value,
     x_factor,
     y_abs_sq,
     y_factor,
@@ -55,7 +53,7 @@ __all__ = [
     "OhmicBath", "ClassicalBath", "TabulatedSpectralDensity",
     "spectral_density", "thermal_weight", "integrand_weight",
     "PulseSequence", "equidistant", "udd", "custom", "deltas_from_csv",
-    "FilterValue", "filter_value", "x_factor", "y_factor", "y_abs_sq",
+    "x_factor", "y_factor", "y_abs_sq",
     "equidistant_closed_form", "bessel_approx", "bessel_j",
     "QuadratureSpec", "QuadratureError", "CoherencePoint", "CoherenceCurve",
     "chi", "phase", "signal", "coherence_curve",

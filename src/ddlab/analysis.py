@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bath import Bath, OhmicBath
-from .decoherence import QuadratureSpec, _chi_raw, signal
-from .sequences import PulseSequence, equidistant, udd
+from .decoherence import QuadratureError, QuadratureSpec, _chi_raw, signal
+from .sequences import _GENERATORS, PulseSequence
 
 __all__ = [
     "StorageResult",
@@ -121,9 +121,6 @@ def storage_time(seq: PulseSequence, bath: Bath, epsilon: float,
                          bracket=(lo, hi), evaluations=evals)
 
 
-_SCHEME_BUILDERS = {"equidistant": equidistant, "udd": udd}
-
-
 def min_pulses(scheme: str, bath: Bath, epsilon: float, t_target: float,
                quad: QuadratureSpec = QuadratureSpec(),
                include_phase: bool = False) -> int:
@@ -143,9 +140,9 @@ def min_pulses(scheme: str, bath: Bath, epsilon: float, t_target: float,
         raise ValueError(f"t_target {t_target:g} beyond the scan range "
                          f"({SCAN_RANGE[1] * t_c:g})")
     try:
-        build = _SCHEME_BUILDERS[scheme]
+        build = _GENERATORS[scheme]
     except KeyError:
-        raise ValueError(f"scheme must be one of {sorted(_SCHEME_BUILDERS)}, got {scheme!r}")
+        raise ValueError(f"scheme must be one of {list(_GENERATORS)}, got {scheme!r}")
 
     cache: dict[int, float] = {}
 
@@ -218,15 +215,17 @@ def compare_schemes(n: int, alphas, temperatures, t_grid,
     """Tabulate s_n(t) for both schemes over the Cartesian parameter grid.
 
     Row order is deterministic: scheme (equidistant, udd), then alpha and
-    temperature in the order given, then t ascending.  Per-cell failures
-    are recorded in the row's error field rather than aborting the sweep.
+    temperature in the order given, then t ascending.  A cell whose
+    signal raises QuadratureError or ValueError records the error in the
+    row's error field rather than aborting the sweep; other exceptions
+    propagate.
     """
     ts = np.asarray(t_grid, dtype=float)
     if ts.ndim != 1 or ts.size < 1 or np.any(ts < 0) or np.any(np.diff(ts) <= 0):
         raise ValueError("t_grid must be nonempty, nonnegative, strictly ascending")
     rows = []
-    for scheme in ("equidistant", "udd"):
-        seq = _SCHEME_BUILDERS[scheme](n)
+    for scheme, build in _GENERATORS.items():
+        seq = build(n)
         for alpha in alphas:
             for temp in temperatures:
                 bath = OhmicBath(alpha=alpha, omega_d=omega_d, temperature=temp)
@@ -235,12 +234,11 @@ def compare_schemes(n: int, alphas, temperatures, t_grid,
                         pt = signal(seq, bath, float(t), quad)
                         rows.append(SweepRow(scheme, n, float(alpha), float(temp),
                                              float(t), pt.signal, 1.0 - pt.signal))
-                    except Exception as exc:
+                    except (QuadratureError, ValueError) as exc:
                         rows.append(SweepRow(scheme, n, float(alpha), float(temp),
                                              float(t), math.nan, math.nan,
                                              error=f"{type(exc).__name__}: {exc}"))
-    meta = {"quad": {"rel_tol": quad.rel_tol, "max_panels": quad.max_panels,
-                     "panel_rule": quad.panel_rule},
+    meta = {"quad": {"rel_tol": quad.rel_tol, "max_panels": quad.max_panels},
             "omega_d": omega_d, "n": n,
             "alphas": [float(a) for a in alphas],
             "temperatures": [float(T) for T in temperatures],

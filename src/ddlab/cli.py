@@ -29,10 +29,16 @@ from .analysis import (
     min_pulses,
     storage_time,
 )
-from .bath import ClassicalBath, OhmicBath, TabulatedSpectralDensity, thermal_weight
+from .bath import (
+    ClassicalBath,
+    OhmicBath,
+    TabulatedSpectralDensity,
+    spectral_density,
+    thermal_weight,
+)
 from .decoherence import QuadratureError, QuadratureSpec, chi, coherence_curve
 from .montecarlo import mc_signal
-from .sequences import custom, deltas_from_csv, equidistant, udd
+from .sequences import _GENERATORS, SCHEMES, custom, deltas_from_csv
 
 __all__ = ["RunConfig", "main"]
 
@@ -75,7 +81,7 @@ class RunConfig:
     quiet: bool = False
 
     def __post_init__(self):
-        if self.scheme not in ("udd", "equidistant", "custom"):
+        if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.n < 0:
             raise ValueError(f"n must be >= 0, got {self.n}")
@@ -103,10 +109,8 @@ def _quad(cfg: RunConfig) -> QuadratureSpec:
 
 
 def _sequence(cfg: RunConfig):
-    if cfg.scheme == "udd":
-        return udd(cfg.n)
-    if cfg.scheme == "equidistant":
-        return equidistant(cfg.n)
+    if cfg.scheme in _GENERATORS:
+        return _GENERATORS[cfg.scheme](cfg.n)
     if cfg.deltas_file:
         return deltas_from_csv(cfg.deltas_file)
     if cfg.deltas is not None:
@@ -122,16 +126,15 @@ def _bath(cfg: RunConfig):
 
 def _classical_bath(cfg: RunConfig) -> ClassicalBath:
     """Ohmic-derived classical spectrum p = pi * J * coth(w/2T)."""
-    alpha, omega_d, temp = cfg.alpha, cfg.omega_d, cfg.temperature
+    bath = OhmicBath(alpha=cfg.alpha, omega_d=cfg.omega_d, temperature=cfg.temperature)
 
     def p(w):
-        w = np.asarray(w, dtype=float)
-        j = 2.0 * alpha * w * (w <= omega_d)
-        if temp == 0.0:
+        j = spectral_density(bath, w)
+        if bath.temperature == 0.0:
             return math.pi * j
-        return math.pi * j * thermal_weight(temp, w)
+        return math.pi * j * thermal_weight(bath.temperature, w)
 
-    return ClassicalBath(power_spectrum=p, omega_max=omega_d)
+    return ClassicalBath(power_spectrum=p, omega_max=bath.omega_d)
 
 
 def _time_grid(cfg: RunConfig) -> np.ndarray:
@@ -210,7 +213,7 @@ def cmd_storage(cfg: RunConfig) -> int:
 
 
 def cmd_min_pulses(cfg: RunConfig) -> int:
-    if cfg.scheme not in ("udd", "equidistant"):
+    if cfg.scheme not in _GENERATORS:
         raise ValueError("min-pulses needs scheme udd or equidistant")
     bath = _bath(cfg)
     _progress(cfg, f"min-pulses: scheme={cfg.scheme}, target {cfg.t_target} t_C")
@@ -240,7 +243,7 @@ def cmd_compare(cfg: RunConfig, with_storage: bool) -> int:
             for temp in cfg.temperatures:
                 bath = OhmicBath(alpha=alpha, omega_d=cfg.omega_d, temperature=temp)
                 stores = {}
-                for scheme, build in (("equidistant", equidistant), ("udd", udd)):
+                for scheme, build in _GENERATORS.items():
                     try:
                         res = storage_time(build(cfg.n), bath, cfg.epsilon, quad,
                                            include_phase=cfg.include_phase)
@@ -370,21 +373,18 @@ def _resolve_config(args: argparse.Namespace) -> tuple:
         if unknown:
             raise ValueError(f"{args.config}: unknown config keys {sorted(unknown)}")
         merged.update(file_cfg)
-    cli_extra = None
     for key, value in vars(args).items():
         if key in ("command", "config"):
             continue
         if value is None:
             continue
-        if key == "epsilon" and args.command == "compare":
-            cli_extra = value  # presence toggles the storage/ratio section
         merged[key] = value
     for key in _TUPLE_KEYS:
         if key in merged and merged[key] is not None:
             merged[key] = tuple(merged[key])
-    with_storage = "epsilon" in merged if args.command == "compare" else False
-    if cli_extra is not None:
-        with_storage = True
+    # in compare, the presence of epsilon (flag or file) toggles the
+    # storage/ratio section
+    with_storage = args.command == "compare" and "epsilon" in merged
     return RunConfig(**merged), with_storage
 
 

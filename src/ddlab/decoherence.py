@@ -92,37 +92,49 @@ def _initial_panels(t: float, omega_cut: float) -> int:
     return max(16, math.ceil(omega_cut * t / math.pi))
 
 
+def _split_small(w, t: float, wc: float, direct, taylor) -> np.ndarray:
+    """direct(w) above the small-omega/small-z cut, taylor(w) below it."""
+    out = np.empty_like(w)
+    small = (w < _SMALL_OMEGA_FRACTION * wc) | (w * t < _SMALL_Z)
+    big = ~small
+    if np.any(big):
+        out[big] = direct(w[big])
+    if np.any(small):
+        out[small] = taylor(w[small])
+    return out
+
+
+def _frequency_integral(kind: str, f, t: float, wc: float, quad: QuadratureSpec):
+    """(value, error bound, evaluations) of f over [0, wc], naming t on failure."""
+    try:
+        return integrate_adaptive(f, 0.0, wc, quad, _initial_panels(t, wc))
+    except QuadratureError as exc:
+        raise QuadratureError(
+            f"{kind}(t={t:g}): {exc}", estimate=exc.estimate, error_bound=exc.error_bound
+        ) from exc
+
+
 def _chi_raw(seq: PulseSequence, bath: Bath, t: float, quad: QuadratureSpec):
     """Unclamped decay exponent with its quadrature error bound."""
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     if t == 0.0:
         return 0.0, 0.0
-    wc = bath.cutoff
-    w_switch = _SMALL_OMEGA_FRACTION * wc
     s1, s2, s3 = y_taylor_moments(seq)
     quartic = s2 * s2 / 4.0 - s1 * s3 / 3.0
 
-    def f(w):
-        out = np.empty_like(w)
-        small = (w < w_switch) | (w * t < _SMALL_Z)
-        big = ~small
-        if np.any(big):
-            wb = w[big]
-            ysq = y_abs_sq_array(seq, wb * t)
-            out[big] = integrand_weight(bath, wb) * ysq / (4.0 * wb * wb)
-        if np.any(small):
-            ws = w[small]
-            z2 = (ws * t) ** 2
-            out[small] = integrand_weight(bath, ws) * (t * t / 4.0) * (s1 * s1 + z2 * quartic)
-        return out
+    def direct(wb):
+        ysq = y_abs_sq_array(seq, wb * t)
+        return integrand_weight(bath, wb) * ysq / (4.0 * wb * wb)
 
-    try:
-        val, err, _ = integrate_adaptive(f, 0.0, wc, quad, _initial_panels(t, wc))
-    except QuadratureError as exc:
-        raise QuadratureError(
-            f"chi(t={t:g}): {exc}", estimate=exc.estimate, error_bound=exc.error_bound
-        ) from exc
+    def taylor(ws):
+        z2 = (ws * t) ** 2
+        return integrand_weight(bath, ws) * (t * t / 4.0) * (s1 * s1 + z2 * quartic)
+
+    def f(w):
+        return _split_small(w, t, bath.cutoff, direct, taylor)
+
+    val, err, _ = _frequency_integral("chi", f, t, bath.cutoff, quad)
     return max(val, 0.0), err
 
 
@@ -140,29 +152,19 @@ def phase(seq: PulseSequence, bath: Bath, t: float,
         raise ValueError(f"t must be >= 0, got {t}")
     if isinstance(bath, ClassicalBath) or t == 0.0:
         return 0.0
-    wc = bath.cutoff
-    w_switch = _SMALL_OMEGA_FRACTION * wc
     x1, x3 = x_taylor_moments(seq)
 
-    def f(w):
-        out = np.empty_like(w)
-        small = (w < w_switch) | (w * t < _SMALL_Z)
-        big = ~small
-        if np.any(big):
-            wb = w[big]
-            out[big] = spectral_density(bath, wb) * x_factor_array(seq, wb * t) / (2.0 * wb * wb)
-        if np.any(small):
-            ws = w[small]
-            zs = ws * t
-            out[small] = spectral_density(bath, ws) * (zs * x1 - zs**3 * x3 / 6.0) / (2.0 * ws * ws)
-        return out
+    def direct(wb):
+        return spectral_density(bath, wb) * x_factor_array(seq, wb * t) / (2.0 * wb * wb)
 
-    try:
-        val, _, _ = integrate_adaptive(f, 0.0, wc, quad, _initial_panels(t, wc))
-    except QuadratureError as exc:
-        raise QuadratureError(
-            f"phase(t={t:g}): {exc}", estimate=exc.estimate, error_bound=exc.error_bound
-        ) from exc
+    def taylor(ws):
+        zs = ws * t
+        return spectral_density(bath, ws) * (zs * x1 - zs**3 * x3 / 6.0) / (2.0 * ws * ws)
+
+    def f(w):
+        return _split_small(w, t, bath.cutoff, direct, taylor)
+
+    val, _, _ = _frequency_integral("phase", f, t, bath.cutoff, quad)
     return val
 
 

@@ -13,16 +13,15 @@ decay exponent; x_n enters only the deterministic phase.
 
 The 2n+3 unit-magnitude terms of y_n cancel to O(z^(n+1)) at small z, so
 sums are accumulated with compensated (Kahan) summation.  Where even that
-cannot resolve |y|^2 (deep suppression), the generated schemes fall back
-to noise-free analytic forms: optimized (udd) sequences to
-16 (n+1)^2 J_{n+1}(z/2)^2, exact up to exponentially small corrections
-for z/(2n+2) < 1, and equidistant sequences to their exact parity closed
-form.
+cannot resolve |y|^2 (deep suppression), y_abs_sq_array hands the
+generated schemes to noise-free analytic forms through one delegation
+step: optimized (udd) sequences to 16 (n+1)^2 J_{n+1}(z/2)^2, exact up to
+exponentially small corrections for z/(2n+2) < 1, and equidistant
+sequences to their exact parity closed form, which equidistant_closed_form
+also exposes.  Custom sequences always use the direct sum.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,8 +29,6 @@ from .sequences import PulseSequence
 from .special import bessel_j
 
 __all__ = [
-    "FilterValue",
-    "filter_value",
     "x_factor",
     "y_factor",
     "y_abs_sq",
@@ -58,16 +55,6 @@ _POLE_TOL = 1e-12
 def _delegation_threshold(n: int, z: np.ndarray) -> np.ndarray:
     # (2 * 4 eps (1+z) sqrt(n+2) / 1e-11)^2, floored at 1e-8
     return np.maximum(1e-8, 3.2e-8 * (1.0 + np.abs(z)) ** 2 * (n + 2))
-
-
-@dataclass(frozen=True)
-class FilterValue:
-    """x, y and |y|^2 at a single argument z = omega * t."""
-
-    z: float
-    x: float
-    y: complex
-    y_abs_sq: float
 
 
 def _kahan_add(total, comp, term):
@@ -122,42 +109,37 @@ def y_abs_sq_array(seq: PulseSequence, z: np.ndarray, method: str = "auto") -> n
     method: "auto" uses direct summation but delegates to a noise-free
     analytic form (the Bessel approximation for udd, the parity closed
     form for equidistant) where the value sits below the double-precision
-    cancellation floor; "direct" and "bessel" force one source.
+    cancellation floor; "direct" returns the compensated direct sum alone.
     """
     z = np.asarray(z, dtype=float)
-    if method == "bessel":
-        return bessel_approx(seq.n, z)
     direct = np.abs(y_factor_array(seq, z)) ** 2
     if method == "direct":
         return direct
     if method != "auto":
         raise ValueError(f"unknown method {method!r}")
-    threshold = _delegation_threshold(seq.n, z)
+    n = seq.n
+    threshold = _delegation_threshold(n, z)
     if seq.scheme == "udd":
-        window = np.abs(z) < _BESSEL_WINDOW * (2 * seq.n + 2)
-        candidates = window & (direct < 2.0 * threshold)
-        if np.any(candidates):
-            bessel = bessel_approx(seq.n, np.abs(z[candidates]))
-            use = bessel < threshold[candidates]
-            if np.any(use):
-                direct = direct.copy()
-                idx = np.flatnonzero(candidates)[use]
-                direct[idx] = bessel[use]
-    elif seq.scheme == "equidistant" and seq.n >= 1:
+        window = np.abs(z) < _BESSEL_WINDOW * (2 * n + 2)
+        return _delegate(direct, window & (direct < 2.0 * threshold), threshold,
+                         lambda c: bessel_approx(n, np.abs(z[c])))
+    if seq.scheme == "equidistant" and n >= 1:
         # the parity closed form is an exact identity, so it replaces the
         # noise-limited direct sum at small values; stay away from the
         # tangent poles where the closed form itself degenerates
-        cos_arg = np.cos(z / (2 * seq.n + 2))
-        candidates = (np.abs(cos_arg) > 0.5) & (direct < 2.0 * threshold)
-        if np.any(candidates):
-            zc = z[candidates]
-            half = np.cos(zc / 2) if seq.n % 2 == 0 else np.sin(zc / 2)
-            closed = 4.0 * (np.sin(zc / (2 * seq.n + 2)) / cos_arg[candidates]) ** 2 * half**2
-            use = closed < threshold[candidates]
-            if np.any(use):
-                direct = direct.copy()
-                idx = np.flatnonzero(candidates)[use]
-                direct[idx] = closed[use]
+        cos_arg = np.cos(z / (2 * n + 2))
+        return _delegate(direct, (np.abs(cos_arg) > 0.5) & (direct < 2.0 * threshold),
+                         threshold, lambda c: _parity_closed_form(n, z[c], cos_arg[c]))
+    return direct
+
+
+def _delegate(direct, candidates, threshold, analytic_at):
+    # swap the analytic values at the candidate nodes into the freshly
+    # computed direct sums wherever they fall below the threshold
+    if np.any(candidates):
+        analytic = analytic_at(candidates)
+        use = analytic < threshold[candidates]
+        direct[np.flatnonzero(candidates)[use]] = analytic[use]
     return direct
 
 
@@ -202,12 +184,6 @@ def y_abs_sq(seq: PulseSequence, z: float, method: str = "auto") -> float:
     return float(y_abs_sq_array(seq, np.atleast_1d(float(z)), method)[0])
 
 
-def filter_value(seq: PulseSequence, z: float) -> FilterValue:
-    """x, y, |y|^2 at one argument, with y_abs_sq = |y|^2 by construction."""
-    y = y_factor(seq, z)
-    return FilterValue(z=float(z), x=x_factor(seq, z), y=y, y_abs_sq=abs(y) ** 2)
-
-
 def equidistant_closed_form(n: int, z):
     """|y_n(z)|^2 for n equidistant pulses, by the parity closed form.
 
@@ -221,10 +197,14 @@ def equidistant_closed_form(n: int, z):
     cos_arg = np.cos(zs / (2 * n + 2))
     if np.any(np.abs(cos_arg) < _POLE_TOL):
         raise ValueError(f"z within {_POLE_TOL} of a tangent pole of the n={n} closed form")
-    tan_sq = (np.sin(zs / (2 * n + 2)) / cos_arg) ** 2
-    half = np.cos(zs / 2) if n % 2 == 0 else np.sin(zs / 2)
-    out = 4.0 * tan_sq * half**2
+    out = _parity_closed_form(n, zs, cos_arg)
     return out if isinstance(z, np.ndarray) else float(out)
+
+
+def _parity_closed_form(n: int, z: np.ndarray, cos_arg: np.ndarray) -> np.ndarray:
+    # 4 tan^2(z/(2n+2)) {cos, sin}^2(z/2), given cos_arg = cos(z/(2n+2))
+    half = np.cos(z / 2) if n % 2 == 0 else np.sin(z / 2)
+    return 4.0 * (np.sin(z / (2 * n + 2)) / cos_arg) ** 2 * half**2
 
 
 def bessel_approx(n: int, z):

@@ -66,15 +66,12 @@ class QuadratureSpec:
 
     rel_tol: float = 1e-10
     max_panels: int = 2**20
-    panel_rule: int = 15
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol < 1e-2):
             raise ValueError(f"rel_tol must be in (0, 1e-2), got {self.rel_tol}")
         if self.max_panels < 16:
             raise ValueError(f"max_panels must be >= 16, got {self.max_panels}")
-        if self.panel_rule != 15:
-            raise ValueError("only the 15-point Gauss-Kronrod panel rule is implemented")
 
 
 def _eval_panels(f, lefts: np.ndarray, rights: np.ndarray):

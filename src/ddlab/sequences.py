@@ -14,8 +14,6 @@ import numpy as np
 
 __all__ = ["PulseSequence", "equidistant", "udd", "custom", "deltas_from_csv"]
 
-SCHEMES = ("equidistant", "udd", "custom")
-
 
 @dataclass(frozen=True)
 class PulseSequence:
@@ -82,6 +80,12 @@ def udd(n: int) -> PulseSequence:
             s = math.sin(math.pi * j / (2 * n + 2))
             half.append(s * s)
     return PulseSequence(_mirrored(half, n), scheme="udd")
+
+
+# name -> generator of the generated schemes, in row order; SCHEMES adds
+# the user-supplied one
+_GENERATORS = {"equidistant": equidistant, "udd": udd}
+SCHEMES = (*_GENERATORS, "custom")
 
 
 def custom(deltas) -> PulseSequence:

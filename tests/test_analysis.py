@@ -2,8 +2,10 @@ import math
 
 import pytest
 
+import ddlab.analysis
 from ddlab import (
     OhmicBath,
+    QuadratureError,
     RangeExhaustedError,
     compare_schemes,
     equidistant,
@@ -160,6 +162,25 @@ class TestCompareSchemes:
         assert table.metadata["n"] == 2
         assert table.metadata["alphas"] == [0.25]
         assert table.metadata["quad"]["rel_tol"] == quad.rel_tol
+
+    def test_quadrature_failure_becomes_row_error(self, quad, monkeypatch):
+        def failing(seq, bath, t, quad):
+            raise QuadratureError("no convergence", estimate=0.0, error_bound=1.0)
+
+        monkeypatch.setattr(ddlab.analysis, "signal", failing)
+        table = compare_schemes(2, [0.25], [0.0], [1.0], quad)
+        assert len(table) == 2
+        for row in table:
+            assert row.error == "QuadratureError: no convergence"
+            assert math.isnan(row.s) and math.isnan(row.one_minus_s)
+
+    def test_programming_error_propagates(self, quad, monkeypatch):
+        def broken(seq, bath, t, quad):
+            raise TypeError("bad call")
+
+        monkeypatch.setattr(ddlab.analysis, "signal", broken)
+        with pytest.raises(TypeError, match="bad call"):
+            compare_schemes(2, [0.25], [0.0], [1.0], quad)
 
     def test_grid_validation(self, quad):
         with pytest.raises(ValueError):

@@ -108,6 +108,13 @@ class TestMinPulsesCommand:
         _, rows = parse_csv(out)
         assert rows[0]["n_min"] == "2"
 
+    def test_custom_scheme_exit_2(self, capsys):
+        code, out, err = run_cli(
+            ["min-pulses", "--scheme", "custom", "--deltas", "0.5", "--quiet"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "min-pulses needs scheme udd or equidistant" in err
+
 
 class TestCompareCommand:
     def test_table_layout(self, capsys):
@@ -135,6 +142,25 @@ class TestCompareCommand:
         assert {r["scheme"] for r in storage} == {"equidistant", "udd"}
         assert len(ratio) == 1
         assert float(ratio[0]["ratio"]) >= 1.0
+
+    @pytest.mark.parametrize("with_epsilon", [True, False])
+    def test_epsilon_in_config_file_toggles_storage(self, tmp_path, capsys, with_epsilon):
+        cfg = {"n": 2, "alphas": [0.25], "temperatures": [0.0],
+               "tmin": 0.5, "tmax": 1.0, "points": 2}
+        if with_epsilon:
+            cfg["epsilon"] = 1e-3
+        path = tmp_path / "compare.json"
+        path.write_text(json.dumps(cfg))
+        code, out, _ = run_cli(["compare", "--config", str(path), "--quiet"], capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        kinds = [r["kind"] for r in rows]
+        assert kinds[:4] == ["signal"] * 4
+        if with_epsilon:
+            assert kinds[4:] == ["storage", "storage", "ratio"]
+            assert [r["scheme"] for r in rows[4:6]] == ["equidistant", "udd"]
+        else:
+            assert kinds[4:] == []
 
 
 class TestMcCommand:

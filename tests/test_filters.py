@@ -9,7 +9,6 @@ from ddlab import (
     custom,
     equidistant,
     equidistant_closed_form,
-    filter_value,
     udd,
     x_factor,
     y_abs_sq,
@@ -181,12 +180,3 @@ class TestReflectionSymmetry:
         y1 = y_factor(custom(ds), z)
         y2 = y_factor(custom(mirrored), z)
         assert abs(y1) == pytest.approx(abs(y2), rel=1e-10, abs=1e-12)
-
-
-def test_filter_value_consistency():
-    seq = udd(3)
-    fv = filter_value(seq, 2.4)
-    assert fv.z == 2.4
-    assert fv.x == x_factor(seq, 2.4)
-    assert fv.y == y_factor(seq, 2.4)
-    assert fv.y_abs_sq == abs(fv.y) ** 2

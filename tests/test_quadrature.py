@@ -61,10 +61,9 @@ class TestQuadratureSpec:
         spec = QuadratureSpec()
         assert spec.rel_tol == 1e-10
         assert spec.max_panels == 2**20
-        assert spec.panel_rule == 15
 
     @pytest.mark.parametrize("kwargs", [
-        {"rel_tol": 0.0}, {"rel_tol": 0.5}, {"max_panels": 8}, {"panel_rule": 21},
+        {"rel_tol": 0.0}, {"rel_tol": 0.5}, {"max_panels": 8},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
