@@ -266,6 +266,9 @@ def cmd_compare(cfg: RunConfig, with_storage: bool) -> int:
 
 
 def cmd_mc(cfg: RunConfig) -> int:
+    if cfg.bath_csv:
+        raise ValueError("mc builds its classical bath from alpha, omega_d and "
+                         "temperature; bath_csv is not supported")
     seq = _sequence(cfg)
     cbath = _classical_bath(cfg)
     _progress(cfg, f"mc: {cfg.samples} trajectories at t={cfg.t}")

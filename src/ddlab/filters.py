@@ -11,17 +11,37 @@ and the coherence filter is
 with y_n(0) = 0 always.  |y_n|^2 multiplies the bath weight inside the
 decay exponent; x_n enters only the deterministic phase.
 
-The 2n+3 unit-magnitude terms of y_n cancel to O(z^(n+1)) at small z, so
-sums are accumulated with compensated (Kahan) summation.  Where even that
-cannot resolve |y|^2 (deep suppression), y_abs_sq_array hands the
-generated schemes to noise-free analytic forms through one delegation
-step: optimized (udd) sequences to 16 (n+1)^2 J_{n+1}(z/2)^2, exact up to
-exponentially small corrections for z/(2n+2) < 1, and equidistant
-sequences to their exact parity closed form, which equidistant_closed_form
-also exposes.  Custom sequences always use the direct sum.
+When the instants are mirror symmetric, d_j + d_(n+1-j) = 1 (every
+generated sequence, and any custom one that is), the terms pair up about
+the midpoint.  With y = sum_j c_j e^(iz d_j) over the instants
+(0, d_1..d_n, 1), e_m = (-1)^(m+1) and u_j = d_j - 1/2, the filters
+become real half-sums over the first half of the terms:
+
+    n even:  y = i e^(iz/2) sum_j 2 c_j sin(z u_j),
+             x = sin z + 2 cos(z/2) sum_m e_m sin(z u_m)
+    n odd:   y = e^(iz/2) (c_mid + sum_j 2 c_j cos(z u_j)),
+             x = -sin z + sin(z/2) (e_mid + 2 sum_m e_m cos(z u_m))
+
+That needs about a quarter of the transcendental evaluations of the
+complex sum for y and half for x.  Other sequences sum the full term set.
+Either way the nodes are taken in blocks, and each row sum of bounded
+terms with small power-of-two weights is split error-free (Rump, Ogita &
+Oishi, SIAM J. Sci. Comput. 31 (2008)): the high parts sum exactly in any
+order, so only the tiny low parts round.
+
+The n+2 unit-magnitude terms of y_n cancel to O(z^(n+1)) at small z.
+Where even exact summation of the rounded terms cannot resolve |y|^2
+(deep suppression), y_abs_sq_array hands the generated schemes to
+noise-free analytic forms through one delegation step: optimized (udd)
+sequences to 16 (n+1)^2 J_{n+1}(z/2)^2, exact up to exponentially small
+corrections for z/(2n+2) < 1, and equidistant sequences to their exact
+parity closed form, which equidistant_closed_form also exposes.  Custom
+sequences always use the direct sum.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -42,7 +62,8 @@ __all__ = [
 ]
 
 # Direct summation leaves absolute noise ~ 4 eps (1+z) sqrt(n+2) in y (the
-# z factor from rounding of the phase products z*d_m), so |y|^2 below the
+# z factor from rounding of the phase products; TestNoiseBound in
+# tests/test_filters.py checks the bound against mpmath), so |y|^2 below the
 # threshold where that noise exceeds 1e-11 relative is taken from the
 # analytic small-value forms instead: the Bessel approximation for udd,
 # the exact parity closed form for equidistant.  Thresholding on the
@@ -57,50 +78,102 @@ def _delegation_threshold(n: int, z: np.ndarray) -> np.ndarray:
     return np.maximum(1e-8, 3.2e-8 * (1.0 + np.abs(z)) ** 2 * (n + 2))
 
 
-def _kahan_add(total, comp, term):
-    # error-free-transform step; works elementwise for real or complex
-    y = term - comp
-    t = total + y
-    comp = (t - total) - y
-    return t, comp
+# a block of the phase matrix holds at most this many elements, so memory
+# stays flat however many nodes one quadrature round brings
+_BLOCK_ELEMENTS = 2**15
 
 
 def _y_coefficients(seq: PulseSequence):
     """Term weights c_j and instants d_j with y(z) = sum_j c_j e^(iz d_j)."""
     n = seq.n
-    d = np.empty(n + 2)
-    c = np.empty(n + 2)
-    d[0], c[0] = 0.0, 1.0
-    for m, dm in enumerate(seq.deltas, start=1):
-        d[m] = dm
-        c[m] = 2.0 * (-1.0) ** m
-    d[n + 1] = 1.0
+    d = np.concatenate(([0.0], seq.as_array(), [1.0]))
+    c = np.where(np.arange(n + 2) % 2 == 0, 2.0, -2.0)
+    c[0] = 1.0
     c[n + 1] = (-1.0) ** (n + 1)
     return c, d
 
 
-def x_factor_array(seq: PulseSequence, z: np.ndarray) -> np.ndarray:
-    """x_n(z) over an array of arguments (compensated accumulation)."""
-    z = np.asarray(z, dtype=float)
+def _x_coefficients(seq: PulseSequence):
+    """Term weights e_m and instants g_m with x(z) = sum_m e_m sin(z g_m)."""
     n = seq.n
-    total = (-1.0) ** n * np.sin(z)
-    comp = np.zeros_like(total)
-    for m, dm in enumerate(seq.deltas, start=1):
-        term = (-1.0) ** (m + 1) * np.sin(z * dm)
-        total, comp = _kahan_add(total, comp, term)
-    return total
+    g = np.concatenate((seq.as_array(), [1.0]))
+    e = np.where(np.arange(n + 1) % 2 == 0, 1.0, -1.0)
+    e[n] = (-1.0) ** n
+    return e, g
+
+
+def _mirror_symmetric(t: np.ndarray) -> bool:
+    """True when the instants satisfy t_j + t_(K-1-j) = 1 in floating point."""
+    return bool(np.all(t + t[::-1] == 1.0))
+
+
+def _half_sum(z: np.ndarray, t: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Real S with sum_j w_j e^(iz t_j) = e^(iz/2) S for an odd number K of
+    terms and i e^(iz/2) S for an even one.
+
+    Needs mirror-symmetric instants and weights w_(K-1-j) = (-1)^(K+1) w_j,
+    as the y and x weights have.  The pair phases u_j = 1/2 - t_(K-1-j)
+    are exact, since t_(K-1-j) >= 1/2.
+    """
+    half = len(t) // 2
+    u = 0.5 - t[::-1][:half]
+    if len(t) % 2 == 0:
+        return _split_sums(z, u, 2.0 * w[:half], np.sin)[0]
+    return _split_sums(z, np.append(u, 0.0), np.append(2.0 * w[:half], w[half]), np.cos)[0]
+
+
+def _split_sums(z: np.ndarray, u: np.ndarray, w: np.ndarray, *funcs) -> np.ndarray:
+    """sum_j w_j f(z u_j) at every node of z, one row per f in funcs.
+
+    Every term f(z u_j) lies in [-1, 1] and every weight is a small power
+    of two.  Adding and removing sigma >= 2 sum|w| rounds each term to a
+    grid on which the weighted sums of these high parts are exact in any
+    order, so BLAS may sum them.  The exact remainders are summed in
+    numpy's fixed order and round only at their own tiny scale.
+    """
+    flat = z.reshape(-1)
+    sigma = 2.0 ** (math.ceil(math.log2(max(np.sum(np.abs(w)), 1.0))) + 1)
+    rows = max(1, _BLOCK_ELEMENTS // max(len(u), 1))
+    out = np.empty((len(funcs), flat.size))
+    for start in range(0, flat.size, rows):
+        phase = np.multiply.outer(flat[start:start + rows], u)
+        for f, sums in zip(funcs, out):
+            terms = f(phase)
+            high = (terms + sigma) - sigma
+            terms -= high
+            terms *= w
+            sums[start:start + rows] = high @ w + terms.sum(axis=1)
+    return out.reshape((len(funcs),) + z.shape)
+
+
+def x_factor_array(seq: PulseSequence, z: np.ndarray) -> np.ndarray:
+    """x_n(z) over an array of arguments.
+
+    Mirror-symmetric sequences take the real half-sum, others the full term
+    set; both are summed with the error-free split.
+    """
+    z = np.asarray(z, dtype=float)
+    e, g = _x_coefficients(seq)
+    d = g[:-1]
+    if not _mirror_symmetric(d):
+        return _split_sums(z, g, e, np.sin)[0]
+    pair = np.sin(z / 2) if seq.n % 2 else np.cos(z / 2)
+    return e[-1] * np.sin(z) + pair * _half_sum(z, d, e[:-1])
 
 
 def y_factor_array(seq: PulseSequence, z: np.ndarray) -> np.ndarray:
-    """y_n(z) over an array of arguments (compensated accumulation)."""
+    """y_n(z) over an array of arguments.
+
+    Mirror-symmetric sequences take the real half-sum, others the full term
+    set; both are summed with the error-free split.
+    """
     z = np.asarray(z, dtype=float)
     c, d = _y_coefficients(seq)
-    total = np.full(z.shape, c[0], dtype=complex)  # d[0] = 0 term
-    comp = np.zeros_like(total)
-    for j in range(1, len(c)):
-        term = c[j] * np.exp(1j * z * d[j])
-        total, comp = _kahan_add(total, comp, term)
-    return total
+    if not _mirror_symmetric(d):
+        re, im = _split_sums(z, d, c, np.cos, np.sin)
+        return re + 1j * im
+    rot = np.exp(0.5j * z) if seq.n % 2 else 1j * np.exp(0.5j * z)
+    return rot * _half_sum(z, d, c)
 
 
 def y_abs_sq_array(seq: PulseSequence, z: np.ndarray, method: str = "auto") -> np.ndarray:
@@ -109,7 +182,8 @@ def y_abs_sq_array(seq: PulseSequence, z: np.ndarray, method: str = "auto") -> n
     method: "auto" uses direct summation but delegates to a noise-free
     analytic form (the Bessel approximation for udd, the parity closed
     form for equidistant) where the value sits below the double-precision
-    cancellation floor; "direct" returns the compensated direct sum alone.
+    cancellation floor; "direct" returns the direct sum of y_factor_array
+    alone.
     """
     z = np.asarray(z, dtype=float)
     direct = np.abs(y_factor_array(seq, z)) ** 2
@@ -139,7 +213,7 @@ def _delegate(direct, candidates, threshold, analytic_at):
     if np.any(candidates):
         analytic = analytic_at(candidates)
         use = analytic < threshold[candidates]
-        direct[np.flatnonzero(candidates)[use]] = analytic[use]
+        direct.flat[np.flatnonzero(candidates)[use]] = analytic[use]
     return direct
 
 
@@ -159,11 +233,7 @@ def y_taylor_moments(seq: PulseSequence):
 
 def x_taylor_moments(seq: PulseSequence):
     """Moments X1, X3 with x(z) = X1 z - X3 z^3/6 + O(z^5)."""
-    n = seq.n
-    g = np.concatenate([np.array(seq.deltas), [1.0]])
-    e = np.empty(n + 1)
-    e[:n] = [(-1.0) ** (m + 1) for m in range(1, n + 1)]
-    e[n] = (-1.0) ** n
+    e, g = _x_coefficients(seq)
     x1 = float(np.dot(e, g))
     x3 = float(np.dot(e, g**3))
     return x1, x3
@@ -175,7 +245,7 @@ def x_factor(seq: PulseSequence, z: float) -> float:
 
 
 def y_factor(seq: PulseSequence, z: float) -> complex:
-    """Coherence filter y_n(z) by direct compensated summation."""
+    """Coherence filter y_n(z), by the direct sum of y_factor_array."""
     return complex(y_factor_array(seq, np.atleast_1d(float(z)))[0])
 
 

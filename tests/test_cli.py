@@ -1,9 +1,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ddlab
 from ddlab.cli import main
 
 
@@ -184,6 +189,23 @@ class TestMcCommand:
         _, rows = parse_csv(out)
         assert abs(float(rows[0]["z_score"])) <= 3.0
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_bath_csv_rejected(self, tmp_path, capsys, source):
+        # the Monte Carlo path only has the ohmic classical twin
+        args = ["mc", "--scheme", "udd", "--n", "2", "--alpha", "0.2", "--t", "1",
+                "--samples", "200", "--quiet"]
+        missing = str(tmp_path / "missing.csv")
+        if source == "flag":
+            args += ["--bath-csv", missing]
+        else:
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps({"bath_csv": missing}))
+            args += ["--config", str(cfg)]
+        code, out, err = run_cli(args, capsys)
+        assert code == 2
+        assert out == ""
+        assert "bath_csv" in err
+
 
 class TestConfigHandling:
     def test_config_file_with_flag_override(self, tmp_path, capsys):
@@ -249,6 +271,27 @@ class TestConfigHandling:
         _, _, quiet = run_cli(["signal", "--n", "0", "--points", "2",
                                "--tmin", "1", "--tmax", "2", "--quiet"], capsys)
         assert quiet == ""
+
+
+class TestDeterminism:
+    def test_storage_rows_independent_of_blas_threads(self):
+        # the filter kernel hands row sums to BLAS; a rerun must give the
+        # same bytes whether BLAS runs one thread or several
+        src = str(Path(ddlab.__file__).resolve().parents[1])
+        rows = []
+        for threads in (None, "1"):
+            env = {k: v for k, v in os.environ.items()
+                   if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            proc = subprocess.run(
+                [sys.executable, "-m", "ddlab.cli", "storage", "--scheme", "udd",
+                 "--n", "100", "--quiet"],
+                env=env, capture_output=True, text=True, timeout=300, check=True)
+            rows.append([ln for ln in proc.stdout.splitlines() if not ln.startswith("#")])
+        assert len(rows[0]) == 2
+        assert rows[0] == rows[1]
 
 
 class TestCustomSequenceInput:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,7 @@ from ddlab import (
     y_abs_sq,
     y_factor,
 )
-from ddlab.filters import y_abs_sq_array, y_factor_array
+from ddlab.filters import _BLOCK_ELEMENTS, x_factor_array, y_abs_sq_array, y_factor_array
 
 # oracle: |y_1(1)|^2 = 16 sin^4(1/4), y_1(1) = (1 - e^{i/2})^2
 Y1_AT_1 = complex(-0.21486281791260572, -0.11738009240050945)
@@ -23,6 +24,38 @@ Y1_ABS_SQ_AT_1 = 0.0599441166132977
 EQ2_AT_1 = 0.08718233344350194
 # oracle: 64 * J_2(0.5)^2 via an independent Bessel evaluation
 BESSEL_N1_AT_1 = 0.05994280011901422
+EPS = np.finfo(float).eps
+
+
+def jittered_custom(n, seed):
+    """equidistant(n) with each instant moved by up to 0.3 of its gap."""
+    rng = np.random.default_rng(seed)
+    return custom((np.arange(1, n + 1) + rng.uniform(-0.3, 0.3, n)) / (n + 1))
+
+
+def mirrored_custom(half_count, seed):
+    """Random instants below 1/2, the midpoint and their mirror images."""
+    half = np.sort(np.random.default_rng(seed).uniform(0.02, 0.48, half_count))
+    return custom(np.concatenate([half, [0.5], 1.0 - half[::-1]]))
+
+
+def exact_filters(seq, z):
+    """y_n(z) and x_n(z) as 40-digit mpmath sums over the same float instants."""
+    n = seq.n
+    d = [0.0, *seq.deltas, 1.0]
+    c = [1] + [2 * (-1) ** m for m in range(1, n + 1)] + [(-1) ** (n + 1)]
+    e = [(-1) ** (m + 1) for m in range(1, n + 1)] + [(-1) ** n]
+    with mpmath.workdps(40):
+        zm = mpmath.mpf(z)
+        cos_sin = [mpmath.cos_sin(zm * dj) for dj in d]
+        re = mpmath.fsum(cj * co for cj, (co, _) in zip(c, cos_sin))
+        im = mpmath.fsum(cj * si for cj, (_, si) in zip(c, cos_sin))
+        x = mpmath.fsum(em * si for em, (_, si) in zip(e, cos_sin[1:]))
+    return complex(float(re), float(im)), float(x)
+
+
+NOISE_CASES = [build(n) for n in (0, 1, 2, 3, 10, 100, 1000) for build in (udd, equidistant)]
+NOISE_CASES += [jittered_custom(30, 30), mirrored_custom(10, 31)]
 
 
 class TestXFactor:
@@ -180,3 +213,47 @@ class TestReflectionSymmetry:
         y1 = y_factor(custom(ds), z)
         y2 = y_factor(custom(mirrored), z)
         assert abs(y1) == pytest.approx(abs(y2), rel=1e-10, abs=1e-12)
+
+
+class TestNoiseBound:
+    # the noise model behind filters._delegation_threshold: the direct sums
+    # stay within 4 eps (1+z) sqrt(n+2) of the exact sums over the same
+    # float instants, symmetric half-sums and full term sets alike
+    @pytest.mark.parametrize("seq", NOISE_CASES, ids=lambda s: f"{s.scheme}{s.n}")
+    def test_direct_sums_within_noise_model(self, seq):
+        z = np.geomspace(1e-3, 4 * (seq.n + 2), 16)
+        exact = [exact_filters(seq, float(zk)) for zk in z]
+        bound = 4 * EPS * (1 + z) * math.sqrt(seq.n + 2)
+        assert np.all(np.abs(y_factor_array(seq, z) - [y for y, _ in exact]) <= bound)
+        assert np.all(np.abs(x_factor_array(seq, z) - [x for _, x in exact]) <= bound)
+
+
+class TestBlockedKernel:
+    @pytest.mark.parametrize("generated", [udd(2), udd(9), equidistant(8)],
+                             ids=lambda s: f"{s.scheme}{s.n}")
+    def test_symmetric_custom_matches_generated(self, generated):
+        # the kernel reads the instants, not the scheme name
+        z = np.geomspace(1e-3, 50.0, 400)
+        twin = custom(generated.deltas)
+        assert np.array_equal(y_abs_sq_array(twin, z, "direct"),
+                              y_abs_sq_array(generated, z, "direct"))
+        assert np.array_equal(x_factor_array(twin, z), x_factor_array(generated, z))
+
+    @pytest.mark.parametrize("seq", [udd(1000), equidistant(499), jittered_custom(300, 3)],
+                             ids=lambda s: f"{s.scheme}{s.n}")
+    def test_blocks_match_single_nodes(self, seq):
+        # enough nodes for at least four blocks on either path
+        nodes = 4 * _BLOCK_ELEMENTS // (seq.n // 2 + 1) + 3
+        z = np.linspace(0.01, 3.0 * seq.n, nodes)
+        y, x = y_factor_array(seq, z), x_factor_array(seq, z)
+        assert np.array_equal(y, [y_factor_array(seq, z[k:k + 1])[0] for k in range(nodes)])
+        assert np.array_equal(x, [x_factor_array(seq, z[k:k + 1])[0] for k in range(nodes)])
+
+    @pytest.mark.parametrize("seq", [udd(7), equidistant(6), jittered_custom(5, 1)],
+                             ids=lambda s: f"{s.scheme}{s.n}")
+    def test_two_dimensional_nodes_keep_shape(self, seq):
+        z = np.geomspace(1e-3, 30.0, 60).reshape(6, 10)
+        for f in (y_factor_array, x_factor_array, y_abs_sq_array):
+            out = f(seq, z)
+            assert out.shape == z.shape
+            assert np.array_equal(out.ravel(), f(seq, z.ravel()))
