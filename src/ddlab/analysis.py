@@ -12,13 +12,12 @@ measure.  Pass include_phase=True to use the raw 1 - s_n(t) instead.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bath import Bath, OhmicBath
-from .decoherence import QuadratureError, QuadratureSpec, _chi_raw, signal
+from .decoherence import CHI_MAX, QuadratureError, QuadratureSpec, _chi_raw, signal
 from .sequences import _GENERATORS, PulseSequence
 
 __all__ = [
@@ -40,10 +39,6 @@ N_SEARCH_CAP = 10**5
 
 class RangeExhaustedError(RuntimeError):
     """The error never crossed epsilon inside the scan range."""
-
-    def __init__(self, message: str, side: str):
-        super().__init__(message)
-        self.side = side
 
 
 class SearchExhaustedError(RuntimeError):
@@ -68,7 +63,7 @@ def _error_fn(seq: PulseSequence, bath: Bath, quad: QuadratureSpec, include_phas
     else:
         def err(t):
             chi_val, _ = _chi_raw(seq, bath, t, quad)
-            return -math.expm1(-2.0 * min(chi_val, 350.0))
+            return -math.expm1(-2.0 * min(chi_val, CHI_MAX))
     return err
 
 
@@ -87,29 +82,23 @@ def storage_time(seq: PulseSequence, bath: Bath, epsilon: float,
     t_c = 1.0 / bath.cutoff
     ts = np.geomspace(SCAN_RANGE[0] * t_c, SCAN_RANGE[1] * t_c, SCAN_POINTS)
     err = _error_fn(seq, bath, quad, include_phase)
-    evals = 0
-
-    e_prev = err(ts[0])
-    evals += 1
-    if e_prev >= epsilon:
-        return StorageResult(t_store=float(ts[0]), epsilon=epsilon,
-                             bracket=(float(ts[0]), float(ts[0])),
+    lo = float(ts[0])
+    e = err(ts[0])
+    evals = 1
+    if e >= epsilon:
+        return StorageResult(t_store=lo, epsilon=epsilon, bracket=(lo, lo),
                              evaluations=evals, floored=True)
-    prev_t = float(ts[0])
-    lo = hi = None
     for t in ts[1:]:
         e = err(t)
         evals += 1
         if e >= epsilon:
-            lo, hi = prev_t, float(t)
+            hi = float(t)
             break
-        prev_t, e_prev = float(t), e
-    if lo is None or hi is None:
+        lo = float(t)
+    else:
         raise RangeExhaustedError(
             f"storage error stayed below epsilon={epsilon:g} up to "
-            f"t = {ts[-1]:g} (high end of scan range); last error {e_prev:.3e}",
-            side="high",
-        )
+            f"t = {ts[-1]:g} (high end of scan range); last error {e:.3e}")
     while hi / lo > 1.0 + BRACKET_RTOL:
         mid = math.sqrt(lo * hi)
         if err(mid) >= epsilon:
@@ -126,10 +115,11 @@ def min_pulses(scheme: str, bath: Bath, epsilon: float, t_target: float,
                include_phase: bool = False) -> int:
     """Smallest pulse count whose storage time reaches t_target.
 
-    Doubles n until the target is met, then binary-searches the bracket,
-    treating storage time as nondecreasing in n.  Monotonicity is verified
-    at the returned count; a violation triggers a warning and a linear
-    rescan.
+    Assumes that storage time does not decrease with n within each parity
+    class; equidistant storage times zig-zag between even and odd n.
+    Doubles n until the target is met, then bisects for n with store(n - 1)
+    below it.  If store(n - 2) also reaches it, a step-2 bisection over
+    n's parity class finds the smallest count.
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
@@ -164,23 +154,23 @@ def min_pulses(scheme: str, bath: Bath, epsilon: float, t_target: float,
         if n_hi > N_SEARCH_CAP:
             raise SearchExhaustedError(
                 f"no pulse count up to {N_SEARCH_CAP} reaches storage {t_target:g}")
-    n_lo = n_hi // 2  # store(n_lo) < t_target, store(n_hi) >= t_target
-    while n_hi - n_lo > 1:
-        mid = (n_lo + n_hi) // 2
-        if store(mid) >= t_target:
-            n_hi = mid
-        else:
-            n_lo = mid
-    # post-hoc monotonicity check at the result and its lower neighbor
-    if store(n_hi - 1) >= t_target:
-        warnings.warn(
-            f"storage time not monotone in n near n={n_hi}; falling back to a linear scan",
-            RuntimeWarning,
-        )
-        for n in range(0, n_hi + 1):
-            if store(n) >= t_target:
-                return n
-    return n_hi
+
+    def first_reaching(lo: int, hi: int, step: int) -> int:
+        # store(lo) < t_target <= store(hi), hi - lo a multiple of step
+        while hi - lo > step:
+            mid = lo + (hi - lo) // (2 * step) * step
+            if store(mid) >= t_target:
+                hi = mid
+            else:
+                lo = mid
+        return hi
+
+    n = first_reaching(n_hi // 2, n_hi, 1)
+    # store(0) and store(1) are below the target here, so n % 2 is a valid
+    # lower end; the other parity class stays below it up to n - 1
+    if n >= 2 and store(n - 2) >= t_target:
+        n = first_reaching(n % 2, n - 2, 2)
+    return n
 
 
 @dataclass(frozen=True)

@@ -96,13 +96,6 @@ class RunConfig:
         if self.tmax < self.tmin:
             raise ValueError(f"tmax {self.tmax} below tmin {self.tmin}")
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["deltas"] = list(self.deltas) if self.deltas is not None else None
-        d["alphas"] = list(self.alphas)
-        d["temperatures"] = list(self.temperatures)
-        return d
-
 
 def _quad(cfg: RunConfig) -> QuadratureSpec:
     return QuadratureSpec(rel_tol=cfg.rel_tol, max_panels=cfg.max_panels)
@@ -129,17 +122,12 @@ def _classical_bath(cfg: RunConfig) -> ClassicalBath:
     bath = OhmicBath(alpha=cfg.alpha, omega_d=cfg.omega_d, temperature=cfg.temperature)
 
     def p(w):
-        j = spectral_density(bath, w)
-        if bath.temperature == 0.0:
-            return math.pi * j
-        return math.pi * j * thermal_weight(bath.temperature, w)
+        return math.pi * spectral_density(bath, w) * thermal_weight(bath.temperature, w)
 
     return ClassicalBath(power_spectrum=p, omega_max=bath.omega_d)
 
 
 def _time_grid(cfg: RunConfig) -> np.ndarray:
-    if cfg.points == 1:
-        return np.array([cfg.tmin])
     if cfg.spacing == "log":
         return np.geomspace(cfg.tmin, cfg.tmax, cfg.points)
     return np.linspace(cfg.tmin, cfg.tmax, cfg.points)
@@ -156,30 +144,23 @@ def _write_output(cfg: RunConfig, command: str, columns, rows) -> None:
         payload = {
             "version": __version__,
             "command": command,
-            "config": cfg.to_dict(),
+            "config": asdict(cfg),
             "rows": [dict(zip(columns, row)) for row in rows],
         }
         text = json.dumps(payload, indent=2) + "\n"
     else:
         buf = io.StringIO()
         buf.write(f"# ddlab {__version__} {command}\n")
-        buf.write(f"# config: {json.dumps(cfg.to_dict())}\n")
+        buf.write(f"# config: {json.dumps(asdict(cfg))}\n")
         writer = csv.writer(buf)
         writer.writerow(columns)
-        writer.writerows([[_fmt(v) for v in row] for row in rows])
+        writer.writerows(rows)  # floats by repr, so they re-parse exactly
         text = buf.getvalue()
     if cfg.out == "-":
         sys.stdout.write(text)
     else:
         with open(cfg.out, "w", newline="") as fh:
             fh.write(text)
-
-
-def _fmt(x) -> object:
-    # shortest round-trip representation keeps CSV output re-parseable
-    if isinstance(x, float):
-        return repr(x)
-    return x
 
 
 def cmd_signal(cfg: RunConfig) -> int:
@@ -399,18 +380,10 @@ def main(argv=None) -> int:
     except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"ddlab: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    commands = {"signal": cmd_signal, "storage": cmd_storage, "min-pulses": cmd_min_pulses,
+                "compare": lambda c: cmd_compare(c, with_storage), "mc": cmd_mc}
     try:
-        if args.command == "signal":
-            return cmd_signal(cfg)
-        if args.command == "storage":
-            return cmd_storage(cfg)
-        if args.command == "min-pulses":
-            return cmd_min_pulses(cfg)
-        if args.command == "compare":
-            return cmd_compare(cfg, with_storage)
-        if args.command == "mc":
-            return cmd_mc(cfg)
-        raise AssertionError(f"unhandled command {args.command}")
+        return commands[args.command](cfg)
     except (ValueError, OSError) as exc:
         print(f"ddlab: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -35,8 +35,10 @@ Where even exact summation of the rounded terms cannot resolve |y|^2
 noise-free analytic forms through one delegation step: optimized (udd)
 sequences to 16 (n+1)^2 J_{n+1}(z/2)^2, exact up to exponentially small
 corrections for z/(2n+2) < 1, and equidistant sequences to their exact
-parity closed form, which equidistant_closed_form also exposes.  Custom
-sequences always use the direct sum.
+parity closed form, which equidistant_closed_form also exposes.  The
+scheme label picks the form, and PulseSequence rejects a generated label
+whose instants are not that generator's.  Custom sequences always use the
+direct sum.
 """
 
 from __future__ import annotations
@@ -176,21 +178,16 @@ def y_factor_array(seq: PulseSequence, z: np.ndarray) -> np.ndarray:
     return rot * _half_sum(z, d, c)
 
 
-def y_abs_sq_array(seq: PulseSequence, z: np.ndarray, method: str = "auto") -> np.ndarray:
+def y_abs_sq_array(seq: PulseSequence, z: np.ndarray) -> np.ndarray:
     """|y_n(z)|^2 over an array of arguments.
 
-    method: "auto" uses direct summation but delegates to a noise-free
-    analytic form (the Bessel approximation for udd, the parity closed
-    form for equidistant) where the value sits below the double-precision
-    cancellation floor; "direct" returns the direct sum of y_factor_array
-    alone.
+    Direct summation, except where the value sits below the double-precision
+    cancellation floor: there a noise-free analytic form takes over (the
+    Bessel approximation for udd, the parity closed form for equidistant).
+    The direct sum alone is np.abs(y_factor_array(seq, z)) ** 2.
     """
     z = np.asarray(z, dtype=float)
     direct = np.abs(y_factor_array(seq, z)) ** 2
-    if method == "direct":
-        return direct
-    if method != "auto":
-        raise ValueError(f"unknown method {method!r}")
     n = seq.n
     threshold = _delegation_threshold(n, z)
     if seq.scheme == "udd":
@@ -249,9 +246,9 @@ def y_factor(seq: PulseSequence, z: float) -> complex:
     return complex(y_factor_array(seq, np.atleast_1d(float(z)))[0])
 
 
-def y_abs_sq(seq: PulseSequence, z: float, method: str = "auto") -> float:
+def y_abs_sq(seq: PulseSequence, z: float) -> float:
     """|y_n(z)|^2; see y_abs_sq_array for the source selection."""
-    return float(y_abs_sq_array(seq, np.atleast_1d(float(z)), method)[0])
+    return float(y_abs_sq_array(seq, np.atleast_1d(float(z)))[0])
 
 
 def equidistant_closed_form(n: int, z):
@@ -285,8 +282,5 @@ def bessel_approx(n: int, z):
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    if isinstance(z, np.ndarray):
-        j = bessel_j(n + 1, np.abs(z) / 2.0)
-    else:
-        j = bessel_j(n + 1, abs(float(z)) / 2.0)
+    j = bessel_j(n + 1, np.abs(z) / 2.0)
     return 16.0 * (n + 1) ** 2 * j * j

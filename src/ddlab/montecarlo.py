@@ -53,8 +53,8 @@ class Trajectory:
     """One noise realization: grid samples plus the generating modes.
 
     The mode data (omegas, amp_cos, amp_sin) allows exact evaluation at
-    arbitrary instants, which toggled_phase needs for the pulse
-    breakpoints that fall between grid points.
+    arbitrary instants; toggled_phase evaluates every instant, grid points
+    and pulse breakpoints alike, from the modes.
     """
 
     times: np.ndarray
@@ -174,15 +174,7 @@ def toggled_phase(traj: Trajectory, seq: PulseSequence, t: float) -> float:
     if t > traj.times[-1] * (1.0 + 1e-12):
         raise ValueError(f"t = {t:g} beyond the trajectory span {traj.times[-1]:g}")
     instants, weights = _segment_layout(seq, t, traj.times)
-    # reuse stored grid values; evaluate only off-grid instants from modes
-    idx = np.searchsorted(traj.times, instants)
-    idx = np.clip(idx, 0, len(traj.times) - 1)
-    on_grid = traj.times[idx] == instants
-    fvals = np.empty(len(instants))
-    fvals[on_grid] = traj.values[idx[on_grid]]
-    if np.any(~on_grid):
-        fvals[~on_grid] = traj.value_at(instants[~on_grid])
-    return t * math.fsum(weights * fvals)
+    return t * math.fsum(weights * traj.value_at(instants))
 
 
 def _batched_phases(bath: ClassicalBath, seq: PulseSequence, t: float,

@@ -20,7 +20,9 @@ class PulseSequence:
     """Immutable, validated pulse sequence.
 
     deltas are strictly increasing instants in the open interval (0, 1);
-    scheme records how the sequence was generated.
+    scheme records how the sequence was generated.  A generated label
+    (equidistant, udd) must match that generator's instants, because the
+    filters pick analytic forms by it.
     """
 
     deltas: tuple
@@ -37,6 +39,9 @@ class PulseSequence:
                 raise ValueError(
                     f"delta[{i}] = {d} not strictly greater than delta[{i-1}] = {ds[i-1]}"
                 )
+        if self.scheme in _INSTANTS and ds != _INSTANTS[self.scheme](len(ds)):
+            raise ValueError(f"deltas are not the {self.scheme}({len(ds)}) instants; "
+                             f"use scheme 'custom'")
         object.__setattr__(self, "deltas", ds)
 
     @property
@@ -47,21 +52,35 @@ class PulseSequence:
         return np.array(self.deltas, dtype=float)
 
 
-def _mirrored(first_half, n: int, middle: float = 0.5) -> tuple:
+def _mirrored(first_half, n: int) -> tuple:
     """Assemble a symmetric sequence so d_j + d_{n+1-j} = 1 holds exactly."""
     out = list(first_half)
     if n % 2 == 1:
-        out.append(middle)
+        out.append(0.5)
     out.extend(1.0 - d for d in reversed(first_half))
     return tuple(out)
+
+
+def _equidistant_instants(n: int) -> tuple:
+    return _mirrored([m / (n + 1) for m in range(1, n // 2 + 1)], n)
+
+
+def _udd_instants(n: int) -> tuple:
+    half = []
+    for j in range(1, n // 2 + 1):
+        if 3 * j == n + 1:  # sin(pi/6) = 1/2 exactly
+            half.append(0.25)
+        else:
+            s = math.sin(math.pi * j / (2 * n + 2))
+            half.append(s * s)
+    return _mirrored(half, n)
 
 
 def equidistant(n: int) -> PulseSequence:
     """n equally spaced pulses, delta_m = m/(n+1)."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    half = [m / (n + 1) for m in range(1, n // 2 + 1)]
-    return PulseSequence(_mirrored(half, n), scheme="equidistant")
+    return PulseSequence(_equidistant_instants(n), scheme="equidistant")
 
 
 def udd(n: int) -> PulseSequence:
@@ -72,18 +91,12 @@ def udd(n: int) -> PulseSequence:
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    half = []
-    for j in range(1, n // 2 + 1):
-        if 3 * j == n + 1:  # sin(pi/6) = 1/2 exactly
-            half.append(0.25)
-        else:
-            s = math.sin(math.pi * j / (2 * n + 2))
-            half.append(s * s)
-    return PulseSequence(_mirrored(half, n), scheme="udd")
+    return PulseSequence(_udd_instants(n), scheme="udd")
 
 
-# name -> generator of the generated schemes, in row order; SCHEMES adds
-# the user-supplied one
+# name -> instants and name -> generator of the generated schemes, in row
+# order; SCHEMES adds the user-supplied one
+_INSTANTS = {"equidistant": _equidistant_instants, "udd": _udd_instants}
 _GENERATORS = {"equidistant": equidistant, "udd": udd}
 SCHEMES = (*_GENERATORS, "custom")
 

@@ -41,9 +41,8 @@ class TestStorageTime:
         assert res.t_store == pytest.approx(1e-3)
 
     def test_range_exhausted_names_high_end(self, quad):
-        with pytest.raises(RangeExhaustedError, match="high") as exc_info:
+        with pytest.raises(RangeExhaustedError, match="high"):
             storage_time(udd(0), OhmicBath(alpha=0.0), 1e-4, quad)
-        assert exc_info.value.side == "high"
 
     def test_epsilon_validation(self, quad):
         with pytest.raises(ValueError):
@@ -116,6 +115,16 @@ class TestMinPulses:
             n for n in range(20)
             if storage_time(udd(n), bath, 1e-4, quad).t_store >= t_target)
         assert min_pulses("udd", bath, 1e-4, t_target, quad) == expected
+
+    @pytest.mark.parametrize("t_target", [0.5, 1.1])
+    def test_equidistant_matches_linear_scan_across_parity(self, quad, t_target):
+        # equidistant storage times zig-zag with parity, so the smallest
+        # count can sit well below the first n with store(n - 1) < t_target
+        bath = OhmicBath(alpha=0.25)
+        expected = next(
+            n for n in range(40)
+            if storage_time(equidistant(n), bath, 1e-4, quad).t_store >= t_target)
+        assert min_pulses("equidistant", bath, 1e-4, t_target, quad) == expected
 
     def test_scheme_validation(self, quad):
         with pytest.raises(ValueError, match="scheme"):

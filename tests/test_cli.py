@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import ddlab
+import ddlab.analysis
 from ddlab.cli import main
 
 
@@ -72,6 +73,15 @@ class TestSignalCommand:
         assert doc["version"]
         assert len(doc["rows"]) == 5
         assert doc["config"]["n"] == 1
+
+    @pytest.mark.parametrize("spacing", ["log", "linear"])
+    def test_single_point_is_tmin(self, capsys, spacing):
+        code, out, _ = run_cli(
+            ["signal", "--n", "1", "--points", "1", "--tmin", "0.7", "--tmax", "3",
+             "--spacing", spacing, "--quiet"], capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [r["t"] for r in rows] == ["0.7"]
 
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "curve.csv"
@@ -147,6 +157,32 @@ class TestCompareCommand:
         assert {r["scheme"] for r in storage} == {"equidistant", "udd"}
         assert len(ratio) == 1
         assert float(ratio[0]["ratio"]) >= 1.0
+
+    def test_uncoupled_alpha_gives_storage_errors_and_no_ratio(self, capsys):
+        code, out, _ = run_cli(
+            ["compare", "--n", "2", "--alphas", "0,0.25", "--temperatures", "0",
+             "--tmin", "0.5", "--tmax", "1", "--points", "2",
+             "--epsilon", "1e-4", "--quiet"], capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        storage = [r for r in rows if r["kind"] == "storage" and r["alpha"] == "0.0"]
+        assert [r["scheme"] for r in storage] == ["equidistant", "udd"]
+        for r in storage:
+            assert r["t"] == ""
+            assert r["error"].startswith("RangeExhaustedError: storage error stayed below")
+        assert [r["alpha"] for r in rows if r["kind"] == "ratio"] == ["0.25"]
+
+    def test_every_cell_failing_exit_3(self, capsys, monkeypatch):
+        def failing(seq, bath, t, quad):
+            raise ddlab.QuadratureError("no convergence", estimate=0.0, error_bound=1.0)
+
+        monkeypatch.setattr(ddlab.analysis, "signal", failing)
+        code, out, err = run_cli(
+            ["compare", "--n", "2", "--alphas", "0.25", "--temperatures", "0",
+             "--tmin", "0.5", "--tmax", "1", "--points", "2", "--quiet"], capsys)
+        assert code == 3
+        assert out == ""
+        assert "every sweep cell failed" in err
 
     @pytest.mark.parametrize("with_epsilon", [True, False])
     def test_epsilon_in_config_file_toggles_storage(self, tmp_path, capsys, with_epsilon):

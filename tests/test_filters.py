@@ -107,10 +107,6 @@ class TestYAbsSq:
     def test_single_echo_closed_form(self):
         assert y_abs_sq(udd(1), 1.0) == pytest.approx(Y1_ABS_SQ_AT_1, rel=1e-13)
 
-    def test_method_validation(self):
-        with pytest.raises(ValueError):
-            y_abs_sq(udd(1), 1.0, method="magic")
-
     def test_cpmg_differs_from_equidistant_pair(self):
         z = 3.0
         assert y_abs_sq(udd(2), z) != pytest.approx(y_abs_sq(equidistant(2), z), rel=1e-3)
@@ -143,7 +139,7 @@ class TestEquidistantClosedForm:
         pole_spacing = (n + 1) * math.pi
         off_pole = np.abs(z / pole_spacing - np.round(z / pole_spacing)) > 0.02
         zs = z[off_pole]
-        direct = y_abs_sq_array(equidistant(n), zs, method="direct")
+        direct = np.abs(y_factor_array(equidistant(n), zs)) ** 2
         closed = equidistant_closed_form(n, zs)
         assert np.max(np.abs(direct - closed) / np.maximum(1.0, closed)) <= 1e-12
 
@@ -176,7 +172,7 @@ class TestBesselApprox:
         band = (ref > 1e-12) & (ref < 1e-9)
         if not np.any(band):
             pytest.skip("band empty at this order")
-        direct = y_abs_sq_array(udd(n), z[band], method="direct")
+        direct = np.abs(y_factor_array(udd(n), z[band])) ** 2
         assert np.max(np.abs(direct - ref[band]) / ref[band]) < 1e-6
 
 
@@ -235,8 +231,7 @@ class TestBlockedKernel:
         # the kernel reads the instants, not the scheme name
         z = np.geomspace(1e-3, 50.0, 400)
         twin = custom(generated.deltas)
-        assert np.array_equal(y_abs_sq_array(twin, z, "direct"),
-                              y_abs_sq_array(generated, z, "direct"))
+        assert np.array_equal(y_factor_array(twin, z), y_factor_array(generated, z))
         assert np.array_equal(x_factor_array(twin, z), x_factor_array(generated, z))
 
     @pytest.mark.parametrize("seq", [udd(1000), equidistant(499), jittered_custom(300, 3)],

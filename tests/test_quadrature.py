@@ -44,6 +44,20 @@ def test_panel_budget_exhaustion_carries_estimate():
     assert err.error_bound > 0
 
 
+def test_panel_cap_limits_the_last_split():
+    # the third round would split 4 panels but only 3 fit under the cap
+    spec = QuadratureSpec(rel_tol=1e-12, max_panels=20)
+    sizes = []
+
+    def f(x):
+        sizes.append(x.size)
+        return np.sin(40.0 * x) * np.exp(x)
+
+    with pytest.raises(QuadratureError, match="within 20 panels"):
+        integrate_adaptive(f, 0.0, 3.0, spec, initial_panels=16)
+    assert sizes == [15 * 16, 15 * 2, 15 * 6]
+
+
 def test_tolerance_refinement():
     # piecewise structure forces splitting beyond the initial panels
     def f(x):

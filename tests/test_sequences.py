@@ -110,3 +110,12 @@ class TestCsvLoading:
 def test_pulse_sequence_rejects_unknown_scheme():
     with pytest.raises(ValueError, match="scheme"):
         PulseSequence(deltas=(0.5,), scheme="cpmg")
+
+
+def test_pulse_sequence_rejects_mislabelled_instants():
+    # the label selects the analytic filter form, so it must match the instants
+    for scheme in ("udd", "equidistant"):
+        with pytest.raises(ValueError, match=rf"not the {scheme}\(2\) instants"):
+            PulseSequence(deltas=(0.3, 0.6), scheme=scheme)
+    assert PulseSequence(deltas=udd(5).deltas, scheme="udd") == udd(5)
+    assert PulseSequence(deltas=equidistant(2).deltas, scheme="equidistant") == equidistant(2)
