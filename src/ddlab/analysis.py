@@ -35,6 +35,9 @@ SCAN_POINTS = 60
 SCAN_RANGE = (1e-3, 1e4)  # in units of t_C = 1/cutoff
 BRACKET_RTOL = 1e-6
 N_SEARCH_CAP = 10**5
+# ITP truncation constant, per unit of ln t: a step moves (0.2 * width^2)
+# from the regula falsi root toward the bracket's midpoint
+_TRUNCATION = 0.2
 
 
 class RangeExhaustedError(RuntimeError):
@@ -67,45 +70,84 @@ def _error_fn(seq: PulseSequence, bath: Bath, quad: QuadratureSpec, include_phas
     return err
 
 
+def _log_excess(e: float, epsilon: float) -> float:
+    # ln(e / epsilon), -inf where the error has rounded to zero or below
+    return math.log(e / epsilon) if e > 0.0 else -math.inf
+
+
 def storage_time(seq: PulseSequence, bath: Bath, epsilon: float,
                  quad: QuadratureSpec = QuadratureSpec(),
                  include_phase: bool = False) -> StorageResult:
     """Locate the first time with storage error >= epsilon.
 
-    Scans 60 log-spaced points over [1e-3, 1e4] * t_C for a sign change,
-    then bisects geometrically to relative bracket width 1e-6.  If the
-    error already exceeds epsilon at the scan floor, the floor is returned
-    with floored=True.
+    A binary search over 60 log-spaced points on [1e-3, 1e4] * t_C finds
+    the first grid cell whose upper end reaches epsilon, in 5 or 6 error
+    evaluations.  Inside that cell the ITP method (Oliveira & Takahashi,
+    ACM TOMS 2020) in (ln t, ln error) narrows the bracket to relative
+    width 1e-6: a regula falsi step, aimed slightly past its root so that
+    both ends close, and held close enough to the midpoint that it never
+    needs more than 20 steps, one more than bisection.  The storage errors
+    tried so far took 4-9 steps, 10-15 evaluations per solve.  If the
+    first grid point already reaches epsilon, it is returned with
+    floored=True.
+
+    The grid search assumes a single crossing: once the error reaches
+    epsilon it does not fall back below it.  For the decay envelope this
+    holds whenever W(w)/w does not increase with w (the ohmic bath at any
+    temperature), since chi_n(t) = int_0^{wc t} (W/w)(z/t) |y_n(z)|^2/(4z)
+    dz then cannot decrease with t.  With include_phase it is assumed.
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     t_c = 1.0 / bath.cutoff
     ts = np.geomspace(SCAN_RANGE[0] * t_c, SCAN_RANGE[1] * t_c, SCAN_POINTS)
     err = _error_fn(seq, bath, quad, include_phase)
-    lo = float(ts[0])
-    e = err(ts[0])
-    evals = 1
-    if e >= epsilon:
-        return StorageResult(t_store=lo, epsilon=epsilon, bracket=(lo, lo),
+    # first grid index with error >= epsilon; the ends -1 and SCAN_POINTS
+    # stand for "below" and "above" and are never evaluated
+    i_lo, i_hi = -1, SCAN_POINTS
+    evals = 0
+    while i_hi - i_lo > 1:
+        i = (i_lo + i_hi) // 2
+        e = err(float(ts[i]))
+        evals += 1
+        if e >= epsilon:
+            i_hi, e_hi = i, e
+        else:
+            i_lo, e_lo = i, e
+    if i_hi == SCAN_POINTS:
+        raise RangeExhaustedError(
+            f"storage error stayed below epsilon={epsilon:g} up to "
+            f"t = {ts[-1]:g} (high end of scan range); last error {e_lo:.3e}")
+    if i_lo < 0:
+        t0 = float(ts[0])
+        return StorageResult(t_store=t0, epsilon=epsilon, bracket=(t0, t0),
                              evaluations=evals, floored=True)
-    for t in ts[1:]:
+    lo, hi = float(ts[i_lo]), float(ts[i_hi])
+    g_lo, g_hi = _log_excess(e_lo, epsilon), _log_excess(e_hi, epsilon)
+    # ITP in x = ln t: x_f is the regula falsi root of ln(err/epsilon); it
+    # is moved toward the midpoint by _TRUNCATION * width^2, so the far end
+    # also closes, then kept within a radius of the midpoint that shrinks
+    # so that the bracket is done at most one step after bisection would be;
+    # the target half-width sits 2 % inside the tolerance, so rounding in
+    # exp and log cannot cost a step beyond that
+    half_tol = 0.49 * math.log1p(BRACKET_RTOL)
+    steps_left = math.ceil(math.log2(math.log(hi / lo) / (2.0 * half_tol))) + 1
+    while hi / lo > 1.0 + BRACKET_RTOL:
+        a, b = math.log(lo), math.log(hi)
+        mid = 0.5 * (a + b)
+        x = a + (b - a) * g_lo / (g_lo - g_hi) if g_lo > -math.inf else mid
+        toward = 1.0 if mid >= x else -1.0
+        x += toward * min(_TRUNCATION * (b - a) ** 2, abs(mid - x))
+        radius = max(half_tol * 2.0 ** steps_left - 0.5 * (b - a), 0.0)
+        x = mid - toward * min(abs(mid - x), radius)
+        steps_left -= 1
+        t = math.exp(x)
         e = err(t)
         evals += 1
         if e >= epsilon:
-            hi = float(t)
-            break
-        lo = float(t)
-    else:
-        raise RangeExhaustedError(
-            f"storage error stayed below epsilon={epsilon:g} up to "
-            f"t = {ts[-1]:g} (high end of scan range); last error {e:.3e}")
-    while hi / lo > 1.0 + BRACKET_RTOL:
-        mid = math.sqrt(lo * hi)
-        if err(mid) >= epsilon:
-            hi = mid
+            hi, g_hi = t, _log_excess(e, epsilon)
         else:
-            lo = mid
-        evals += 1
+            lo, g_lo = t, _log_excess(e, epsilon)
     return StorageResult(t_store=math.sqrt(lo * hi), epsilon=epsilon,
                          bracket=(lo, hi), evaluations=evals)
 
@@ -116,7 +158,8 @@ def min_pulses(scheme: str, bath: Bath, epsilon: float, t_target: float,
     """Smallest pulse count whose storage time reaches t_target.
 
     Assumes that storage time does not decrease with n within each parity
-    class; equidistant storage times zig-zag between even and odd n.
+    class; equidistant storage times zig-zag between even and odd n.  Each
+    storage_time solve also assumes a single crossing in t (see there).
     Doubles n until the target is met, then bisects for n with store(n - 1)
     below it.  If store(n - 2) also reaches it, a step-2 bisection over
     n's parity class finds the smallest count.

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 import ddlab.analysis
@@ -7,7 +8,9 @@ from ddlab import (
     OhmicBath,
     QuadratureError,
     RangeExhaustedError,
+    TabulatedSpectralDensity,
     compare_schemes,
+    custom,
     equidistant,
     min_pulses,
     signal,
@@ -20,6 +23,48 @@ from ddlab.decoherence import _chi_raw
 def decay_error(seq, bath, t, quad):
     chi_val, _ = _chi_raw(seq, bath, t, quad)
     return -math.expm1(-2.0 * chi_val)
+
+
+def storage_error(seq, bath, t, quad, include_phase):
+    if include_phase:
+        return 1.0 - signal(seq, bath, t, quad).signal
+    return decay_error(seq, bath, t, quad)
+
+
+def reference_storage(err, epsilon, t_c=1.0):
+    """Linear-scan reference solver: march 60 log-spaced points over
+    [1e-3, 1e4] * t_C upward to the first one with err >= epsilon, then
+    bisect that grid cell geometrically to relative width 1e-6.
+
+    Returns (t_store, bracket, cell).
+    """
+    grid = [float(t) for t in np.geomspace(1e-3 * t_c, 1e4 * t_c, 60)]
+    assert err(grid[0]) < epsilon, "reference: crossing below the grid"
+    i = next((i for i in range(1, len(grid)) if err(grid[i]) >= epsilon), None)
+    assert i is not None, "reference: no crossing on the grid"
+    lo, hi = grid[i - 1], grid[i]
+    while hi / lo > 1.0 + 1e-6:
+        mid = math.sqrt(lo * hi)
+        if err(mid) >= epsilon:
+            hi = mid
+        else:
+            lo = mid
+    return math.sqrt(lo * hi), (lo, hi), (grid[i - 1], grid[i])
+
+
+def assert_matches_reference(seq, bath, epsilon, quad, include_phase=False):
+    def err(t):
+        return storage_error(seq, bath, t, quad, include_phase)
+
+    res = storage_time(seq, bath, epsilon, quad, include_phase=include_phase)
+    t_ref, _, (cell_lo, cell_hi) = reference_storage(err, epsilon, 1.0 / bath.cutoff)
+    lo, hi = res.bracket
+    assert not res.floored
+    assert cell_lo <= lo < hi <= cell_hi
+    assert err(lo) < epsilon <= err(hi)
+    assert hi / lo <= 1.0 + 1e-6
+    assert abs(res.t_store / t_ref - 1.0) <= 1e-6
+    assert res.evaluations <= 20
 
 
 class TestStorageTime:
@@ -99,6 +144,51 @@ class TestStorageTime:
         scaled = [storage_time(equidistant(n), bath, 1e-4, quad).t_store / (n + 1)
                   for n in (10, 20, 50)]
         assert max(scaled) / min(scaled) < 3.0
+
+
+class TestStorageOracle:
+    """storage_time against the linear-scan reference solver."""
+
+    @pytest.mark.parametrize("include_phase", [False, True], ids=["decay", "phase"])
+    @pytest.mark.parametrize("temperature", [0.0, 0.1])
+    @pytest.mark.parametrize("alpha", [0.25, 0.001])
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 20, 100])
+    @pytest.mark.parametrize("build", [udd, equidistant], ids=["udd", "equidistant"])
+    def test_generated_sequences(self, quad, build, n, alpha, temperature, include_phase):
+        assert_matches_reference(build(n), OhmicBath(alpha=alpha, temperature=temperature),
+                                 1e-4, quad, include_phase)
+
+    def test_tabulated_bath_jittered_custom(self, quad):
+        rng = np.random.default_rng(5)
+        seq = custom((np.arange(1, 11) + rng.uniform(-0.3, 0.3, 10)) / 11)
+        om = np.linspace(0.0, 2.0, 21)
+        bath = TabulatedSpectralDensity(om, 0.5 * om * np.exp(-om ** 2), temperature=0.05)
+        assert_matches_reference(seq, bath, 1e-4, quad)
+
+    def test_udd100_work_counter(self, quad):
+        # machine-independent cost: the linear scan needed 65 evaluations
+        res = storage_time(udd(100), OhmicBath(alpha=0.25), 1e-4, quad)
+        assert res.evaluations <= 15
+
+    @pytest.mark.parametrize("shape", ["zero_step", "tiny_step", "kink"])
+    def test_worst_case_is_one_step_beyond_bisection(self, quad, monkeypatch, shape):
+        # errors that defeat interpolation: a jump from 0 or 1e-300 to 1, and
+        # a kink in (ln t, ln err) with slopes 1e-3 and 1e3 about t0
+        t0 = 0.7315
+
+        def err(t):
+            x = math.log(t / t0)
+            if shape == "kink":
+                return 1e-4 * math.exp(max(-700.0, min(9.0, (1e-3 if x < 0 else 1e3) * x)))
+            return 1.0 if x >= 0 else (0.0 if shape == "zero_step" else 1e-300)
+
+        monkeypatch.setattr(ddlab.analysis, "_error_fn", lambda *args: err)
+        res = storage_time(udd(0), OhmicBath(alpha=0.1), 1e-4, quad)
+        lo, hi = res.bracket
+        assert lo < t0 <= hi and hi / lo <= 1.0 + 1e-6
+        # 6 grid evaluations, and bisection needs 19 steps to shrink a grid
+        # cell (ratio 10^(7/59)) to 1e-6
+        assert res.evaluations <= 6 + 19 + 1
 
 
 class TestMinPulses:

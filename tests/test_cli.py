@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -112,6 +113,38 @@ class TestStorageCommand:
              "--quiet"], capsys)
         assert code == 4
         assert "range" in err.lower()
+
+    def test_mirror_symmetric_custom_matches_udd(self, capsys):
+        # chi of this sequence is rounding noise at the scan floor t = 1e-3,
+        # where the quadrature cannot converge; the solver must not go there
+        args = ["storage", "--alpha", "0.2", "--epsilon", "1e-4", "--quiet"]
+        code, out, _ = run_cli(args + ["--scheme", "custom", "--deltas", "0.25,0.75"], capsys)
+        assert code == 0
+        _, (row,) = parse_csv(out)
+        code, out, _ = run_cli(args + ["--scheme", "udd", "--n", "2"], capsys)
+        assert code == 0
+        _, (udd_row,) = parse_csv(out)
+        assert row["scheme"] == "custom"
+        row["scheme"] = "udd"
+        assert row == udd_row
+
+    def test_mirror_symmetric_custom_from_file(self, tmp_path, capsys, quad):
+        path = tmp_path / "seq.csv"
+        path.write_text("delta\n0.2\n0.5\n0.8\n")
+        code, out, _ = run_cli(
+            ["storage", "--scheme", "custom", "--deltas-file", str(path),
+             "--alpha", "0.2", "--epsilon", "1e-4", "--quiet"], capsys)
+        assert code == 0
+        _, (row,) = parse_csv(out)
+        lo, hi = float(row["bracket_lo"]), float(row["bracket_hi"])
+        assert row["n"] == "3" and row["floored"] == "0"
+        assert hi / lo <= 1 + 1e-6
+        seq, bath = ddlab.custom([0.2, 0.5, 0.8]), ddlab.OhmicBath(alpha=0.2)
+
+        def err(t):
+            return -math.expm1(-2.0 * ddlab.chi(seq, bath, t, quad))
+
+        assert err(lo) < 1e-4 <= err(hi)
 
 
 class TestMinPulsesCommand:
