@@ -133,7 +133,7 @@ Bath = Union[OhmicBath, TabulatedSpectralDensity, ClassicalBath]
 
 
 def spectral_density(bath: QuantumBath, omega):
-    """J(omega) for a quantum bath.  Accepts scalars or arrays."""
+    """J(omega) for a quantum bath: a float for a scalar, else an ndarray."""
     om = np.asarray(omega, dtype=float)
     if np.any(om < 0):
         raise ValueError("omega must be nonnegative")
@@ -143,7 +143,7 @@ def spectral_density(bath: QuantumBath, omega):
         out = np.interp(om, bath.omegas, bath.values, right=0.0)
     else:
         raise TypeError(f"not a quantum bath: {type(bath).__name__}")
-    return out if isinstance(omega, np.ndarray) else float(out)
+    return out if np.ndim(omega) else float(out)
 
 
 def thermal_weight(temperature: float, omega):
@@ -160,7 +160,7 @@ def thermal_weight(temperature: float, omega):
         raise ValueError("temperature must be >= 0")
     if temperature == 0.0:
         out = np.ones_like(om)
-        return out if isinstance(omega, np.ndarray) else 1.0
+        return out if np.ndim(omega) else 1.0
     if np.any(om == 0):
         raise ValueError("thermal weight diverges at omega = 0 for T > 0")
     x = om / (2.0 * temperature)
@@ -168,14 +168,14 @@ def thermal_weight(temperature: float, omega):
     out = np.empty_like(x)
     out[small] = 1.0 / x[small] + x[small] / 3.0
     out[~small] = 1.0 / np.tanh(x[~small])
-    return out if isinstance(omega, np.ndarray) else float(out)
+    return out if np.ndim(omega) else float(out)
 
 
 def integrand_weight(bath: Bath, omega):
     """The weight the decoherence integrals run against.
 
     Quantum baths give J(omega) * coth(omega/(2T)); classical baths give
-    p(omega)/pi.  Accepts scalars or arrays.
+    p(omega)/pi.  A scalar gives a float, an array or list an ndarray.
     """
     if isinstance(bath, ClassicalBath):
         om = np.asarray(omega, dtype=float)
@@ -183,7 +183,7 @@ def integrand_weight(bath: Bath, omega):
             raise ValueError("omega must be nonnegative")
         out = np.asarray(bath.power_spectrum(om), dtype=float) / np.pi
         out = np.where(om <= bath.omega_max, out, 0.0)
-        return out if isinstance(omega, np.ndarray) else float(out)
+        return out if np.ndim(omega) else float(out)
     j = spectral_density(bath, omega)
     if bath.temperature == 0.0:
         return j

@@ -9,8 +9,8 @@ including n = 0 (free evolution):
 
 where W is the bath integrand weight (J coth for quantum, p/pi for
 classical) and wc the bath cutoff.  The integrands extend continuously to
-w = 0; below w = 1e-8 * wc they are evaluated from the small-z expansions
-of the filters to avoid 0/0 cancellation.
+w = 0, and the Gauss-Kronrod nodes never reach it.  Which source serves
+|y_n|^2 at small w t is decided in filters.y_abs_sq_array.
 """
 
 from __future__ import annotations
@@ -21,12 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import Bath, ClassicalBath, integrand_weight, spectral_density
-from .filters import (
-    x_factor_array,
-    x_taylor_moments,
-    y_abs_sq_array,
-    y_taylor_moments,
-)
+from .filters import x_factor_array, y_abs_sq_array
 from .quadrature import QuadratureError, QuadratureSpec, integrate_adaptive
 from .sequences import PulseSequence
 
@@ -44,12 +39,6 @@ __all__ = [
 # exp(-2*350) is at the edge of the double range; larger chi is reported
 # as a saturated zero signal
 CHI_MAX = 350.0
-
-# the Taylor branch of the integrands engages below either threshold; the
-# z cut also protects small-t evaluations where the direct filter sums are
-# noise-limited for large pulse counts
-_SMALL_OMEGA_FRACTION = 1e-8
-_SMALL_Z = 1e-5
 
 
 @dataclass(frozen=True)
@@ -92,18 +81,6 @@ def _initial_panels(t: float, omega_cut: float) -> int:
     return max(16, math.ceil(omega_cut * t / math.pi))
 
 
-def _split_small(w, t: float, wc: float, direct, taylor) -> np.ndarray:
-    """direct(w) above the small-omega/small-z cut, taylor(w) below it."""
-    out = np.empty_like(w)
-    small = (w < _SMALL_OMEGA_FRACTION * wc) | (w * t < _SMALL_Z)
-    big = ~small
-    if np.any(big):
-        out[big] = direct(w[big])
-    if np.any(small):
-        out[small] = taylor(w[small])
-    return out
-
-
 def _frequency_integral(kind: str, f, t: float, wc: float, quad: QuadratureSpec):
     """(value, error bound, evaluations) of f over [0, wc], naming t on failure."""
     try:
@@ -120,19 +97,9 @@ def _chi_raw(seq: PulseSequence, bath: Bath, t: float, quad: QuadratureSpec):
         raise ValueError(f"t must be >= 0, got {t}")
     if t == 0.0:
         return 0.0, 0.0
-    s1, s2, s3 = y_taylor_moments(seq)
-    quartic = s2 * s2 / 4.0 - s1 * s3 / 3.0
-
-    def direct(wb):
-        ysq = y_abs_sq_array(seq, wb * t)
-        return integrand_weight(bath, wb) * ysq / (4.0 * wb * wb)
-
-    def taylor(ws):
-        z2 = (ws * t) ** 2
-        return integrand_weight(bath, ws) * (t * t / 4.0) * (s1 * s1 + z2 * quartic)
 
     def f(w):
-        return _split_small(w, t, bath.cutoff, direct, taylor)
+        return integrand_weight(bath, w) * y_abs_sq_array(seq, w * t) / (4.0 * w * w)
 
     val, err, _ = _frequency_integral("chi", f, t, bath.cutoff, quad)
     return max(val, 0.0), err
@@ -152,17 +119,9 @@ def phase(seq: PulseSequence, bath: Bath, t: float,
         raise ValueError(f"t must be >= 0, got {t}")
     if isinstance(bath, ClassicalBath) or t == 0.0:
         return 0.0
-    x1, x3 = x_taylor_moments(seq)
-
-    def direct(wb):
-        return spectral_density(bath, wb) * x_factor_array(seq, wb * t) / (2.0 * wb * wb)
-
-    def taylor(ws):
-        zs = ws * t
-        return spectral_density(bath, ws) * (zs * x1 - zs**3 * x3 / 6.0) / (2.0 * ws * ws)
 
     def f(w):
-        return _split_small(w, t, bath.cutoff, direct, taylor)
+        return spectral_density(bath, w) * x_factor_array(seq, w * t) / (2.0 * w * w)
 
     val, _, _ = _frequency_integral("phase", f, t, bath.cutoff, quad)
     return val

@@ -29,16 +29,24 @@ terms with small power-of-two weights is split error-free (Rump, Ogita &
 Oishi, SIAM J. Sci. Comput. 31 (2008)): the high parts sum exactly in any
 order, so only the tiny low parts round.
 
-The n+2 unit-magnitude terms of y_n cancel to O(z^(n+1)) at small z.
-Where even exact summation of the rounded terms cannot resolve |y|^2
-(deep suppression), y_abs_sq_array hands the generated schemes to
-noise-free analytic forms through one delegation step: optimized (udd)
-sequences to 16 (n+1)^2 J_{n+1}(z/2)^2, exact up to exponentially small
-corrections for z/(2n+2) < 1, and equidistant sequences to their exact
-parity closed form, which equidistant_closed_form also exposes.  The
-scheme label picks the form, and PulseSequence rejects a generated label
-whose instants are not that generator's.  Custom sequences always use the
-direct sum.
+The n+2 unit-magnitude terms of y_n cancel to O(z^(n+1)) at small z, so
+the direct sum cannot resolve |y|^2 where the sequence suppresses it
+deeply.  y_abs_sq_array is the one place that picks the source of |y|^2
+at each node, from four:
+
+  direct     the error-free sum above, wherever it resolves the value;
+  Bessel     16 (n+1)^2 J_{n+1}(z/2)^2 for optimized (udd) sequences,
+             exact up to exponentially small corrections for z/(2n+2) < 1;
+  parity     the exact parity closed form for equidistant sequences with
+             n >= 1, which equidistant_closed_form also exposes;
+  Taylor     z^2 (S1^2 + z^2 (S2^2/4 - S1 S3/3)) from the moments
+             S_k = sum_j c_j d_j^k, at |z| < 1e-5 for the sequences with
+             no analytic form: custom ones and equidistant(0).
+
+The Bessel and parity forms take over from the direct sum below its noise
+floor down to the smallest z, so they give the ideal sequence's values.
+The scheme label picks the form, and PulseSequence rejects a generated
+label whose instants are not that generator's.
 """
 
 from __future__ import annotations
@@ -58,7 +66,6 @@ __all__ = [
     "y_factor_array",
     "y_abs_sq_array",
     "y_taylor_moments",
-    "x_taylor_moments",
     "equidistant_closed_form",
     "bessel_approx",
 ]
@@ -73,6 +80,9 @@ __all__ = [
 # window stops short of z = 2n+2 where the J_{3(n+1)} corrections wake up.
 _BESSEL_WINDOW = 0.95  # in units of z/(2n+2)
 _POLE_TOL = 1e-12
+# sequences with no analytic form take |y|^2 from its moment expansion
+# below this |z|, where the omitted O(z^6) terms are negligible
+_SMALL_Z = 1e-5
 
 
 def _delegation_threshold(n: int, z: np.ndarray) -> np.ndarray:
@@ -182,9 +192,11 @@ def y_abs_sq_array(seq: PulseSequence, z: np.ndarray) -> np.ndarray:
     """|y_n(z)|^2 over an array of arguments.
 
     Direct summation, except where the value sits below the double-precision
-    cancellation floor: there a noise-free analytic form takes over (the
-    Bessel approximation for udd, the parity closed form for equidistant).
-    The direct sum alone is np.abs(y_factor_array(seq, z)) ** 2.
+    cancellation floor: there the Bessel form (udd) or the parity closed
+    form (equidistant, n >= 1) takes over down to the smallest z, giving
+    the ideal sequence's values, and sequences with neither take the
+    moment expansion at |z| < _SMALL_Z.  The direct sum alone is
+    np.abs(y_factor_array(seq, z)) ** 2.
     """
     z = np.asarray(z, dtype=float)
     direct = np.abs(y_factor_array(seq, z)) ** 2
@@ -201,6 +213,11 @@ def y_abs_sq_array(seq: PulseSequence, z: np.ndarray) -> np.ndarray:
         cos_arg = np.cos(z / (2 * n + 2))
         return _delegate(direct, (np.abs(cos_arg) > 0.5) & (direct < 2.0 * threshold),
                          threshold, lambda c: _parity_closed_form(n, z[c], cos_arg[c]))
+    small = np.abs(z) < _SMALL_Z
+    if np.any(small):
+        s1, s2, s3 = y_taylor_moments(seq)
+        z2 = z[small] ** 2
+        direct[small] = z2 * (s1 * s1 + z2 * (s2 * s2 / 4.0 - s1 * s3 / 3.0))
     return direct
 
 
@@ -226,14 +243,6 @@ def y_taylor_moments(seq: PulseSequence):
     s2 = float(np.dot(c, d * d))
     s3 = float(np.dot(c, d * d * d))
     return s1, s2, s3
-
-
-def x_taylor_moments(seq: PulseSequence):
-    """Moments X1, X3 with x(z) = X1 z - X3 z^3/6 + O(z^5)."""
-    e, g = _x_coefficients(seq)
-    x1 = float(np.dot(e, g))
-    x3 = float(np.dot(e, g**3))
-    return x1, x3
 
 
 def x_factor(seq: PulseSequence, z: float) -> float:
@@ -265,7 +274,7 @@ def equidistant_closed_form(n: int, z):
     if np.any(np.abs(cos_arg) < _POLE_TOL):
         raise ValueError(f"z within {_POLE_TOL} of a tangent pole of the n={n} closed form")
     out = _parity_closed_form(n, zs, cos_arg)
-    return out if isinstance(z, np.ndarray) else float(out)
+    return out if np.ndim(z) else float(out)
 
 
 def _parity_closed_form(n: int, z: np.ndarray, cos_arg: np.ndarray) -> np.ndarray:

@@ -71,9 +71,9 @@ def _backward_recurrence(order: int, xs: np.ndarray) -> np.ndarray:
 def bessel_j(order: int, x):
     """J_order(x) for integer order >= 0 and x >= 0.
 
-    Accepts scalars or numpy arrays.  Relative accuracy is ~1e-13 over the
-    domain this package touches (x up to a few hundred at low order, or
-    any x up to ~2x the order at high order).
+    A scalar gives a float, an array or list an ndarray.  Relative accuracy
+    is ~1e-13 over the domain this package touches (x up to a few hundred at
+    low order, or any x up to ~2x the order at high order).
     """
     if order < 0 or order != int(order):
         raise ValueError(f"order must be a nonnegative integer, got {order}")
@@ -81,8 +81,8 @@ def bessel_j(order: int, x):
     xs = np.asarray(x, dtype=float)
     if np.any(xs < 0):
         raise ValueError("x must be nonnegative")
-    scalar = not isinstance(x, np.ndarray)
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    scalar = np.ndim(x) == 0
+    xs = np.atleast_1d(xs)
 
     out = np.zeros_like(xs)
     zero = xs == 0.0

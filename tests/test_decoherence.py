@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import sici
@@ -11,11 +12,13 @@ from ddlab import (
     QuadratureSpec,
     chi,
     coherence_curve,
+    custom,
     equidistant,
     phase,
     signal,
     udd,
 )
+from ddlab.quadrature import integrate_adaptive
 from conftest import STANDARD_GRID, classical_twin
 
 EULER_GAMMA = 0.5772156649015329
@@ -29,6 +32,98 @@ def chi_free_ohmic(alpha: float, t: float) -> float:
 def phase_free_ohmic(alpha: float, t: float) -> float:
     """Closed form for n = 0, ohmic: alpha Si(t)."""
     return alpha * float(sici(t)[0])
+
+
+def closed_forms(instants, alpha: float, t: float, dps: int):
+    """(chi, phi) for the T = 0 ohmic bath with a hard cutoff at 1, at dps digits.
+
+    With y = sum_j c_j e^(iz d_j) over (0, d_1..d_n, 1) and
+    x = sum_m e_m sin(z g_m) over (d_1..d_n, 1):
+        chi = -(alpha/2) sum_{j,k} c_j c_k Cin(t |d_j - d_k|)
+        phi = alpha sum_m e_m Si(t g_m)
+    instants are callables, so each is built at the working precision.
+    """
+    with mpmath.workdps(dps):
+        n = len(instants)
+        d = [mpmath.mpf(0)] + [make() for make in instants] + [mpmath.mpf(1)]
+        c = [1] + [2 * (-1) ** m for m in range(1, n + 1)] + [(-1) ** (n + 1)]
+        e = [(-1) ** (m + 1) for m in range(1, n + 1)] + [(-1) ** n]
+        pairs = mpmath.mpf(0)
+        for j in range(n + 2):
+            for k in range(j + 1, n + 2):
+                x = t * (d[k] - d[j])
+                pairs += c[j] * c[k] * (mpmath.euler + mpmath.log(x) - mpmath.ci(x))
+        phi = alpha * mpmath.fsum(e[m] * mpmath.si(t * d[m + 1]) for m in range(n + 1))
+        return -alpha * pairs, phi
+
+
+def converged_closed_forms(instants, alpha: float, t: float):
+    """closed_forms at the first doubling of digits that moves neither by 1e-20.
+
+    The pair sum cancels down to chi, so the digits needed grow with the
+    cancellation depth (about 200 for udd(20) at t = 1e-3).
+    """
+    dps = 30
+    previous = closed_forms(instants, alpha, t, dps)
+    while dps < 2000:
+        dps *= 2
+        current = closed_forms(instants, alpha, t, dps)
+        if all(abs(a - b) <= mpmath.mpf(10) ** -20 * abs(b)
+               for a, b in zip(previous, current)):
+            return current
+        previous = current
+    raise AssertionError("closed forms did not settle below 2000 digits")
+
+
+def udd_instants(n):
+    return [lambda j=j: mpmath.sin(mpmath.pi * j / (2 * n + 2)) ** 2 for j in range(1, n + 1)]
+
+
+def equidistant_instants(n):
+    return [lambda m=m: mpmath.mpf(m) / (n + 1) for m in range(1, n + 1)]
+
+
+# the udd and equidistant labels select the ideal sequences' analytic forms,
+# so their oracle takes the ideal instants; custom takes its float instants
+CLOSED_FORM_CASES = {
+    "udd2": (udd(2), udd_instants(2)),
+    "udd5": (udd(5), udd_instants(5)),
+    "udd20": (udd(20), udd_instants(20)),
+    "equidistant5": (equidistant(5), equidistant_instants(5)),
+    "custom": (custom((0.2, 0.45, 0.8)),
+               [lambda d=d: mpmath.mpf(d) for d in (0.2, 0.45, 0.8)]),
+}
+
+
+class TestClosedFormOracle:
+    @pytest.mark.parametrize("t", [1e-3, 0.01, 0.03, 0.1])
+    @pytest.mark.parametrize("case", list(CLOSED_FORM_CASES))
+    def test_chi_and_phase_match_closed_forms(self, quad, case, t):
+        seq, instants = CLOSED_FORM_CASES[case]
+        bath = OhmicBath(alpha=0.25)
+        chi_ref, phi_ref = converged_closed_forms(instants, 0.25, t)
+        assert abs(chi(seq, bath, t, quad) - chi_ref) <= 1e-12 * chi_ref
+        assert abs(phase(seq, bath, t, quad) - phi_ref) <= 1e-12 * abs(phi_ref)
+
+
+class TestUddSmallTimes:
+    @pytest.mark.parametrize("n", [5, 20, 100])
+    def test_chi_nondecreasing_and_first_round(self, quad, monkeypatch, n):
+        # below about 0.04 t_C the udd filter lies under the direct sum's
+        # noise floor; chi must still grow with t, from one quadrature round
+        evaluations = []
+
+        def counting(*args, **kwargs):
+            out = integrate_adaptive(*args, **kwargs)
+            evaluations.append(out[2])
+            return out
+
+        monkeypatch.setattr(ddlab.decoherence, "integrate_adaptive", counting)
+        bath = OhmicBath(alpha=0.25)
+        chis = [chi(udd(n), bath, t, quad) for t in np.geomspace(1e-3, 0.1, 12)]
+        assert all(b >= a for a, b in zip(chis, chis[1:]))
+        # 16 initial panels of 15 Gauss-Kronrod nodes each
+        assert evaluations == [16 * 15] * 12
 
 
 class TestFreeEvolutionOracle:

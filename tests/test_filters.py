@@ -112,6 +112,14 @@ class TestYAbsSq:
         assert y_abs_sq(udd(2), z) != pytest.approx(y_abs_sq(equidistant(2), z), rel=1e-3)
         assert y_abs_sq(udd(1), z) == y_abs_sq(equidistant(1), z)
 
+    @pytest.mark.parametrize("z", [1e-8, 1e-7, 1e-6])
+    def test_moment_expansion_for_custom_at_small_z(self, z):
+        # dyadic instants, not mirror symmetric, with S1 = 0 and S2 = 3/8:
+        # |y|^2 ~ 0.035 z^4 lies far below the direct sum's noise floor
+        seq = custom((0.25, 0.375, 0.625))
+        y, _ = exact_filters(seq, z)
+        assert y_abs_sq(seq, z) == pytest.approx(abs(y) ** 2, rel=1e-9, abs=0.0)
+
 
 class TestEquidistantClosedForm:
     def test_identity_with_single_echo(self):

@@ -1,0 +1,51 @@
+"""The benchmark's tracer (perfbench/tracing.py) reaches ddlab only through
+module attributes, and tells the chi integrand from the phase integrand by
+its __qualname__.  These checks keep both in place without importing the
+benchmark as a package."""
+
+import importlib
+import importlib.util
+import pathlib
+import sys
+
+import pytest
+
+from ddlab import OhmicBath, chi, phase, udd
+from ddlab.quadrature import integrate_adaptive
+
+TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    # load by path, writing no bytecode cache next to the benchmark's files
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
+
+
+def test_every_seam_resolves_to_a_callable(tracing):
+    assert tracing.SEAMS
+    for module_name, attr, _, _ in tracing.SEAMS:
+        module = importlib.import_module(module_name)
+        assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+
+
+@pytest.mark.parametrize("evaluate,is_chi", [(chi, True), (phase, False)], ids=["chi", "phase"])
+def test_integrand_qualname_tells_chi_from_phase(monkeypatch, evaluate, is_chi):
+    qualnames = []
+
+    def spy(f, *args, **kwargs):
+        qualnames.append(f.__qualname__)
+        return integrate_adaptive(f, *args, **kwargs)
+
+    monkeypatch.setattr("ddlab.decoherence.integrate_adaptive", spy)
+    evaluate(udd(2), OhmicBath(alpha=0.25), 1.0)
+    assert len(qualnames) == 1
+    assert ("_chi_raw" in qualnames[0]) == is_chi
