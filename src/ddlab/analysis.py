@@ -166,7 +166,7 @@ def min_pulses(scheme: str, bath: Bath, epsilon: float, t_target: float,
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    if t_target <= 0:
+    if not t_target > 0:
         raise ValueError(f"t_target must be > 0, got {t_target}")
     t_c = 1.0 / bath.cutoff
     if t_target > SCAN_RANGE[1] * t_c:

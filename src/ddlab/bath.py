@@ -8,6 +8,7 @@ bath correlation time t_C = 1/omega_d.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -22,10 +23,6 @@ __all__ = [
     "integrand_weight",
 ]
 
-# below this value of omega/(2T) the direct coth evaluation cancels badly
-_COTH_SERIES_CUT = 1e-6
-
-
 @dataclass(frozen=True)
 class OhmicBath:
     """Ohmic quantum bath J(w) = 2*alpha*w up to a hard cutoff omega_d.
@@ -38,6 +35,9 @@ class OhmicBath:
     temperature: float = 0.0
 
     def __post_init__(self):
+        for name in ("alpha", "omega_d", "temperature"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.alpha < 0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
         if self.omega_d <= 0:
@@ -70,14 +70,16 @@ class TabulatedSpectralDensity:
             raise ValueError("need at least two (omega, J) samples")
         if jv.shape != om.shape:
             raise ValueError("omega and J arrays must have the same length")
+        if not (np.all(np.isfinite(om)) and np.all(np.isfinite(jv))):
+            raise ValueError("omega and J samples must be finite")
         if not np.all(np.diff(om) > 0):
             raise ValueError("omega samples must be strictly ascending")
         if np.any(om < 0):
             raise ValueError("omega samples must be nonnegative")
         if np.any(jv < 0):
             raise ValueError("J samples must be nonnegative")
-        if self.temperature < 0:
-            raise ValueError(f"temperature must be >= 0, got {self.temperature}")
+        if not (0 <= self.temperature < math.inf):
+            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
         om.setflags(write=False)
         jv.setflags(write=False)
         object.__setattr__(self, "omegas", om)
@@ -91,7 +93,12 @@ class TabulatedSpectralDensity:
             header = next(reader, None)
             if header is None or [h.strip() for h in header[:2]] != ["omega", "J"]:
                 raise ValueError(f"{path}: expected header 'omega,J', got {header}")
-            rows = [(float(r[0]), float(r[1])) for r in reader if r]
+            rows = []
+            for r in filter(None, reader):
+                if len(r) < 2:
+                    raise ValueError(f"{path}, line {reader.line_num}: "
+                                     f"expected 'omega,J', got {r}")
+                rows.append((float(r[0]), float(r[1])))
         om = np.array([r[0] for r in rows])
         jv = np.array([r[1] for r in rows])
         return cls(om, jv, temperature)
@@ -114,12 +121,14 @@ class ClassicalBath:
     omega_max: float
 
     def __post_init__(self):
-        if self.omega_max <= 0:
-            raise ValueError(f"omega_max must be > 0, got {self.omega_max}")
+        if not (0 < self.omega_max < math.inf):
+            raise ValueError(f"omega_max must be finite and > 0, got {self.omega_max}")
         # spot-check nonnegativity on a coarse grid; full validation is the
         # caller's responsibility for arbitrary callables
         probe = np.linspace(0.0, self.omega_max, 17)[1:]
         vals = np.asarray(self.power_spectrum(probe), dtype=float)
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("power_spectrum is not finite on (0, omega_max]")
         if np.any(vals < 0):
             raise ValueError("power_spectrum is negative on [0, omega_max]")
 
@@ -149,9 +158,9 @@ def spectral_density(bath: QuantumBath, omega):
 def thermal_weight(temperature: float, omega):
     """coth(omega / (2 T)), the thermal occupation factor.
 
-    Returns exactly 1 at T = 0.  For omega/(2T) < 1e-6 the series
-    2T/omega + omega/(6T) is used to avoid catastrophic evaluation.
-    Raises for omega = 0 at T > 0 where the weight diverges.
+    Returns exactly 1 at T = 0.  1/tanh keeps full relative accuracy at
+    small omega/(2T), where coth ~ 2T/omega.  Raises for omega = 0 at T > 0
+    where the weight diverges.
     """
     om = np.asarray(omega, dtype=float)
     if np.any(om < 0):
@@ -163,11 +172,7 @@ def thermal_weight(temperature: float, omega):
         return out if np.ndim(omega) else 1.0
     if np.any(om == 0):
         raise ValueError("thermal weight diverges at omega = 0 for T > 0")
-    x = om / (2.0 * temperature)
-    small = x < _COTH_SERIES_CUT
-    out = np.empty_like(x)
-    out[small] = 1.0 / x[small] + x[small] / 3.0
-    out[~small] = 1.0 / np.tanh(x[~small])
+    out = 1.0 / np.tanh(om / (2.0 * temperature))
     return out if np.ndim(omega) else float(out)
 
 

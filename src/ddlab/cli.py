@@ -81,6 +81,11 @@ class RunConfig:
     quiet: bool = False
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            for x in value if isinstance(value, tuple) else (value,):
+                if isinstance(x, float) and not math.isfinite(x):
+                    raise ValueError(f"{f.name} must be finite, got {value}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.n < 0:

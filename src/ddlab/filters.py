@@ -9,25 +9,28 @@ and the coherence filter is
     y_n(z) = 1 + (-1)^(n+1) e^(iz) + 2 sum_m (-1)^m e^(iz d_m),
 
 with y_n(0) = 0 always.  |y_n|^2 multiplies the bath weight inside the
-decay exponent; x_n enters only the deterministic phase.
+decay exponent; x_n enters only the deterministic phase.  Term by term,
+
+    x_n(z) = ((-1)^n sin z - Im y_n(z)) / 2,
+
+so both filters read one term table: y = sum_j c_j e^(iz d_j) over the
+instants (0, d_1..d_n, 1).
 
 When the instants are mirror symmetric, d_j + d_(n+1-j) = 1 (every
 generated sequence, and any custom one that is), the terms pair up about
-the midpoint.  With y = sum_j c_j e^(iz d_j) over the instants
-(0, d_1..d_n, 1), e_m = (-1)^(m+1) and u_j = d_j - 1/2, the filters
-become real half-sums over the first half of the terms:
+the midpoint.  With u_j = d_j - 1/2, y becomes a real half-sum S over the
+first half of the terms:
 
-    n even:  y = i e^(iz/2) sum_j 2 c_j sin(z u_j),
-             x = sin z + 2 cos(z/2) sum_m e_m sin(z u_m)
-    n odd:   y = e^(iz/2) (c_mid + sum_j 2 c_j cos(z u_j)),
-             x = -sin z + sin(z/2) (e_mid + 2 sum_m e_m cos(z u_m))
+    n even:  y = i e^(iz/2) S,  S = sum_j 2 c_j sin(z u_j),
+    n odd:   y = e^(iz/2) S,    S = c_mid + sum_j 2 c_j cos(z u_j),
 
-That needs about a quarter of the transcendental evaluations of the
-complex sum for y and half for x.  Other sequences sum the full term set.
-Either way the nodes are taken in blocks, and each row sum of bounded
-terms with small power-of-two weights is split error-free (Rump, Ogita &
-Oishi, SIAM J. Sci. Comput. 31 (2008)): the high parts sum exactly in any
-order, so only the tiny low parts round.
+so Im y = cos(z/2) S for n even and sin(z/2) S for n odd.  That needs
+about a quarter of the transcendental evaluations of the complex sum, and
+x reuses the same S.  Other sequences sum the full term set, x its sine
+row alone.  Either way the nodes are taken in blocks, and each row sum of
+bounded terms with small power-of-two weights is split error-free (Rump,
+Ogita & Oishi, SIAM J. Sci. Comput. 31 (2008)): the high parts sum
+exactly in any order, so only the tiny low parts round.
 
 The n+2 unit-magnitude terms of y_n cancel to O(z^(n+1)) at small z, so
 the direct sum cannot resolve |y|^2 where the sequence suppresses it
@@ -35,13 +38,15 @@ deeply.  y_abs_sq_array is the one place that picks the source of |y|^2
 at each node, from four:
 
   direct     the error-free sum above, wherever it resolves the value;
-  Bessel     16 (n+1)^2 J_{n+1}(z/2)^2 for optimized (udd) sequences,
-             exact up to exponentially small corrections for z/(2n+2) < 1;
+  Bessel     16 (n+1)^2 J_{n+1}(z/2)^2 for optimized (udd) sequences with
+             n >= 1, exact up to exponentially small corrections for
+             z/(2n+2) < 1 (for n = 0 the J_3 term is only O(z^2) smaller);
   parity     the exact parity closed form for equidistant sequences with
              n >= 1, which equidistant_closed_form also exposes;
   Taylor     z^2 (S1^2 + z^2 (S2^2/4 - S1 S3/3)) from the moments
              S_k = sum_j c_j d_j^k, at |z| < 1e-5 for the sequences with
-             no analytic form: custom ones and equidistant(0).
+             no analytic form: custom ones and the empty sequence, n = 0,
+             under either label.
 
 The Bessel and parity forms take over from the direct sum below its noise
 floor down to the smallest z, so they give the ideal sequence's values.
@@ -105,15 +110,6 @@ def _y_coefficients(seq: PulseSequence):
     return c, d
 
 
-def _x_coefficients(seq: PulseSequence):
-    """Term weights e_m and instants g_m with x(z) = sum_m e_m sin(z g_m)."""
-    n = seq.n
-    g = np.concatenate((seq.as_array(), [1.0]))
-    e = np.where(np.arange(n + 1) % 2 == 0, 1.0, -1.0)
-    e[n] = (-1.0) ** n
-    return e, g
-
-
 def _mirror_symmetric(t: np.ndarray) -> bool:
     """True when the instants satisfy t_j + t_(K-1-j) = 1 in floating point."""
     return bool(np.all(t + t[::-1] == 1.0))
@@ -124,8 +120,8 @@ def _half_sum(z: np.ndarray, t: np.ndarray, w: np.ndarray) -> np.ndarray:
     terms and i e^(iz/2) S for an even one.
 
     Needs mirror-symmetric instants and weights w_(K-1-j) = (-1)^(K+1) w_j,
-    as the y and x weights have.  The pair phases u_j = 1/2 - t_(K-1-j)
-    are exact, since t_(K-1-j) >= 1/2.
+    as y's weights have.  The pair phases u_j = 1/2 - t_(K-1-j) are exact,
+    since t_(K-1-j) >= 1/2.
     """
     half = len(t) // 2
     u = 0.5 - t[::-1][:half]
@@ -159,18 +155,19 @@ def _split_sums(z: np.ndarray, u: np.ndarray, w: np.ndarray, *funcs) -> np.ndarr
 
 
 def x_factor_array(seq: PulseSequence, z: np.ndarray) -> np.ndarray:
-    """x_n(z) over an array of arguments.
+    """x_n(z) = ((-1)^n sin z - Im y_n(z)) / 2 over an array of arguments.
 
-    Mirror-symmetric sequences take the real half-sum, others the full term
-    set; both are summed with the error-free split.
+    Im y comes from y's term table through the kernel calls that
+    y_factor_array makes: the half-sum S for mirror-symmetric sequences,
+    the sine row of the full term set for others.
     """
     z = np.asarray(z, dtype=float)
-    e, g = _x_coefficients(seq)
-    d = g[:-1]
+    c, d = _y_coefficients(seq)
     if not _mirror_symmetric(d):
-        return _split_sums(z, g, e, np.sin)[0]
-    pair = np.sin(z / 2) if seq.n % 2 else np.cos(z / 2)
-    return e[-1] * np.sin(z) + pair * _half_sum(z, d, e[:-1])
+        im = _split_sums(z, d, c, np.sin)[0]
+    else:
+        im = (np.sin(z / 2) if seq.n % 2 else np.cos(z / 2)) * _half_sum(z, d, c)
+    return 0.5 * ((-1) ** seq.n * np.sin(z) - im)
 
 
 def y_factor_array(seq: PulseSequence, z: np.ndarray) -> np.ndarray:
@@ -193,8 +190,8 @@ def y_abs_sq_array(seq: PulseSequence, z: np.ndarray) -> np.ndarray:
 
     Direct summation, except where the value sits below the double-precision
     cancellation floor: there the Bessel form (udd) or the parity closed
-    form (equidistant, n >= 1) takes over down to the smallest z, giving
-    the ideal sequence's values, and sequences with neither take the
+    form (equidistant), both for n >= 1, takes over down to the smallest z,
+    giving the ideal sequence's values, and sequences with neither take the
     moment expansion at |z| < _SMALL_Z.  The direct sum alone is
     np.abs(y_factor_array(seq, z)) ** 2.
     """
@@ -202,7 +199,7 @@ def y_abs_sq_array(seq: PulseSequence, z: np.ndarray) -> np.ndarray:
     direct = np.abs(y_factor_array(seq, z)) ** 2
     n = seq.n
     threshold = _delegation_threshold(n, z)
-    if seq.scheme == "udd":
+    if seq.scheme == "udd" and n >= 1:
         window = np.abs(z) < _BESSEL_WINDOW * (2 * n + 2)
         return _delegate(direct, window & (direct < 2.0 * threshold), threshold,
                          lambda c: bessel_approx(n, np.abs(z[c])))

@@ -226,6 +226,9 @@ class TestMinPulses:
             min_pulses("udd", bath, 1e-4, 0.0, quad)
         with pytest.raises(ValueError):
             min_pulses("udd", bath, 1e-4, 1e6, quad)
+        for t_target in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="t_target"):
+                min_pulses("udd", bath, 1e-4, t_target, quad)
 
 
 class TestCompareSchemes:

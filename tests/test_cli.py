@@ -11,7 +11,7 @@ import pytest
 
 import ddlab
 import ddlab.analysis
-from ddlab.cli import main
+from ddlab.cli import RunConfig, main
 
 
 def run_cli(args, capsys):
@@ -303,6 +303,23 @@ class TestConfigHandling:
         assert run_cli(["signal", "--tmin", "0", "--spacing", "log",
                         "--quiet"], capsys)[0] == 2
 
+    def test_infinite_tmax_exit_2(self, capsys):
+        code, _, err = run_cli(["signal", "--tmax", "inf", "--quiet"], capsys)
+        assert code == 2
+        assert "tmax must be finite" in err
+
+    @pytest.mark.parametrize("field", ["alpha", "temperature", "epsilon", "t_target",
+                                       "tmax", "t", "rel_tol", "dt"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_float_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            RunConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["alphas", "temperatures", "deltas"])
+    def test_non_finite_tuple_entry_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            RunConfig(**{field: (0.25, math.nan)})
+
     def test_custom_scheme_needs_deltas(self, capsys):
         assert run_cli(["signal", "--scheme", "custom", "--quiet"], capsys)[0] == 2
 
@@ -383,6 +400,13 @@ class TestCustomSequenceInput:
             ["signal", "--scheme", "custom", "--deltas", "0.5,0.5",
              "--points", "2", "--tmin", "1", "--tmax", "2", "--quiet"], capsys)
         assert code == 2
+
+    def test_bath_csv_short_row_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "bath.csv"
+        path.write_text("omega,J\n0.0,0.0\n0.5\n1.0,0.2\n")
+        code, _, err = run_cli(["storage", "--bath-csv", str(path), "--quiet"], capsys)
+        assert code == 2
+        assert "line 3" in err
 
     def test_tabulated_bath_csv(self, tmp_path, capsys):
         path = tmp_path / "bath.csv"

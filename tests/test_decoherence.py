@@ -83,21 +83,43 @@ def equidistant_instants(n):
     return [lambda m=m: mpmath.mpf(m) / (n + 1) for m in range(1, n + 1)]
 
 
+def custom_case(deltas):
+    return custom(deltas), [lambda d=d: mpmath.mpf(d) for d in deltas]
+
+
 # the udd and equidistant labels select the ideal sequences' analytic forms,
-# so their oracle takes the ideal instants; custom takes its float instants
+# so their oracle takes the ideal instants; custom takes its float instants.
+# The jittered custom(10) is not mirror symmetric, so it takes the full term
+# set where the other custom sequences take the half-sums.
 CLOSED_FORM_CASES = {
+    "udd0": (udd(0), udd_instants(0)),
     "udd2": (udd(2), udd_instants(2)),
     "udd5": (udd(5), udd_instants(5)),
     "udd20": (udd(20), udd_instants(20)),
+    "udd100": (udd(100), udd_instants(100)),
     "equidistant5": (equidistant(5), equidistant_instants(5)),
-    "custom": (custom((0.2, 0.45, 0.8)),
-               [lambda d=d: mpmath.mpf(d) for d in (0.2, 0.45, 0.8)]),
+    "equidistant100": (equidistant(100), equidistant_instants(100)),
+    "custom": custom_case((0.2, 0.45, 0.8)),
+    "custom_symmetric": custom_case((0.2, 0.5, 0.8)),
+    "custom_jittered": custom_case((0.1091, 0.1701, 0.2859, 0.3496, 0.4551, 0.5309,
+                                    0.6439, 0.7409, 0.8152, 0.9274)),
 }
+# short times, where the filters are deeply suppressed, then the storage
+# region; the oracle's pair sum takes over 30 s for udd(100) below t ~ 100
+CLOSED_FORM_POINTS = [
+    (case, t) for case in ("udd0", "udd2", "udd5", "udd20", "equidistant5", "custom")
+    for t in (1e-3, 0.01, 0.03, 0.1)
+] + [
+    ("udd20", 1.0), ("udd20", 10.0), ("udd20", 30.0), ("udd100", 176.0),
+    ("equidistant5", 1.0), ("equidistant5", 3.0),
+    ("equidistant100", 1.0), ("equidistant100", 5.0),
+    ("custom_symmetric", 0.3), ("custom_symmetric", 1.0), ("custom_symmetric", 3.0),
+    ("custom_jittered", 0.3), ("custom_jittered", 1.0), ("custom_jittered", 10.0),
+]
 
 
 class TestClosedFormOracle:
-    @pytest.mark.parametrize("t", [1e-3, 0.01, 0.03, 0.1])
-    @pytest.mark.parametrize("case", list(CLOSED_FORM_CASES))
+    @pytest.mark.parametrize("case,t", CLOSED_FORM_POINTS)
     def test_chi_and_phase_match_closed_forms(self, quad, case, t):
         seq, instants = CLOSED_FORM_CASES[case]
         bath = OhmicBath(alpha=0.25)
@@ -204,7 +226,7 @@ class TestClassicalPath:
         seq = build(n)
         cq = chi(seq, qb, t, quad)
         cc = chi(seq, cb, t, quad)
-        assert cc == pytest.approx(cq, rel=1e-10)
+        assert cc == pytest.approx(cq, rel=1e-10, abs=0.0)
 
 
 class TestTemperature:
@@ -271,7 +293,7 @@ class TestTabulatedBathPath:
         bath = OhmicBath(alpha=0.1, temperature=0.1)
         for t in (0.5, 5.0):
             assert chi(udd(2), tab, t, quad) == pytest.approx(
-                chi(udd(2), bath, t, quad), rel=1e-11)
+                chi(udd(2), bath, t, quad), rel=1e-11, abs=0.0)
 
 
 class TestCoherenceCurve:

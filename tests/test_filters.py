@@ -96,16 +96,16 @@ class TestYFactor:
 
 class TestYAbsSq:
     def test_equidistant_two_pulses(self):
-        assert y_abs_sq(equidistant(2), 1.0) == pytest.approx(EQ2_AT_1, rel=1e-13)
+        assert y_abs_sq(equidistant(2), 1.0) == pytest.approx(EQ2_AT_1, rel=1e-13, abs=0.0)
 
     def test_zero(self):
         assert y_abs_sq(udd(7), 0.0) == 0.0
 
     def test_single_echo_peak(self):
-        assert y_abs_sq(udd(1), 2 * math.pi) == pytest.approx(16.0, rel=1e-12)
+        assert y_abs_sq(udd(1), 2 * math.pi) == pytest.approx(16.0, rel=1e-12, abs=0.0)
 
     def test_single_echo_closed_form(self):
-        assert y_abs_sq(udd(1), 1.0) == pytest.approx(Y1_ABS_SQ_AT_1, rel=1e-13)
+        assert y_abs_sq(udd(1), 1.0) == pytest.approx(Y1_ABS_SQ_AT_1, rel=1e-13, abs=0.0)
 
     def test_cpmg_differs_from_equidistant_pair(self):
         z = 3.0
@@ -124,10 +124,11 @@ class TestYAbsSq:
 class TestEquidistantClosedForm:
     def test_identity_with_single_echo(self):
         # 4 tan^2(z/4) sin^2(z/2) = 16 sin^4(z/4)
-        assert equidistant_closed_form(1, 1.0) == pytest.approx(Y1_ABS_SQ_AT_1, rel=1e-13)
+        assert equidistant_closed_form(1, 1.0) == pytest.approx(Y1_ABS_SQ_AT_1, rel=1e-13,
+                                                                abs=0.0)
 
     def test_even_parity_form(self):
-        assert equidistant_closed_form(2, 1.0) == pytest.approx(EQ2_AT_1, rel=1e-14)
+        assert equidistant_closed_form(2, 1.0) == pytest.approx(EQ2_AT_1, rel=1e-14, abs=0.0)
 
     def test_zero(self):
         assert equidistant_closed_form(2, 0.0) == 0.0
@@ -154,12 +155,12 @@ class TestEquidistantClosedForm:
 
 class TestBesselApprox:
     def test_against_independent_bessel(self):
-        assert bessel_approx(1, 1.0) == pytest.approx(BESSEL_N1_AT_1, rel=1e-12)
+        assert bessel_approx(1, 1.0) == pytest.approx(BESSEL_N1_AT_1, rel=1e-12, abs=0.0)
 
     def test_quadratic_leading_order(self):
         # 16 J_1(z/2)^2 -> z^2 as z -> 0
         z = 1e-4
-        assert bessel_approx(0, z) == pytest.approx(z * z, rel=1e-8)
+        assert bessel_approx(0, z) == pytest.approx(z * z, rel=1e-8, abs=0.0)
 
     def test_zero_argument(self):
         assert bessel_approx(3, 0.0) == 0.0

@@ -81,13 +81,13 @@ class TestSynthesize:
         for k in range(10000):
             amp_cos, _ = _draw_amplitudes(trajectory_seed(99, k), sigmas)
             f0[k] = amp_cos.sum()
-        assert np.var(f0) == pytest.approx(g0, rel=0.05)
+        assert np.var(f0) == pytest.approx(g0, rel=0.05, abs=0.0)
 
 
 class TestToggledPhase:
     def test_free_evolution_integrates_constant(self):
         traj = constant_trajectory(2.5)
-        assert toggled_phase(traj, udd(0), 4.0) == pytest.approx(10.0, rel=1e-14)
+        assert toggled_phase(traj, udd(0), 4.0) == pytest.approx(10.0, rel=1e-14, abs=0.0)
 
     def test_echo_cancels_static_noise_exactly(self):
         # exact zero whenever the weight products stay representable

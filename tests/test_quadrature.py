@@ -8,7 +8,7 @@ from ddlab.quadrature import QuadratureError, QuadratureSpec, integrate_adaptive
 
 def test_polynomial_machine_accurate():
     val, err, _ = integrate_adaptive(lambda x: x * x, 0.0, 1.0, QuadratureSpec())
-    assert val == pytest.approx(1.0 / 3.0, rel=1e-15)
+    assert val == pytest.approx(1.0 / 3.0, rel=1e-15, abs=0.0)
     assert err < 1e-14
 
 
@@ -22,7 +22,7 @@ def test_oscillatory_integrand():
     val, err, nev = integrate_adaptive(f, 0.0, 1.0, spec,
                                        initial_panels=math.ceil(1000 / math.pi))
     exact = (1.0 - math.cos(1000.0)) / 1000.0
-    assert val == pytest.approx(exact, rel=1e-11)
+    assert val == pytest.approx(exact, rel=1e-11, abs=0.0)
 
 
 def test_degenerate_interval():
@@ -67,7 +67,7 @@ def test_tolerance_refinement():
     tight, _, n_tight = integrate_adaptive(f, 0.0, 1.0, QuadratureSpec(rel_tol=1e-12))
     assert n_tight >= n_loose
     assert tight == pytest.approx(0.005 * (2.0 - math.exp(-0.3123 * 200)
-                                           - math.exp(-0.6877 * 200)), rel=1e-10)
+                                           - math.exp(-0.6877 * 200)), rel=1e-10, abs=0.0)
 
 
 class TestQuadratureSpec:
