@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bath import Bath, OhmicBath
-from .decoherence import CHI_MAX, QuadratureError, QuadratureSpec, _chi_raw, signal
+from .decoherence import QuadratureError, QuadratureSpec, _checked_grid, _chi_raw, signal
 from .sequences import _GENERATORS, PulseSequence
 
 __all__ = [
@@ -66,7 +66,7 @@ def _error_fn(seq: PulseSequence, bath: Bath, quad: QuadratureSpec, include_phas
     else:
         def err(t):
             chi_val, _ = _chi_raw(seq, bath, t, quad)
-            return -math.expm1(-2.0 * min(chi_val, CHI_MAX))
+            return -math.expm1(-2.0 * chi_val)
     return err
 
 
@@ -253,9 +253,7 @@ def compare_schemes(n: int, alphas, temperatures, t_grid,
     row's error field rather than aborting the sweep; other exceptions
     propagate.
     """
-    ts = np.asarray(t_grid, dtype=float)
-    if ts.ndim != 1 or ts.size < 1 or np.any(ts < 0) or np.any(np.diff(ts) <= 0):
-        raise ValueError("t_grid must be nonempty, nonnegative, strictly ascending")
+    ts = _checked_grid(t_grid)
     rows = []
     for scheme, build in _GENERATORS.items():
         seq = build(n)

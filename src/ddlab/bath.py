@@ -165,8 +165,8 @@ def thermal_weight(temperature: float, omega):
     om = np.asarray(omega, dtype=float)
     if np.any(om < 0):
         raise ValueError("omega must be nonnegative")
-    if temperature < 0:
-        raise ValueError("temperature must be >= 0")
+    if not 0.0 <= temperature < math.inf:
+        raise ValueError(f"temperature must be finite and >= 0, got {temperature}")
     if temperature == 0.0:
         out = np.ones_like(om)
         return out if np.ndim(omega) else 1.0

@@ -57,7 +57,7 @@ class RunConfig:
     alpha: float = 0.1
     omega_d: float = 1.0
     temperature: float = 0.0
-    epsilon: float = 1e-4
+    epsilon: float | None = None
     t_target: float = 1.0
     tmin: float = 0.01
     tmax: float = 10.0
@@ -132,6 +132,11 @@ def _classical_bath(cfg: RunConfig) -> ClassicalBath:
     return ClassicalBath(power_spectrum=p, omega_max=bath.omega_d)
 
 
+def _epsilon(cfg: RunConfig) -> float:
+    """The storage-error threshold: the paper's 1e-4 where none was given."""
+    return 1e-4 if cfg.epsilon is None else cfg.epsilon
+
+
 def _time_grid(cfg: RunConfig) -> np.ndarray:
     if cfg.spacing == "log":
         return np.geomspace(cfg.tmin, cfg.tmax, cfg.points)
@@ -187,11 +192,12 @@ def cmd_signal(cfg: RunConfig) -> int:
 def cmd_storage(cfg: RunConfig) -> int:
     seq = _sequence(cfg)
     bath = _bath(cfg)
-    _progress(cfg, f"storage: scheme={seq.scheme}, n={seq.n}, epsilon={cfg.epsilon}")
-    res = storage_time(seq, bath, cfg.epsilon, _quad(cfg), include_phase=cfg.include_phase)
+    epsilon = _epsilon(cfg)
+    _progress(cfg, f"storage: scheme={seq.scheme}, n={seq.n}, epsilon={epsilon}")
+    res = storage_time(seq, bath, epsilon, _quad(cfg), include_phase=cfg.include_phase)
     cols = ["scheme", "n", "alpha", "temperature", "epsilon", "t_store",
             "bracket_lo", "bracket_hi", "evaluations", "floored"]
-    rows = [(seq.scheme, seq.n, cfg.alpha, cfg.temperature, cfg.epsilon,
+    rows = [(seq.scheme, seq.n, cfg.alpha, cfg.temperature, epsilon,
              res.t_store, res.bracket[0], res.bracket[1],
              res.evaluations, int(res.floored))]
     _write_output(cfg, "storage", cols, rows)
@@ -203,16 +209,16 @@ def cmd_min_pulses(cfg: RunConfig) -> int:
         raise ValueError("min-pulses needs scheme udd or equidistant")
     bath = _bath(cfg)
     _progress(cfg, f"min-pulses: scheme={cfg.scheme}, target {cfg.t_target} t_C")
-    n = min_pulses(cfg.scheme, bath, cfg.epsilon, cfg.t_target, _quad(cfg),
+    epsilon = _epsilon(cfg)
+    n = min_pulses(cfg.scheme, bath, epsilon, cfg.t_target, _quad(cfg),
                    include_phase=cfg.include_phase)
     cols = ["scheme", "alpha", "temperature", "epsilon", "t_target", "n_min"]
-    rows = [(cfg.scheme, cfg.alpha, cfg.temperature, cfg.epsilon,
-             cfg.t_target, n)]
+    rows = [(cfg.scheme, cfg.alpha, cfg.temperature, epsilon, cfg.t_target, n)]
     _write_output(cfg, "min-pulses", cols, rows)
     return EXIT_OK
 
 
-def cmd_compare(cfg: RunConfig, with_storage: bool) -> int:
+def cmd_compare(cfg: RunConfig) -> int:
     grid = _time_grid(cfg)
     _progress(cfg, f"compare: n={cfg.n}, {len(cfg.alphas)} alphas, "
                    f"{len(cfg.temperatures)} temperatures, {len(grid)} times")
@@ -223,7 +229,7 @@ def cmd_compare(cfg: RunConfig, with_storage: bool) -> int:
     rows = [("signal", r.scheme, r.n, r.alpha, r.temperature, r.t,
              r.s, r.one_minus_s, "", r.error) for r in table]
     any_ok = any(not r.error for r in table)
-    if with_storage:
+    if cfg.epsilon is not None:
         quad = _quad(cfg)
         for alpha in cfg.alphas:
             for temp in cfg.temperatures:
@@ -306,34 +312,35 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--points", type=int)
         p.add_argument("--spacing", choices=["log", "linear"])
 
+    def add_storage(p):
+        p.add_argument("--epsilon", type=float,
+                       help="storage-error threshold (storage and min-pulses use 1e-4 "
+                            "without it); makes compare also emit storage rows and "
+                            "the udd/equidistant ratio column")
+        p.add_argument("--include-phase", dest="include_phase",
+                       action="store_const", const=True,
+                       help="use 1 - s(t) with the cos(2 phi) factor instead of "
+                            "the decay envelope")
+
     p_signal = sub.add_parser("signal", help="signal curve over a time grid")
     add_common(p_signal)
     add_grid(p_signal)
 
     p_storage = sub.add_parser("storage", help="first time the storage error hits epsilon")
     add_common(p_storage)
-    p_storage.add_argument("--epsilon", type=float)
-    p_storage.add_argument("--include-phase", dest="include_phase",
-                           action="store_const", const=True,
-                           help="use 1 - s(t) with the cos(2 phi) factor instead of "
-                                "the decay envelope")
+    add_storage(p_storage)
 
     p_min = sub.add_parser("min-pulses", help="smallest pulse count reaching a storage time")
     add_common(p_min)
-    p_min.add_argument("--epsilon", type=float)
+    add_storage(p_min)
     p_min.add_argument("--t-target", dest="t_target", type=float)
-    p_min.add_argument("--include-phase", dest="include_phase",
-                       action="store_const", const=True)
 
     p_cmp = sub.add_parser("compare", help="equidistant vs optimized sweep table")
     add_common(p_cmp)
     add_grid(p_cmp)
+    add_storage(p_cmp)
     p_cmp.add_argument("--alphas", type=_parse_floats)
     p_cmp.add_argument("--temperatures", type=_parse_floats)
-    p_cmp.add_argument("--epsilon", type=float,
-                       help="also emit storage rows and the udd/equidistant ratio column")
-    p_cmp.add_argument("--include-phase", dest="include_phase",
-                       action="store_const", const=True)
 
     p_mc = sub.add_parser("mc", help="Monte Carlo cross-check of the classical signal")
     add_common(p_mc)
@@ -346,13 +353,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_TUPLE_KEYS = ("deltas", "alphas", "temperatures")
-
-
-def _resolve_config(args: argparse.Namespace) -> tuple:
+def _resolve_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults, config file, and explicit flags into a RunConfig."""
     merged: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as fh:
             file_cfg = json.load(fh)
         if not isinstance(file_cfg, dict):
@@ -361,32 +365,23 @@ def _resolve_config(args: argparse.Namespace) -> tuple:
         unknown = set(file_cfg) - known
         if unknown:
             raise ValueError(f"{args.config}: unknown config keys {sorted(unknown)}")
-        merged.update(file_cfg)
-    for key, value in vars(args).items():
-        if key in ("command", "config"):
-            continue
-        if value is None:
-            continue
-        merged[key] = value
-    for key in _TUPLE_KEYS:
-        if key in merged and merged[key] is not None:
-            merged[key] = tuple(merged[key])
-    # in compare, the presence of epsilon (flag or file) toggles the
-    # storage/ratio section
-    with_storage = args.command == "compare" and "epsilon" in merged
-    return RunConfig(**merged), with_storage
+        merged.update({key: tuple(value) if isinstance(value, list) else value
+                       for key, value in file_cfg.items()})
+    merged.update((key, value) for key, value in vars(args).items()
+                  if value is not None and key not in ("command", "config"))
+    return RunConfig(**merged)
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg, with_storage = _resolve_config(args)
-    except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
+        cfg = _resolve_config(args)
+    except (ValueError, TypeError, OSError) as exc:
         print(f"ddlab: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     commands = {"signal": cmd_signal, "storage": cmd_storage, "min-pulses": cmd_min_pulses,
-                "compare": lambda c: cmd_compare(c, with_storage), "mc": cmd_mc}
+                "compare": cmd_compare, "mc": cmd_mc}
     try:
         return commands[args.command](cfg)
     except (ValueError, OSError) as exc:

@@ -75,6 +75,23 @@ class CoherenceCurve:
         return np.array([p.signal for p in self.points])
 
 
+def _check_time(t: float) -> None:
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t must be finite and >= 0, got {t}")
+
+
+def _checked_grid(t_grid) -> np.ndarray:
+    """t_grid as a float array: 1-d, nonempty, finite, >= 0, strictly ascending."""
+    ts = np.asarray(t_grid, dtype=float)
+    if ts.ndim != 1 or ts.size < 1:
+        raise ValueError("t_grid must be a nonempty 1-d sequence of times")
+    if not np.all(np.isfinite(ts)) or ts[0] < 0:
+        raise ValueError("t_grid times must be finite and nonnegative")
+    if np.any(np.diff(ts) <= 0):
+        raise ValueError("t_grid must be strictly ascending")
+    return ts
+
+
 def _initial_panels(t: float, omega_cut: float) -> int:
     # the filter factors oscillate on scale pi/t in omega (term frequencies
     # in |y|^2 are bounded by t); two panels per period, floor of 16
@@ -93,8 +110,7 @@ def _frequency_integral(kind: str, f, t: float, wc: float, quad: QuadratureSpec)
 
 def _chi_raw(seq: PulseSequence, bath: Bath, t: float, quad: QuadratureSpec):
     """Unclamped decay exponent with its quadrature error bound."""
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    _check_time(t)
     if t == 0.0:
         return 0.0, 0.0
 
@@ -115,8 +131,7 @@ def chi(seq: PulseSequence, bath: Bath, t: float,
 def phase(seq: PulseSequence, bath: Bath, t: float,
           quad: QuadratureSpec = QuadratureSpec()) -> float:
     """Deterministic phase phi_n(t); exactly zero for classical baths."""
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    _check_time(t)
     if isinstance(bath, ClassicalBath) or t == 0.0:
         return 0.0
 
@@ -141,12 +156,6 @@ def signal(seq: PulseSequence, bath: Bath, t: float,
 
 def coherence_curve(seq: PulseSequence, bath: Bath, t_grid,
                     quad: QuadratureSpec = QuadratureSpec()) -> CoherenceCurve:
-    """Evaluate the signal over an ascending, nonnegative time grid."""
-    ts = np.asarray(t_grid, dtype=float)
-    if ts.ndim != 1 or ts.size < 1:
-        raise ValueError("t_grid must be a nonempty 1-d sequence of times")
-    if np.any(ts < 0):
-        raise ValueError("t_grid times must be nonnegative")
-    if np.any(np.diff(ts) <= 0):
-        raise ValueError("t_grid must be strictly ascending")
+    """Evaluate the signal over an ascending, finite, nonnegative time grid."""
+    ts = _checked_grid(t_grid)
     return CoherenceCurve(points=tuple(signal(seq, bath, float(t), quad) for t in ts))

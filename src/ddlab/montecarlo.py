@@ -91,8 +91,8 @@ def _mode_bins(bath: ClassicalBath, mode_count: int):
 
 
 def _check_sampling(bath: ClassicalBath, dt: float, mode_count: int):
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and > 0, got {dt}")
     if mode_count < 8:
         raise ValueError(f"mode_count must be >= 8, got {mode_count}")
     dt_max = math.pi / (4.0 * bath.omega_max)
@@ -114,8 +114,8 @@ def synthesize(bath: ClassicalBath, t_max: float, dt: float, mode_count: int,
 
     dt is shrunk (never widened) so the grid lands exactly on t_max.
     """
-    if t_max <= 0:
-        raise ValueError(f"t_max must be > 0, got {t_max}")
+    if not 0.0 < t_max < math.inf:
+        raise ValueError(f"t_max must be finite and > 0, got {t_max}")
     _check_sampling(bath, dt, mode_count)
     n_steps = max(1, math.ceil(t_max / dt))
     times = np.linspace(0.0, t_max, n_steps + 1)
@@ -147,14 +147,10 @@ def _segment_layout(seq: PulseSequence, t: float, grid_times: np.ndarray):
         j0 = np.searchsorted(grid_times, t_lo, side="right")
         j1 = np.searchsorted(grid_times, t_hi, side="left")
         us = np.concatenate([[u_lo], grid_times[j0:j1] / t, [u_hi]])
-        us[0], us[-1] = u_lo, u_hi
         w = np.empty(len(us))
-        if len(us) == 2:
-            w[0] = w[1] = 0.5 * (u_hi - u_lo)
-        else:
-            w[0] = 0.5 * (us[1] - us[0])
-            w[-1] = 0.5 * (us[-1] - us[-2])
-            w[1:-1] = 0.5 * (us[2:] - us[:-2])
+        w[0] = 0.5 * (us[1] - us[0])
+        w[-1] = 0.5 * (us[-1] - us[-2])
+        w[1:-1] = 0.5 * (us[2:] - us[:-2])
         ts_seg = np.concatenate([[t_lo], grid_times[j0:j1], [t_hi]])
         instants.append(ts_seg)
         weights.append(sign * w)
@@ -167,8 +163,8 @@ def toggled_phase(traj: Trajectory, seq: PulseSequence, t: float) -> float:
     Grid points are inserted exactly at each pulse instant delta_j * t, so
     the sign flips carry no O(dt) bias; segment sums are compensated.
     """
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t must be finite and >= 0, got {t}")
     if t == 0.0:
         return 0.0
     if t > traj.times[-1] * (1.0 + 1e-12):
@@ -210,8 +206,8 @@ def mc_signal(bath: ClassicalBath, seq: PulseSequence, t: float, samples: int,
     """
     if samples < 100:
         raise ValueError(f"samples must be >= 100, got {samples}")
-    if t <= 0:
-        raise ValueError(f"t must be > 0, got {t}")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"t must be finite and > 0, got {t}")
     phases = _batched_phases(bath, seq, t, samples, seed, dt, mode_count)
     cosines = np.cos(phases)
     mean = float(np.mean(cosines))

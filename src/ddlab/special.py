@@ -79,8 +79,8 @@ def bessel_j(order: int, x):
         raise ValueError(f"order must be a nonnegative integer, got {order}")
     order = int(order)
     xs = np.asarray(x, dtype=float)
-    if np.any(xs < 0):
-        raise ValueError("x must be nonnegative")
+    if not np.all((xs >= 0) & (xs < np.inf)):
+        raise ValueError("x must be finite and nonnegative")
     scalar = np.ndim(x) == 0
     xs = np.atleast_1d(xs)
 

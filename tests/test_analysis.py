@@ -287,3 +287,8 @@ class TestCompareSchemes:
     def test_grid_validation(self, quad):
         with pytest.raises(ValueError):
             compare_schemes(2, [0.25], [0.0], [2.0, 1.0], quad)
+
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    def test_non_finite_grid_rejected(self, quad, t):
+        with pytest.raises(ValueError, match="finite"):
+            compare_schemes(2, [0.25], [0.0], [1.0, t], quad)

@@ -86,6 +86,11 @@ class TestThermalWeight:
         with pytest.raises(ValueError):
             thermal_weight(0.5, -1.0)
 
+    @pytest.mark.parametrize("temp", [math.nan, math.inf])
+    def test_non_finite_temperature_rejected(self, temp):
+        with pytest.raises(ValueError, match="temperature must be finite"):
+            thermal_weight(temp, 1.0)
+
     @given(st.floats(0.01, 100.0), st.floats(1e-3, 50.0))
     def test_weight_at_least_one(self, temp, omega):
         assert thermal_weight(temp, omega) >= 1.0

@@ -338,14 +338,27 @@ class TestConfigHandling:
         _, second, _ = run_cli(args, capsys)
         assert first == second
 
-    def test_rerun_from_embedded_config(self, tmp_path, capsys):
-        code, out, _ = run_cli(
-            ["signal", "--n", "2", "--alpha", "0.15", "--points", "4",
-             "--tmin", "0.5", "--tmax", "4", "--quiet"], capsys)
-        comments, rows = parse_csv(out)
+    COMPARE = ["compare", "--n", "2", "--alphas", "0.25", "--temperatures", "0",
+               "--tmin", "0.5", "--tmax", "1", "--points", "2"]
+
+    @pytest.mark.parametrize("args", [
+        ["signal", "--n", "2", "--alpha", "0.15", "--points", "4",
+         "--tmin", "0.5", "--tmax", "4"],
+        ["storage", "--scheme", "udd", "--n", "2", "--alpha", "0.25"],
+        ["min-pulses", "--scheme", "udd", "--alpha", "0.25", "--epsilon", "1e-3",
+         "--t-target", "2"],
+        COMPARE,
+        COMPARE + ["--epsilon", "1e-3"],
+        ["mc", "--scheme", "udd", "--n", "1", "--alpha", "0.1", "--t", "1",
+         "--samples", "100"],
+    ], ids=["signal", "storage", "min-pulses", "compare", "compare-epsilon", "mc"])
+    def test_rerun_from_embedded_config(self, tmp_path, capsys, args):
+        code, out, _ = run_cli(args + ["--quiet"], capsys)
+        assert code == 0
+        comments, _ = parse_csv(out)
         cfg_path = tmp_path / "replay.json"
         cfg_path.write_text(json.dumps(embedded_config(comments)))
-        code2, out2, _ = run_cli(["signal", "--config", str(cfg_path), "--quiet"],
+        code2, out2, _ = run_cli([args[0], "--config", str(cfg_path), "--quiet"],
                                  capsys)
         assert code2 == 0
         assert out2 == out

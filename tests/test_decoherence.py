@@ -189,6 +189,15 @@ class TestTrivialLimits:
         with pytest.raises(ValueError):
             chi(udd(0), OhmicBath(alpha=0.1), -1.0, quad)
 
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    @pytest.mark.parametrize("entry", [chi, phase, signal,
+                                       lambda seq, bath, t, q: coherence_curve(
+                                           seq, bath, [1.0, t], q)],
+                             ids=["chi", "phase", "signal", "coherence_curve"])
+    def test_non_finite_time_rejected(self, quad, entry, t):
+        with pytest.raises(ValueError, match="finite"):
+            entry(udd(2), OhmicBath(alpha=0.25), t, quad)
+
 
 class TestCoherencePointContract:
     def test_signal_composition(self, quad):

@@ -72,6 +72,11 @@ class TestSynthesize:
         with pytest.raises(ValueError):
             synthesize(flat_bath(), 1.0, 0.01, 4, 1)
 
+    @pytest.mark.parametrize("t_max", [math.inf, math.nan])
+    def test_non_finite_span_rejected(self, t_max):
+        with pytest.raises(ValueError, match="t_max must be finite"):
+            synthesize(flat_bath(), t_max, 0.01, 16, 1)
+
     def test_variance_matches_spectrum_integral(self):
         # Var f(0) = g(0) = (1/pi) int p over 1e4 independent draws
         bath = flat_bath(p0=0.2, omega_max=20.0)
@@ -123,6 +128,11 @@ class TestToggledPhase:
         with pytest.raises(ValueError, match="beyond"):
             toggled_phase(traj, udd(0), 3.0)
 
+    def test_nan_time_rejected(self):
+        traj = constant_trajectory(1.0, t_max=2.0)
+        with pytest.raises(ValueError, match="t must be finite"):
+            toggled_phase(traj, udd(2), math.nan)
+
     def test_matches_dense_reference_for_real_noise(self):
         # trapezoid with exact pulse breakpoints against a 10x denser grid
         bath = flat_bath(p0=0.5, omega_max=4.0)
@@ -150,6 +160,12 @@ class TestMcSignal:
     def test_sample_floor(self):
         with pytest.raises(ValueError):
             mc_signal(flat_bath(), udd(0), 1.0, 50, 1, 0.02, 64)
+
+    @pytest.mark.parametrize("t, dt, name", [(math.inf, 0.02, "t"), (math.nan, 0.02, "t"),
+                                             (1.0, math.nan, "dt")])
+    def test_non_finite_time_or_step_rejected(self, t, dt, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            mc_signal(flat_bath(), udd(1), t, 100, 1, dt, 16)
 
     def test_batched_matches_per_trajectory_path(self):
         bath = classical_twin(0.1, 0.25)

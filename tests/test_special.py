@@ -43,3 +43,9 @@ def test_invalid_inputs():
         bessel_j(-1, 1.0)
     with pytest.raises(ValueError):
         bessel_j(2, -0.5)
+
+
+@pytest.mark.parametrize("x", [np.inf, np.nan, [1.0, np.nan]])
+def test_non_finite_argument_rejected(x):
+    with pytest.raises(ValueError, match="x must be finite"):
+        bessel_j(1, x)
