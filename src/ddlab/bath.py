@@ -141,11 +141,16 @@ QuantumBath = Union[OhmicBath, TabulatedSpectralDensity]
 Bath = Union[OhmicBath, TabulatedSpectralDensity, ClassicalBath]
 
 
+def _omega_array(omega) -> np.ndarray:
+    om = np.asarray(omega, dtype=float)
+    if not np.all((om >= 0) & (om < np.inf)):
+        raise ValueError("omega must be finite and nonnegative")
+    return om
+
+
 def spectral_density(bath: QuantumBath, omega):
     """J(omega) for a quantum bath: a float for a scalar, else an ndarray."""
-    om = np.asarray(omega, dtype=float)
-    if np.any(om < 0):
-        raise ValueError("omega must be nonnegative")
+    om = _omega_array(omega)
     if isinstance(bath, OhmicBath):
         out = 2.0 * bath.alpha * om * (om <= bath.omega_d)
     elif isinstance(bath, TabulatedSpectralDensity):
@@ -162,9 +167,7 @@ def thermal_weight(temperature: float, omega):
     small omega/(2T), where coth ~ 2T/omega.  Raises for omega = 0 at T > 0
     where the weight diverges.
     """
-    om = np.asarray(omega, dtype=float)
-    if np.any(om < 0):
-        raise ValueError("omega must be nonnegative")
+    om = _omega_array(omega)
     if not 0.0 <= temperature < math.inf:
         raise ValueError(f"temperature must be finite and >= 0, got {temperature}")
     if temperature == 0.0:
@@ -183,9 +186,7 @@ def integrand_weight(bath: Bath, omega):
     p(omega)/pi.  A scalar gives a float, an array or list an ndarray.
     """
     if isinstance(bath, ClassicalBath):
-        om = np.asarray(omega, dtype=float)
-        if np.any(om < 0):
-            raise ValueError("omega must be nonnegative")
+        om = _omega_array(omega)
         out = np.asarray(bath.power_spectrum(om), dtype=float) / np.pi
         out = np.where(om <= bath.omega_max, out, 0.0)
         return out if np.ndim(omega) else float(out)

@@ -17,6 +17,7 @@ import io
 import json
 import math
 import sys
+import typing
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -72,17 +73,20 @@ class RunConfig:
     dt: float = 0.05
     mode_count: int = 256
     include_phase: bool = False
-    deltas: tuple | None = None
+    deltas: tuple[float, ...] | None = None
     deltas_file: str | None = None
     bath_csv: str | None = None
-    alphas: tuple = (0.25, 0.1, 0.01, 0.001)
-    temperatures: tuple = (0.0,)
+    alphas: tuple[float, ...] = (0.25, 0.1, 0.01, 0.001)
+    temperatures: tuple[float, ...] = (0.0,)
     out: str = "-"
     quiet: bool = False
 
     def __post_init__(self):
+        hints = typing.get_type_hints(type(self))
         for f in fields(self):
             value = getattr(self, f.name)
+            if not _conforms(value, hints[f.name]):
+                raise TypeError(f"{f.name} must be {f.type}, got {value!r}")
             for x in value if isinstance(value, tuple) else (value,):
                 if isinstance(x, float) and not math.isfinite(x):
                     raise ValueError(f"{f.name} must be finite, got {value}")
@@ -100,6 +104,19 @@ class RunConfig:
             raise ValueError("log spacing needs tmin > 0")
         if self.tmax < self.tmin:
             raise ValueError(f"tmax {self.tmax} below tmin {self.tmin}")
+
+
+def _conforms(value, hint) -> bool:
+    """Whether value fits the type hint: bool is no number, an int fits float
+    (and stays an int, so reruns from the embedded config keep their bytes)."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        return isinstance(value, tuple) and all(_conforms(x, args[0]) for x in value)
+    if args:  # a union such as float | None
+        return any(_conforms(value, h) for h in args)
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
 
 
 def _quad(cfg: RunConfig) -> QuadratureSpec:

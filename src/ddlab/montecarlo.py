@@ -8,6 +8,12 @@ count grows.  The toggled phase integral int_0^t f(t') c(t') dt' uses the
 trapezoid rule with grid points inserted exactly at the pulse instants,
 and the estimated signal is the sample mean of cos(phase).
 
+The toggled phase is linear in the mode amplitudes a_k, b_k: it equals
+sum_k a_k u_cos[k] + b_k u_sin[k], where u_cos[k] is the toggled integral of
+cos(w_k t') (u_sin of sin).  mc_signal integrates each mode's response once
+and takes one dot product per trajectory; synthesize / Trajectory /
+toggled_phase are the grid-sampled reference path the tests compare it to.
+
 Seed splitting: trajectory k draws from numpy's default generator seeded
 with the k-th output of a splitmix64 stream whose state is the base seed,
 i.e. seed_k = mix64(base_seed + (k+1) * 0x9E3779B97F4A7C15) with the
@@ -30,9 +36,6 @@ __all__ = ["Trajectory", "McEstimate", "trajectory_seed", "synthesize",
            "toggled_phase", "mc_signal"]
 
 _MASK64 = (1 << 64) - 1
-_SAMPLE_CHUNK = 2048
-
-
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
@@ -175,25 +178,20 @@ def toggled_phase(traj: Trajectory, seq: PulseSequence, t: float) -> float:
 
 def _batched_phases(bath: ClassicalBath, seq: PulseSequence, t: float,
                     samples: int, seed: int, dt: float, mode_count: int) -> np.ndarray:
-    """Toggled phases of `samples` independent trajectories (vectorized)."""
+    """Toggled phases of `samples` independent trajectories: each mode's
+    toggled response once, then one dot product per trajectory."""
     _check_sampling(bath, dt, mode_count)
     n_steps = max(1, math.ceil(t / dt))
     grid = np.linspace(0.0, t, n_steps + 1)
     omegas, sigmas = _mode_bins(bath, mode_count)
     instants, weights = _segment_layout(seq, t, grid)
-    basis = np.empty((2 * mode_count, len(instants)))
-    basis[:mode_count] = np.cos(np.outer(omegas, instants))
-    basis[mode_count:] = np.sin(np.outer(omegas, instants))
     wcol = t * weights
+    u_cos = np.cos(np.outer(omegas, instants)) @ wcol
+    u_sin = np.sin(np.outer(omegas, instants)) @ wcol
     phases = np.empty(samples)
-    for start in range(0, samples, _SAMPLE_CHUNK):
-        stop = min(start + _SAMPLE_CHUNK, samples)
-        amps = np.empty((stop - start, 2 * mode_count))
-        for k in range(start, stop):
-            ac, asn = _draw_amplitudes(trajectory_seed(seed, k), sigmas)
-            amps[k - start, :mode_count] = ac
-            amps[k - start, mode_count:] = asn
-        phases[start:stop] = (amps @ basis) @ wcol
+    for k in range(samples):
+        ac, asn = _draw_amplitudes(trajectory_seed(seed, k), sigmas)
+        phases[k] = ac @ u_cos + asn @ u_sin
     return phases
 
 

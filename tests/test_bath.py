@@ -41,6 +41,11 @@ class TestOhmicSpectralDensity:
         with pytest.raises(ValueError):
             spectral_density(OhmicBath(alpha=0.1), -0.1)
 
+    @pytest.mark.parametrize("omega", [math.nan, math.inf, [0.5, math.nan]])
+    def test_non_finite_omega_rejected(self, omega):
+        with pytest.raises(ValueError, match="omega must be finite"):
+            spectral_density(OhmicBath(alpha=0.1), omega)
+
     def test_array_input(self):
         bath = OhmicBath(alpha=0.1, omega_d=1.0)
         om = np.array([0.25, 0.5, 2.0])
@@ -86,6 +91,12 @@ class TestThermalWeight:
         with pytest.raises(ValueError):
             thermal_weight(0.5, -1.0)
 
+    @pytest.mark.parametrize("temp", [0.0, 0.5])
+    @pytest.mark.parametrize("omega", [math.nan, math.inf, [0.5, math.nan]])
+    def test_non_finite_omega_rejected(self, temp, omega):
+        with pytest.raises(ValueError, match="omega must be finite"):
+            thermal_weight(temp, omega)
+
     @pytest.mark.parametrize("temp", [math.nan, math.inf])
     def test_non_finite_temperature_rejected(self, temp):
         with pytest.raises(ValueError, match="temperature must be finite"):
@@ -125,6 +136,12 @@ class TestIntegrandWeight:
         om = np.array([1.0, 2.5])
         out = integrand_weight(cb, om)
         assert out[1] == 0.0
+
+    @pytest.mark.parametrize("omega", [math.nan, math.inf, [0.5, math.nan]])
+    def test_classical_non_finite_omega_rejected(self, omega):
+        cb = ClassicalBath(power_spectrum=lambda w: np.ones_like(w), omega_max=2.0)
+        with pytest.raises(ValueError, match="omega must be finite"):
+            integrand_weight(cb, omega)
 
 
 class TestTabulatedSpectralDensity:

@@ -320,6 +320,26 @@ class TestConfigHandling:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             RunConfig(**{field: (0.25, math.nan)})
 
+    @pytest.mark.parametrize("field, value", [
+        ("alpha", "0.1"), ("n", 2.5), ("n", True), ("quiet", "no"),
+        ("alphas", [0.25, "0.1"])])
+    def test_wrongly_typed_config_value_exit_2(self, tmp_path, capsys, field, value):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({field: value}))
+        code, out, err = run_cli(["storage", "--config", str(cfg), "--epsilon", "1e-3"],
+                                 capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"ddlab: configuration error: {field} must be ")
+
+    def test_int_for_float_field_kept_as_int(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"alpha": 1, "epsilon": None, "deltas": None}))
+        code, out, _ = run_cli(["storage", "--config", str(cfg), "--quiet"], capsys)
+        assert code == 0
+        resolved = embedded_config(parse_csv(out)[0])
+        assert type(resolved["alpha"]) is int
+
     def test_custom_scheme_needs_deltas(self, capsys):
         assert run_cli(["signal", "--scheme", "custom", "--quiet"], capsys)[0] == 2
 

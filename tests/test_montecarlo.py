@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -169,13 +170,25 @@ class TestMcSignal:
 
     def test_batched_matches_per_trajectory_path(self):
         bath = classical_twin(0.1, 0.25)
-        seq = udd(2)
-        t = 3.0
-        phases = _batched_phases(bath, seq, t, 4, 17, 0.05, 128)
-        for k in range(4):
-            traj = synthesize(bath, t, 0.05, 128, trajectory_seed(17, k))
-            assert phases[k] == pytest.approx(toggled_phase(traj, seq, t),
-                                              rel=1e-10, abs=1e-12)
+        # a small cell and the production-size one (512 modes, dt 0.01)
+        for seq, t, dt, modes in ((udd(2), 3.0, 0.05, 128), (udd(3), 5.0, 0.01, 512)):
+            phases = _batched_phases(bath, seq, t, 4, 17, dt, modes)
+            for k in range(4):
+                traj = synthesize(bath, t, dt, modes, trajectory_seed(17, k))
+                assert phases[k] == pytest.approx(toggled_phase(traj, seq, t),
+                                                  rel=1e-10, abs=1e-12)
+
+    def test_batched_peak_memory_bound(self):
+        # one response vector per mode and one draw at a time: no
+        # samples x modes matrix (that alone would take 82 MB here)
+        bath = classical_twin(0.1, 0.25)
+        tracemalloc.start()
+        try:
+            _batched_phases(bath, udd(3), 5.0, 10000, 7, 0.01, 512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     def test_white_noise_free_decay(self):
         # flat spectrum with omega_max * t >> 1 decays as exp(-p0 t / 2)
