@@ -92,6 +92,14 @@ class RunConfig:
                     raise ValueError(f"{f.name} must be finite, got {value}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        for name in ("deltas", "deltas_file"):
+            if getattr(self, name) is not None and self.scheme != "custom":
+                raise ValueError(f"{name} needs scheme custom, got {self.scheme!r}")
+        if self.deltas is not None and self.deltas_file is not None:
+            raise ValueError("deltas and deltas_file exclude each other; give one")
+        for name in ("alphas", "temperatures"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must not be empty")
         if self.n < 0:
             raise ValueError(f"n must be >= 0, got {self.n}")
         if self.points < 1:
@@ -236,6 +244,10 @@ def cmd_min_pulses(cfg: RunConfig) -> int:
 
 
 def cmd_compare(cfg: RunConfig) -> int:
+    for name in ("bath_csv", "deltas", "deltas_file"):
+        if getattr(cfg, name) is not None:
+            raise ValueError(f"compare sweeps udd and equidistant over ohmic baths; "
+                             f"{name} is not supported")
     grid = _time_grid(cfg)
     _progress(cfg, f"compare: n={cfg.n}, {len(cfg.alphas)} alphas, "
                    f"{len(cfg.temperatures)} temperatures, {len(grid)} times")

@@ -1,11 +1,11 @@
 """Bessel function of the first kind, integer order.
 
-The ascending series with term-ratio stopping is the primary method; it is
-accurate while the argument stays below roughly half the order (or for
-small orders at any argument used here).  Above that the alternating terms
-grow before they fall and cancellation eats the significand, so large
-orders with comparable arguments switch to Miller's backward recurrence,
-normalized with J_0 + 2 sum J_2k = 1.
+Miller's backward recurrence J_{k-1} = (2k/x) J_k - J_{k+1}, normalized
+with J_0 + 2 sum J_2k = 1 (Gautschi, SIAM Rev. 9, 24 (1967)), serves every
+argument but three cases: x = 0 is exact; x < _TINY takes the two-term
+series (x/2)^n/n! (1 - (x/2)^2/(n+1)), whose first dropped term is below
+5e-17 relative; and where the bound |J_n(x)| <= (x/2)^n/n! (DLMF 10.14.4)
+is below _FLOOR the value is 0.
 """
 
 from __future__ import annotations
@@ -16,42 +16,23 @@ import numpy as np
 
 __all__ = ["bessel_j"]
 
-_TERM_RTOL = 1e-16
-_MAX_TERMS = 4000
-# backward recurrence takes over once the argument passes this fraction of
-# the order, before series cancellation costs more than a few digits
-_SERIES_FRACTION = 0.4
-
-
-def _series(order: int, xs: np.ndarray) -> np.ndarray:
-    """Ascending series sum_k (-1)^k (x/2)^(order+2k) / (k! (order+k)!)."""
-    half = 0.5 * xs
-    with np.errstate(divide="ignore", over="ignore", under="ignore"):
-        lead = np.exp(order * np.log(half) - math.lgamma(order + 1))
-    term = lead.copy()
-    total = lead.copy()
-    ratio = -(half * half)
-    active = np.abs(term) > 0.0
-    k = 1
-    while np.any(active) and k <= _MAX_TERMS:
-        term = term * ratio / (k * (order + k))
-        total = total + term
-        active = np.abs(term) > _TERM_RTOL * np.abs(total)
-        k += 1
-    if k > _MAX_TERMS:
-        raise RuntimeError(f"Bessel series did not converge for order={order}")
-    return total
+_TINY = 2e-4
+_FLOOR = 1e-300
+# rescale by 1/_BIG once a value passes _BIG
+_BIG = 1e150
 
 
 def _backward_recurrence(order: int, xs: np.ndarray) -> np.ndarray:
     """Miller's algorithm: recur J_{k-1} = (2k/x) J_k - J_{k+1} downward."""
     top = float(np.max(xs))
     m = int(max(order, top) + 2.0 * math.sqrt(max(order, top)) + 40)
-    if m % 2 == 1:
-        m += 1
+    # max(|J_{k-1}|, |J_k|) <= (2m/x + 1) max(|J_k|, |J_{k+1}|): between two
+    # checks `every` steps apart the pair grows at most _BIG-fold, so it
+    # stays below _BIG before a check and below _BIG**2 = 1e300 until the next
+    every = max(1, int(math.log(_BIG) / math.log(2.0 * m / float(np.min(xs)) + 1.0)))
     jp = np.zeros_like(xs)                  # J_{k+1}, seeded at zero
-    jc = np.full_like(xs, 1e-300)           # J_k, arbitrary tiny seed
-    norm = np.zeros_like(xs)                # accumulates J_0 + 2 sum J_{2k}
+    jc = np.ones_like(xs)                   # J_k, seeded at one
+    evens = np.zeros_like(xs)               # sum_{k>=0} J_{2k}; the norm is 2 evens - J_0
     result = np.zeros_like(xs)
     inv_x = 1.0 / xs
     for k in range(m, 0, -1):
@@ -59,21 +40,25 @@ def _backward_recurrence(order: int, xs: np.ndarray) -> np.ndarray:
         jp, jc = jc, jm
         if k - 1 == order:
             result = jc.copy()
-        if (k - 1) % 2 == 0:
-            norm += jc if k - 1 == 0 else 2.0 * jc
-        big = np.abs(jc) > 1e250
-        if np.any(big):
-            for arr in (jp, jc, norm, result):
-                arr[big] *= 1e-250
-    return result / norm
+        if k % 2 == 1:
+            evens += jc
+        if k % every == 0:
+            # the pair stays above 1 after scaling, so with |J| <= 1 the
+            # scale never falls below the seed's 1 and a J_order >= _FLOOR
+            # stays a normal float
+            big = np.maximum(np.abs(jc), np.abs(jp)) > _BIG
+            if np.any(big):
+                for arr in (jp, jc, evens, result):
+                    arr[big] *= 1.0 / _BIG
+    return result / (2.0 * evens - jc)
 
 
 def bessel_j(order: int, x):
     """J_order(x) for integer order >= 0 and x >= 0.
 
     A scalar gives a float, an array or list an ndarray.  Relative accuracy
-    is ~1e-13 over the domain this package touches (x up to a few hundred at
-    low order, or any x up to ~2x the order at high order).
+    is ~1e-13 wherever |J| >= 1e-300, up to the error of rounding x near
+    the zeros of J; the value is exactly 0 where (x/2)^order/order! < 1e-300.
     """
     if order < 0 or order != int(order):
         raise ValueError(f"order must be a nonnegative integer, got {order}")
@@ -85,17 +70,15 @@ def bessel_j(order: int, x):
     xs = np.atleast_1d(xs)
 
     out = np.zeros_like(xs)
-    zero = xs == 0.0
-    if order == 0:
-        out[zero] = 1.0
-    pos = ~zero
-    if np.any(pos):
-        xp = xs[pos]
-        vals = np.empty_like(xp)
-        deep = xp > _SERIES_FRACTION * (order + 1)
-        if np.any(~deep):
-            vals[~deep] = _series(order, xp[~deep])
-        if np.any(deep):
-            vals[deep] = _backward_recurrence(order, xp[deep])
-        out[pos] = vals
+    half = 0.5 * xs
+    # the smallest subnormal stands in for 0, whose log is -inf
+    log_bound = order * np.log(np.maximum(half, 5e-324)) - math.lgamma(order + 1)
+    live = log_bound >= math.log(_FLOOR)
+    tiny = live & (xs < _TINY)
+    if np.any(tiny):
+        h = half[tiny]
+        out[tiny] = h**order / float(math.factorial(order)) * (1.0 - h * h / (order + 1))
+    deep = live & ~tiny
+    if np.any(deep):
+        out[deep] = _backward_recurrence(order, xs[deep])
     return float(out[0]) if scalar else out

@@ -237,6 +237,38 @@ class TestCompareCommand:
             assert kinds[4:] == []
 
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--bath-csv", "missing.csv", "bath_csv"),
+        ("--deltas", "0.5", "deltas"),
+        ("--deltas-file", "missing.csv", "deltas_file")])
+    def test_unused_sequence_and_bath_inputs_rejected(self, capsys, flag, value, field):
+        # compare sweeps the ohmic baths of --alphas with the generated
+        # schemes; a custom sequence or a table would be silently ignored
+        code, out, err = run_cli(
+            ["compare", "--scheme", "custom", "--n", "2", "--alphas", "0.25",
+             "--tmin", "1", "--tmax", "2", "--points", "2", flag, value, "--quiet"],
+            capsys)
+        assert code == 2
+        assert out == ""
+        assert f"{field} is not supported" in err
+
+    @pytest.mark.parametrize("field", ["alphas", "temperatures"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_empty_sweep_axis_exit_2(self, tmp_path, capsys, field, source):
+        args = ["compare", "--n", "2", "--tmin", "1", "--tmax", "2", "--points", "2",
+                "--quiet"]
+        if source == "flag":
+            args += [f"--{field}", ""]
+        else:
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps({field: []}))
+            args += ["--config", str(cfg)]
+        code, out, err = run_cli(args, capsys)
+        assert code == 2
+        assert out == ""
+        assert f"{field} must not be empty" in err
+
+
 class TestMcCommand:
     def test_zero_coupling_is_exact(self, capsys):
         code, out, _ = run_cli(
@@ -342,6 +374,29 @@ class TestConfigHandling:
 
     def test_custom_scheme_needs_deltas(self, capsys):
         assert run_cli(["signal", "--scheme", "custom", "--quiet"], capsys)[0] == 2
+
+    @pytest.mark.parametrize("command", [
+        ["storage", "--n", "2"], ["min-pulses", "--t-target", "1"]])
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--deltas", "0.3,0.6", "deltas"), ("--deltas-file", "missing.csv", "deltas_file")])
+    def test_deltas_need_custom_scheme(self, capsys, command, flag, value, field):
+        # a generated scheme builds its own instants; the deltas would be
+        # recorded in the embedded config but never used
+        code, out, err = run_cli(command + ["--scheme", "udd", flag, value, "--quiet"],
+                                 capsys)
+        assert code == 2
+        assert out == ""
+        assert f"{field} needs scheme custom" in err
+
+    def test_inline_and_file_deltas_exclude_each_other(self, tmp_path, capsys):
+        path = tmp_path / "seq.csv"
+        path.write_text("delta\n0.25\n0.75\n")
+        code, out, err = run_cli(
+            ["signal", "--scheme", "custom", "--deltas", "0.5", "--deltas-file", str(path),
+             "--points", "2", "--tmin", "1", "--tmax", "2", "--quiet"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "deltas and deltas_file exclude each other" in err
 
     def test_quadrature_failure_exit_3(self, capsys):
         code, _, err = run_cli(

@@ -1,6 +1,10 @@
+import math
+import warnings
+
+import mpmath
 import numpy as np
 import pytest
-from scipy.special import jv
+from scipy.special import jv, jvp
 
 from ddlab.special import bessel_j
 
@@ -49,3 +53,45 @@ def test_invalid_inputs():
 def test_non_finite_argument_rejected(x):
     with pytest.raises(ValueError, match="x must be finite"):
         bessel_j(1, x)
+
+
+def _log_bound(order, x):
+    # log of the bound |J_n(x)| <= (x/2)^n / n!  (DLMF 10.14.4)
+    return order * np.log(x / 2.0) - math.lgamma(order + 1)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 5, 21, 101, 1001])
+def test_matches_mpmath(order):
+    # relative 1e-13, plus the error of rounding x itself, eps * |x J'(x)|,
+    # which no double-precision method beats near the zeros of J
+    points = 40 if order == 1001 else 120
+    x = np.concatenate([np.geomspace(1e-8, 2.0 * order + 40.0, points),
+                        np.linspace(1e-3, 2.0 * order + 40.0, points)])
+    with mpmath.workdps(30):
+        ref = np.array([float(mpmath.besselj(order, mpmath.mpf(v))) for v in x])
+    live = np.abs(ref) >= 1e-300
+    mine = bessel_j(order, x)
+    tol = 1e-13 * np.abs(ref) + np.finfo(float).eps * np.abs(x * jvp(order, x))
+    assert np.count_nonzero(live) >= 30
+    assert np.all(np.abs(mine - ref)[live] <= tol[live])
+
+
+@pytest.mark.parametrize("order", [1, 5, 21, 101, 1001])
+def test_zero_below_bound_floor(order):
+    x = np.geomspace(1e-320, 2.0 * order + 40.0, 400)
+    with np.errstate(divide="ignore"):
+        floored = _log_bound(order, x) < math.log(1e-300)
+    assert np.any(floored) and not np.all(floored)
+    assert np.all(bessel_j(order, x)[floored] == 0.0)
+
+
+def test_high_order_just_below_floor_is_zero():
+    # J_1001(370.74) = 3.48e-316 and its bound is 5.6e-301
+    assert bessel_j(1001, 370.74) == 0.0
+
+
+def test_smallest_denormal_argument():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert bessel_j(0, 5e-324) == 1.0
+        assert bessel_j(1, 5e-324) == 0.0
