@@ -147,6 +147,12 @@ def _bath(cfg: RunConfig):
     return OhmicBath(alpha=cfg.alpha, omega_d=cfg.omega_d, temperature=cfg.temperature)
 
 
+def _alpha(cfg: RunConfig) -> float | None:
+    """The coupling of the data row: none (an empty cell, JSON null) where a
+    table sets the bath and alpha plays no part."""
+    return None if cfg.bath_csv else cfg.alpha
+
+
 def _classical_bath(cfg: RunConfig) -> ClassicalBath:
     """Ohmic-derived classical spectrum p = pi * J * coth(w/2T)."""
     bath = OhmicBath(alpha=cfg.alpha, omega_d=cfg.omega_d, temperature=cfg.temperature)
@@ -222,7 +228,7 @@ def cmd_storage(cfg: RunConfig) -> int:
     res = storage_time(seq, bath, epsilon, _quad(cfg), include_phase=cfg.include_phase)
     cols = ["scheme", "n", "alpha", "temperature", "epsilon", "t_store",
             "bracket_lo", "bracket_hi", "evaluations", "floored"]
-    rows = [(seq.scheme, seq.n, cfg.alpha, cfg.temperature, epsilon,
+    rows = [(seq.scheme, seq.n, _alpha(cfg), cfg.temperature, epsilon,
              res.t_store, res.bracket[0], res.bracket[1],
              res.evaluations, int(res.floored))]
     _write_output(cfg, "storage", cols, rows)
@@ -238,7 +244,7 @@ def cmd_min_pulses(cfg: RunConfig) -> int:
     n = min_pulses(cfg.scheme, bath, epsilon, cfg.t_target, _quad(cfg),
                    include_phase=cfg.include_phase)
     cols = ["scheme", "alpha", "temperature", "epsilon", "t_target", "n_min"]
-    rows = [(cfg.scheme, cfg.alpha, cfg.temperature, epsilon, cfg.t_target, n)]
+    rows = [(cfg.scheme, _alpha(cfg), cfg.temperature, epsilon, cfg.t_target, n)]
     _write_output(cfg, "min-pulses", cols, rows)
     return EXIT_OK
 
@@ -315,13 +321,16 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"ddlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, one_bath=True):
+        # compare sweeps its own alphas and temperatures, so it takes no
+        # single --alpha or --temperature
         p.add_argument("--config", help="JSON file mirroring the flags; flags override")
         p.add_argument("--scheme", choices=["udd", "equidistant", "custom"])
         p.add_argument("--n", type=int)
-        p.add_argument("--alpha", type=float)
+        if one_bath:
+            p.add_argument("--alpha", type=float)
+            p.add_argument("--temperature", type=float)
         p.add_argument("--omega-d", dest="omega_d", type=float)
-        p.add_argument("--temperature", type=float)
         p.add_argument("--deltas", type=_parse_floats,
                        help="comma-separated custom pulse instants in (0,1)")
         p.add_argument("--deltas-file", dest="deltas_file",
@@ -364,8 +373,11 @@ def _build_parser() -> argparse.ArgumentParser:
     add_storage(p_min)
     p_min.add_argument("--t-target", dest="t_target", type=float)
 
-    p_cmp = sub.add_parser("compare", help="equidistant vs optimized sweep table")
-    add_common(p_cmp)
+    # without abbreviations, since --alpha and --temperature would
+    # otherwise pass as --alphas and --temperatures
+    p_cmp = sub.add_parser("compare", help="equidistant vs optimized sweep table",
+                           allow_abbrev=False)
+    add_common(p_cmp, one_bath=False)
     add_grid(p_cmp)
     add_storage(p_cmp)
     p_cmp.add_argument("--alphas", type=_parse_floats)

@@ -11,6 +11,11 @@ where W is the bath integrand weight (J coth for quantum, p/pi for
 classical) and wc the bath cutoff.  The integrands extend continuously to
 w = 0, and the Gauss-Kronrod nodes never reach it.  Which source serves
 |y_n|^2 at small w t is decided in filters.y_abs_sq_array.
+
+chi and phase are one integral each.  signal on a quantum bath integrates
+chi and phi as the two rows of one adaptive quadrature on shared nodes, so
+J and the filter term table are evaluated once per node; each row still
+meets its own tolerance.
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import Bath, ClassicalBath, integrand_weight, spectral_density
-from .filters import x_factor_array, y_abs_sq_array
+from .bath import Bath, ClassicalBath, integrand_weight, spectral_density, thermal_weight
+from .filters import x_factor_array, y_abs_sq_and_x_array, y_abs_sq_array
 from .quadrature import QuadratureError, QuadratureSpec, integrate_adaptive
 from .sequences import PulseSequence
 
@@ -144,9 +149,24 @@ def phase(seq: PulseSequence, bath: Bath, t: float,
 
 def signal(seq: PulseSequence, bath: Bath, t: float,
            quad: QuadratureSpec = QuadratureSpec()) -> CoherencePoint:
-    """Full coherence point s_n(t) = cos(2 phi) exp(-2 chi)."""
-    phi = phase(seq, bath, t, quad)
-    chi_val, err = _chi_raw(seq, bath, t, quad)
+    """Full coherence point s_n(t) = cos(2 phi) exp(-2 chi).
+
+    On a quantum bath chi and phi are the two rows of one integral: each
+    node evaluates J and the filter term table once.
+    """
+    _check_time(t)
+    if isinstance(bath, ClassicalBath) or t == 0.0:
+        phi = 0.0
+        chi_val, err = _chi_raw(seq, bath, t, quad)
+    else:
+        def f(w):
+            j = spectral_density(bath, w)
+            y_sq, x = y_abs_sq_and_x_array(seq, w * t)
+            return np.stack((j * thermal_weight(bath.temperature, w) * y_sq / (4.0 * w * w),
+                             j * x / (2.0 * w * w)))
+
+        (chi_val, phi), (err, _), _ = _frequency_integral("signal", f, t, bath.cutoff, quad)
+        chi_val, phi, err = max(float(chi_val), 0.0), float(phi), float(err)
     if chi_val >= CHI_MAX:
         return CoherencePoint(t=float(t), phi=phi, chi=CHI_MAX, signal=0.0,
                               quad_error=err, saturated=True)

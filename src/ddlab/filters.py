@@ -14,7 +14,8 @@ decay exponent; x_n enters only the deterministic phase.  Term by term,
     x_n(z) = ((-1)^n sin z - Im y_n(z)) / 2,
 
 so both filters read one term table: y = sum_j c_j e^(iz d_j) over the
-instants (0, d_1..d_n, 1).
+instants (0, d_1..d_n, 1).  y_abs_sq_and_x_array gives both from one
+evaluation of that table, for integrals that need chi and phi together.
 
 When the instants are mirror symmetric, d_j + d_(n+1-j) = 1 (every
 generated sequence, and any custom one that is), the terms pair up about
@@ -70,6 +71,7 @@ __all__ = [
     "x_factor_array",
     "y_factor_array",
     "y_abs_sq_array",
+    "y_abs_sq_and_x_array",
     "y_taylor_moments",
     "equidistant_closed_form",
     "bessel_approx",
@@ -196,7 +198,25 @@ def y_abs_sq_array(seq: PulseSequence, z: np.ndarray) -> np.ndarray:
     np.abs(y_factor_array(seq, z)) ** 2.
     """
     z = np.asarray(z, dtype=float)
-    direct = np.abs(y_factor_array(seq, z)) ** 2
+    return _select_source(seq, z, np.abs(y_factor_array(seq, z)) ** 2)
+
+
+def y_abs_sq_and_x_array(seq: PulseSequence, z: np.ndarray):
+    """(|y_n(z)|^2, x_n(z)) from one evaluation of y's term table.
+
+    |y|^2 takes its source as y_abs_sq_array does, and x is
+    ((-1)^n sin z - Im y) / 2; both equal the single-filter functions'
+    values bit for bit.
+    """
+    z = np.asarray(z, dtype=float)
+    y = y_factor_array(seq, z)
+    x = 0.5 * ((-1) ** seq.n * np.sin(z) - y.imag)
+    return _select_source(seq, z, np.abs(y) ** 2), x
+
+
+def _select_source(seq: PulseSequence, z: np.ndarray, direct: np.ndarray) -> np.ndarray:
+    # the direct |y|^2, with the analytic or Taylor form swapped in where
+    # y_abs_sq_array describes
     n = seq.n
     threshold = _delegation_threshold(n, z)
     if seq.scheme == "udd" and n >= 1:

@@ -1,9 +1,11 @@
 """Adaptive panel integration with an embedded Gauss-Kronrod 7-15 rule.
 
-The integrand is evaluated in vectorized batches over all panel nodes.
-Panels are bisected where the embedded error estimate is largest until the
-summed estimate meets the relative target (or the machine-precision floor
-of the rule, whichever is larger).
+The integrand is evaluated in vectorized batches over all panel nodes.  It
+may return k rows on the shared nodes, so that several integrals over one
+interval cost one integrand evaluation per node.  Panels are bisected where
+the embedded error estimate is largest until each row's summed estimate
+meets its relative target (or the machine-precision floor of the rule,
+whichever is larger).
 """
 
 from __future__ import annotations
@@ -52,9 +54,11 @@ _EPS = np.finfo(float).eps
 
 
 class QuadratureError(RuntimeError):
-    """Raised when the panel budget is exhausted; carries the best estimate."""
+    """Raised when the panel budget is exhausted; carries the best estimate
+    and its error bound, each in the integrand's row shape."""
 
-    def __init__(self, message: str, estimate: float, error_bound: float):
+    def __init__(self, message: str, estimate: float | np.ndarray,
+                 error_bound: float | np.ndarray):
         super().__init__(message)
         self.estimate = estimate
         self.error_bound = error_bound
@@ -75,17 +79,27 @@ class QuadratureSpec:
 
 
 def _eval_panels(f, lefts: np.ndarray, rights: np.ndarray):
-    """Kronrod value, error estimate and |f| integral for a batch of panels."""
+    """Kronrod value, error estimate and |f| integral of every row of f on
+    every panel, stacked in that order as one (3, k, panels) array, and f's
+    row shape: () for a 1-d f (k = 1), (k,) for one that returns (k, nodes)."""
     centers = 0.5 * (lefts + rights)
     halfs = 0.5 * (rights - lefts)
     pts = centers[:, None] + halfs[:, None] * _NODES[None, :]
-    fx = np.asarray(f(pts.ravel()), dtype=float).reshape(pts.shape)
+    fx = np.asarray(f(pts.ravel()), dtype=float)
+    if fx.ndim not in (1, 2) or fx.shape[-1] != pts.size:
+        raise ValueError(f"f must return shape (nodes,) or (k, nodes) for "
+                         f"{pts.size} nodes, got {fx.shape}")
+    rows = fx.shape[:-1]
+    # a (panels, 15) matrix per row: BLAS sums each line of one matrix in an
+    # order that may depend on the matrix's height, so a row's sums match a
+    # one-row call on the same panels bit for bit only with a matrix of its own
+    fx = fx.reshape(rows + (len(lefts), _NODES.size))
     resk = (fx @ _W15) * halfs
     resg = (fx @ _W7) * halfs
     resabs = (np.abs(fx) @ _W15) * halfs
     # QUADPACK-style scaled error estimate
     mean = resk / (rights - lefts)
-    resasc = (np.abs(fx - mean[:, None]) @ _W15) * halfs
+    resasc = (np.abs(fx - mean[..., None]) @ _W15) * halfs
     raw = np.abs(resk - resg)
     err = np.where(
         resasc > 0.0,
@@ -93,16 +107,31 @@ def _eval_panels(f, lefts: np.ndarray, rights: np.ndarray):
         raw,
     )
     err = np.maximum(err, 50.0 * _EPS * resabs)
-    return resk, err, resabs
+    return np.concatenate((resk, err, resabs)).reshape(3, -1, len(lefts)), rows
+
+
+def _shown(values: list, fmt: str) -> str:
+    text = ", ".join(format(v, fmt) for v in values)
+    return text if len(values) == 1 else f"[{text}]"
 
 
 def integrate_adaptive(f, a: float, b: float, spec: QuadratureSpec,
                        initial_panels: int = 16):
     """Integrate f over [a, b].
 
-    Returns (value, error_bound, evaluations).  Raises QuadratureError if
-    max_panels is reached before the summed error estimate drops below
-    rel_tol * |value| (or below the rule's machine floor).
+    f maps a 1-d array of nodes to an array of shape (nodes,), or to k rows
+    of shape (k, nodes) that share the nodes.  Each row must meet its own
+    target max(rel_tol * |value|, 50 eps * integral of |row|), the second
+    term being the rule's machine floor.  A panel is split when any row
+    that has not yet met its target asks for it, so a converged row drives
+    no splits, but its value is summed over the final panels.
+
+    Returns (value, error_bound, evaluations): value and error_bound have
+    f's row shape (floats for a 1-d f, arrays of k for k rows), and
+    evaluations counts each node once.  An empty interval returns
+    (0.0, 0.0, 0) without calling f.  Raises QuadratureError, carrying the
+    estimates and bounds of every row, if max_panels is reached first, or
+    at once where a NaN or infinite value of f leaves a NaN error estimate.
     """
     if b <= a:
         if b == a:
@@ -111,39 +140,53 @@ def integrate_adaptive(f, a: float, b: float, spec: QuadratureSpec,
     n0 = int(min(max(initial_panels, 1), spec.max_panels))
     edges = np.linspace(a, b, n0 + 1)
     lefts, rights = edges[:-1], edges[1:]
-    vals, errs, absints = _eval_panels(f, lefts, rights)
+    est, rows = _eval_panels(f, lefts, rights)
     nevals = 15 * n0
 
     while True:
-        total = float(np.sum(vals))
-        total_err = float(np.sum(errs))
-        floor = 50.0 * _EPS * float(np.sum(absints))
-        target = max(spec.rel_tol * abs(total), floor)
-        if total_err <= target:
-            return total, total_err, nevals
-        npanels = len(vals)
-        if npanels >= spec.max_panels:
+        # the per-row bookkeeping runs on Python floats: k is small, and a
+        # numpy call on a k-element array costs more than the arithmetic
+        total, total_err, absint = est.sum(axis=2).tolist()
+        targets = [max(spec.rel_tol * abs(v), 50.0 * _EPS * s) for v, s in zip(total, absint)]
+        open_rows = [r for r, (e, g) in enumerate(zip(total_err, targets)) if not e <= g]
+        if not open_rows:
+            if rows:
+                return np.array(total), np.array(total_err), nevals
+            return total[0], total_err[0], nevals
+        npanels = est.shape[2]
+        # each open row asks to split every panel holding more than its
+        # share of that row's excess, always at least its single worst one
+        errs = est[1]
+        split = None
+        for r in open_rows:
+            asks = errs[r] >= max(targets[r] / (2.0 * npanels), float(errs[r].max()) * 0.5)
+            split = asks if split is None else split | asks
+        nsplit = np.count_nonzero(split)
+        # a row with a NaN error estimate (from a NaN or infinite value of
+        # f) asks for no split, and no split could mend it
+        if npanels >= spec.max_panels or nsplit == 0:
+            estimate, bound = ((np.array(total), np.array(total_err)) if rows
+                               else (total[0], total_err[0]))
+            reason = (f"no convergence within {spec.max_panels} panels" if nsplit
+                      else "integrand not finite")
             raise QuadratureError(
-                f"no convergence within {spec.max_panels} panels "
-                f"(estimate {total:.6e}, error bound {total_err:.3e})",
-                estimate=total, error_bound=total_err,
+                f"{reason} (estimate {_shown(total, '.6e')}, "
+                f"error bound {_shown(total_err, '.3e')})",
+                estimate=estimate, error_bound=bound,
             )
-        # split every panel holding more than its share of the excess,
-        # always at least the single worst one
-        cut = max(target / (2.0 * npanels), float(np.max(errs)) * 0.5)
-        split = errs >= cut
-        if np.count_nonzero(split) + npanels > spec.max_panels:
-            order = np.argsort(errs)[::-1]
+        if nsplit + npanels > spec.max_panels:
+            # keep the panels whose error is largest against its open row's target
+            scores = np.max([errs[r] / targets[r] for r in open_rows], axis=0)
+            order = np.argsort(scores)[::-1]
             allowed = spec.max_panels - npanels
             split = np.zeros(npanels, dtype=bool)
             split[order[:allowed]] = True
         mids = 0.5 * (lefts[split] + rights[split])
         new_l = np.concatenate([lefts[split], mids])
         new_r = np.concatenate([mids, rights[split]])
-        nv, ne, na = _eval_panels(f, new_l, new_r)
+        new_est, _ = _eval_panels(f, new_l, new_r)
         nevals += 15 * len(new_l)
-        lefts = np.concatenate([lefts[~split], new_l])
-        rights = np.concatenate([rights[~split], new_r])
-        vals = np.concatenate([vals[~split], nv])
-        errs = np.concatenate([errs[~split], ne])
-        absints = np.concatenate([absints[~split], na])
+        keep = ~split
+        lefts = np.concatenate([lefts[keep], new_l])
+        rights = np.concatenate([rights[keep], new_r])
+        est = np.concatenate([est.compress(keep, axis=2), new_est], axis=2)

@@ -147,6 +147,41 @@ class TestStorageCommand:
         assert err(lo) < 1e-4 <= err(hi)
 
 
+class TestTableBathAlphaColumn:
+    """A table sets the bath, so the data row leaves alpha empty."""
+
+    @pytest.fixture
+    def linear_table(self, tmp_path):
+        # J = 0.2 w, the ohmic bath with alpha = 0.1
+        path = tmp_path / "lin.csv"
+        path.write_text("omega,J\n0.0,0.0\n0.5,0.1\n1.0,0.2\n")
+        return str(path)
+
+    @pytest.mark.parametrize("args", [
+        ["storage", "--n", "2"],
+        ["min-pulses", "--scheme", "udd", "--epsilon", "1e-3", "--t-target", "2"],
+    ], ids=["storage", "min-pulses"])
+    def test_alpha_empty_whatever_the_flag(self, capsys, linear_table, args):
+        args = args + ["--bath-csv", linear_table, "--quiet"]
+        code, out, _ = run_cli(args + ["--alpha", "0.7"], capsys)
+        assert code == 0
+        _, (row,) = parse_csv(out)
+        assert row["alpha"] == ""
+        code, plain, _ = run_cli(args, capsys)
+        assert code == 0
+        _, (plain_row,) = parse_csv(plain)
+        assert plain_row == row
+        code, out, _ = run_cli(args + ["--format", "json"], capsys)
+        assert code == 0
+        assert json.loads(out)["rows"][0]["alpha"] is None
+
+    def test_ohmic_bath_keeps_alpha(self, capsys):
+        code, out, _ = run_cli(["storage", "--n", "2", "--alpha", "0.25", "--quiet"], capsys)
+        assert code == 0
+        _, (row,) = parse_csv(out)
+        assert row["alpha"] == "0.25"
+
+
 class TestMinPulsesCommand:
     def test_reports_count(self, capsys):
         code, out, _ = run_cli(
@@ -251,6 +286,20 @@ class TestCompareCommand:
         assert code == 2
         assert out == ""
         assert f"{field} is not supported" in err
+
+    @pytest.mark.parametrize("flags", [["--alpha", "0.5"], ["--temperature", "0.3"],
+                                       ["--alpha", "0.5", "--temperature", "0.3"]],
+                             ids=["alpha", "temperature", "both"])
+    def test_single_bath_flags_rejected(self, capsys, flags):
+        # compare sweeps --alphas and --temperatures; a single value would
+        # be ignored, and an abbreviation must not pass for the sweep flag
+        with pytest.raises(SystemExit) as exc_info:
+            main(["compare", "--n", "1", "--points", "2", "--tmin", "1", "--tmax", "2",
+                  *flags])
+        assert exc_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
 
     @pytest.mark.parametrize("field", ["alphas", "temperatures"])
     @pytest.mark.parametrize("source", ["flag", "config"])

@@ -217,6 +217,51 @@ class TestCoherencePointContract:
         assert pt.signal == 0.0
 
 
+class TestSignalJointQuadrature:
+    """signal integrates chi and phi as two rows of one quadrature."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return integrate_adaptive(*args, **kwargs)
+
+        monkeypatch.setattr(ddlab.decoherence, "integrate_adaptive", counting)
+        return calls
+
+    @pytest.mark.parametrize("temp", [0.0, 0.1])
+    def test_one_integral_on_a_quantum_bath(self, quad, monkeypatch, temp):
+        calls = self.counted(monkeypatch)
+        signal(udd(4), OhmicBath(alpha=0.1, temperature=temp), 3.0, quad)
+        assert len(calls) == 1
+
+    def test_one_integral_on_a_classical_bath(self, quad, monkeypatch):
+        calls = self.counted(monkeypatch)
+        pt = signal(udd(4), classical_twin(0.1, 0.1), 3.0, quad)
+        assert len(calls) == 1
+        assert pt.phi == 0.0
+
+    @pytest.mark.parametrize("seq", [udd(0), udd(5), equidistant(7),
+                                     custom((0.2, 0.5, 0.8)),
+                                     custom((0.11, 0.3, 0.42, 0.7, 0.93))],
+                             ids=lambda s: f"{s.scheme}{s.n}")
+    @pytest.mark.parametrize("temp", [0.0, 0.2])
+    @pytest.mark.parametrize("t", [0.05, 1.0, 30.0, 500.0])
+    def test_rows_match_chi_and_phase(self, quad, seq, temp, t):
+        bath = OhmicBath(alpha=0.1, temperature=temp)
+        pt = signal(seq, bath, t, quad)
+        assert pt.chi == pytest.approx(chi(seq, bath, t, quad), rel=1e-12, abs=0.0)
+        assert pt.phi == pytest.approx(phase(seq, bath, t, quad), rel=1e-12, abs=0.0)
+
+    def test_failure_names_signal_and_time(self):
+        spec = QuadratureSpec(rel_tol=1e-10, max_panels=16)
+        with pytest.raises(QuadratureError, match=r"signal\(t=1000\)") as exc_info:
+            signal(equidistant(2), OhmicBath(alpha=0.25), 1000.0, spec)
+        assert exc_info.value.estimate.shape == (2,)
+
+
 class TestClassicalPath:
     def test_phase_identically_zero(self, quad):
         cb = classical_twin(0.25, 0.1)

@@ -15,7 +15,13 @@ from ddlab import (
     y_abs_sq,
     y_factor,
 )
-from ddlab.filters import _BLOCK_ELEMENTS, x_factor_array, y_abs_sq_array, y_factor_array
+from ddlab.filters import (
+    _BLOCK_ELEMENTS,
+    x_factor_array,
+    y_abs_sq_and_x_array,
+    y_abs_sq_array,
+    y_factor_array,
+)
 
 # oracle: |y_1(1)|^2 = 16 sin^4(1/4), y_1(1) = (1 - e^{i/2})^2
 Y1_AT_1 = complex(-0.21486281791260572, -0.11738009240050945)
@@ -119,6 +125,20 @@ class TestYAbsSq:
         seq = custom((0.25, 0.375, 0.625))
         y, _ = exact_filters(seq, z)
         assert y_abs_sq(seq, z) == pytest.approx(abs(y) ** 2, rel=1e-9, abs=0.0)
+
+
+class TestJointFilters:
+    @pytest.mark.parametrize("seq", NOISE_CASES + [custom((0.25, 0.375, 0.625))],
+                             ids=lambda s: f"{s.scheme}{s.n}")
+    def test_equal_the_single_filters_bit_for_bit(self, seq):
+        # small z reaches the Bessel, parity and Taylor sources, large z the
+        # direct sum
+        rng = np.random.default_rng(seq.n)
+        z = np.concatenate([np.geomspace(1e-8, 1.0, 200), rng.uniform(0.0, 50.0, 300),
+                            rng.uniform(0.0, 5.0 * (seq.n + 1), 300)])
+        y_sq, x = y_abs_sq_and_x_array(seq, z)
+        assert np.array_equal(y_sq, y_abs_sq_array(seq, z))
+        assert np.array_equal(x, x_factor_array(seq, z))
 
 
 class TestEquidistantClosedForm:

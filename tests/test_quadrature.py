@@ -82,3 +82,91 @@ class TestQuadratureSpec:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             QuadratureSpec(**kwargs)
+
+
+class TestRows:
+    """An integrand that returns k rows of shape (k, nodes) on shared nodes."""
+
+    @staticmethod
+    def cusp(x):
+        return np.abs(x - 0.3123) ** 0.2
+
+    CUSP = (0.3123**1.2 + 0.6877**1.2) / 1.2
+
+    def test_each_row_meets_its_own_target(self):
+        # the cusp needs many more splits than the smooth row
+        spec = QuadratureSpec(rel_tol=1e-9)
+        exact = np.array([math.sin(50.0) / 50.0, self.CUSP])
+
+        def easy(x):
+            return np.cos(50.0 * x)
+
+        alone, _, n_alone = integrate_adaptive(easy, 0.0, 1.0, spec)
+        _, _, n_cusp = integrate_adaptive(self.cusp, 0.0, 1.0, spec)
+        both, bound, n_both = integrate_adaptive(
+            lambda x: np.stack([easy(x), self.cusp(x)]), 0.0, 1.0, spec)
+        assert both.shape == bound.shape == (2,)
+        assert n_alone < n_cusp == n_both
+        assert np.all(bound <= spec.rel_tol * np.abs(both))
+        assert np.all(np.abs(both - exact) <= 10 * spec.rel_tol * np.abs(exact))
+        # the extra panels do not cost the smooth row accuracy
+        eps = np.finfo(float).eps
+        assert abs(both[0] - exact[0]) <= abs(alone - exact[0]) + 4 * eps * abs(exact[0])
+
+    def test_identical_rows_equal_the_one_row_call(self):
+        spec = QuadratureSpec(rel_tol=1e-12)
+        one = integrate_adaptive(self.cusp, 0.0, 1.0, spec)
+        val, err, nev = integrate_adaptive(
+            lambda x: np.stack([self.cusp(x), self.cusp(x)]), 0.0, 1.0, spec)
+        assert type(one[0]) is float and type(one[1]) is float
+        assert val.tolist() == [one[0], one[0]]
+        assert err.tolist() == [one[1], one[1]]
+        assert nev == one[2]
+
+    def test_panel_cap_with_rows(self):
+        # as test_panel_cap_limits_the_last_split, with a second row that
+        # converges in the first round and so asks for no split
+        spec = QuadratureSpec(rel_tol=1e-12, max_panels=20)
+        sizes = []
+
+        def f(x):
+            sizes.append(x.size)
+            return np.stack([np.sin(40.0 * x) * np.exp(x), np.ones_like(x)])
+
+        with pytest.raises(QuadratureError, match="within 20 panels") as exc_info:
+            integrate_adaptive(f, 0.0, 3.0, spec, initial_panels=16)
+        assert sizes == [15 * 16, 15 * 2, 15 * 6]
+        err = exc_info.value
+        assert err.estimate.shape == err.error_bound.shape == (2,)
+        assert err.estimate[1] == 3.0
+        assert math.isfinite(err.estimate[0]) and err.error_bound[0] > 0
+
+    def test_budget_exhaustion_with_rows(self):
+        spec = QuadratureSpec(rel_tol=1e-10, max_panels=16)
+        with pytest.raises(QuadratureError, match=r"estimate \[") as exc_info:
+            integrate_adaptive(lambda x: np.stack([np.sin(5000.0 * x), x]), 0.0, 1.0,
+                               spec, initial_panels=16)
+        assert np.all(np.isfinite(exc_info.value.estimate))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_non_finite_integrand_raises(self, bad, rows):
+        # a NaN error estimate can never meet its target; the integrator
+        # must say so rather than split nothing forever
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            if len(calls) > 100:
+                raise RuntimeError("integrand called without end")
+            row = np.where(x > 0.5, bad, x)
+            return row if rows == 1 else np.stack([np.sin(300.0 * x), row])
+
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(QuadratureError, match="integrand not finite"):
+            integrate_adaptive(f, 0.0, 1.0, QuadratureSpec())
+
+    def test_wrong_row_layout_rejected(self):
+        with pytest.raises(ValueError, match=r"\(k, nodes\)"):
+            integrate_adaptive(lambda x: np.stack([x, x], axis=1), 0.0, 1.0,
+                               QuadratureSpec())
