@@ -254,6 +254,11 @@ def cmd_compare(cfg: RunConfig) -> int:
         if getattr(cfg, name) is not None:
             raise ValueError(f"compare sweeps udd and equidistant over ohmic baths; "
                              f"{name} is not supported")
+    for name, sweep in (("alpha", "alphas"), ("temperature", "temperatures")):
+        # a single-bath value would be recorded in the embedded config and
+        # then ignored by the sweep
+        if getattr(cfg, name) != getattr(RunConfig, name):
+            raise ValueError(f"compare sweeps {sweep}; set {sweep} instead of {name}")
     grid = _time_grid(cfg)
     _progress(cfg, f"compare: n={cfg.n}, {len(cfg.alphas)} alphas, "
                    f"{len(cfg.temperatures)} temperatures, {len(grid)} times")

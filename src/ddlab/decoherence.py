@@ -16,6 +16,14 @@ chi and phase are one integral each.  signal on a quantum bath integrates
 chi and phi as the two rows of one adaptive quadrature on shared nodes, so
 J and the filter term table are evaluated once per node; each row still
 meets its own tolerance.
+
+Each integrand stays a function of the node array alone, and relies on
+the node layout that integrate_adaptive documents: panels of 15 nodes,
+each an initial panel of [0, wc] bisected L >= 0 times.  In z = w t that
+is a filters.PanelGrid with initial half-width wc t / (2 n0), n0 =
+_initial_panels(t, wc); one grid per integral carries the sequence's term
+table and each width level's offset sin/cos through every round, and the
+filter functions take the node array with it.
 """
 
 from __future__ import annotations
@@ -26,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import Bath, ClassicalBath, integrand_weight, spectral_density, thermal_weight
-from .filters import x_factor_array, y_abs_sq_and_x_array, y_abs_sq_array
-from .quadrature import QuadratureError, QuadratureSpec, integrate_adaptive
+from .filters import PanelGrid, x_factor_array, y_abs_sq_and_x_array, y_abs_sq_array
+from .quadrature import NODES, QuadratureError, QuadratureSpec, integrate_adaptive
 from .sequences import PulseSequence
 
 __all__ = [
@@ -103,6 +111,11 @@ def _initial_panels(t: float, omega_cut: float) -> int:
     return max(16, math.ceil(omega_cut * t / math.pi))
 
 
+def _panel_grid(seq: PulseSequence, t: float, wc: float) -> PanelGrid:
+    # the layout of _frequency_integral's nodes in z = w t (module docstring)
+    return PanelGrid(seq, 0.5 * wc / _initial_panels(t, wc) * t, NODES)
+
+
 def _frequency_integral(kind: str, f, t: float, wc: float, quad: QuadratureSpec):
     """(value, error bound, evaluations) of f over [0, wc], naming t on failure."""
     try:
@@ -119,8 +132,10 @@ def _chi_raw(seq: PulseSequence, bath: Bath, t: float, quad: QuadratureSpec):
     if t == 0.0:
         return 0.0, 0.0
 
+    grid = _panel_grid(seq, t, bath.cutoff)
+
     def f(w):
-        return integrand_weight(bath, w) * y_abs_sq_array(seq, w * t) / (4.0 * w * w)
+        return integrand_weight(bath, w) * y_abs_sq_array(seq, w * t, grid) / (4.0 * w * w)
 
     val, err, _ = _frequency_integral("chi", f, t, bath.cutoff, quad)
     return max(val, 0.0), err
@@ -140,8 +155,10 @@ def phase(seq: PulseSequence, bath: Bath, t: float,
     if isinstance(bath, ClassicalBath) or t == 0.0:
         return 0.0
 
+    grid = _panel_grid(seq, t, bath.cutoff)
+
     def f(w):
-        return spectral_density(bath, w) * x_factor_array(seq, w * t) / (2.0 * w * w)
+        return spectral_density(bath, w) * x_factor_array(seq, w * t, grid) / (2.0 * w * w)
 
     val, _, _ = _frequency_integral("phase", f, t, bath.cutoff, quad)
     return val
@@ -159,9 +176,11 @@ def signal(seq: PulseSequence, bath: Bath, t: float,
         phi = 0.0
         chi_val, err = _chi_raw(seq, bath, t, quad)
     else:
+        grid = _panel_grid(seq, t, bath.cutoff)
+
         def f(w):
             j = spectral_density(bath, w)
-            y_sq, x = y_abs_sq_and_x_array(seq, w * t)
+            y_sq, x = y_abs_sq_and_x_array(seq, w * t, grid)
             return np.stack((j * thermal_weight(bath.temperature, w) * y_sq / (4.0 * w * w),
                              j * x / (2.0 * w * w)))
 

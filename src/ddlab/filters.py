@@ -28,10 +28,29 @@ first half of the terms:
 so Im y = cos(z/2) S for n even and sin(z/2) S for n odd.  That needs
 about a quarter of the transcendental evaluations of the complex sum, and
 x reuses the same S.  Other sequences sum the full term set, x its sine
-row alone.  Either way the nodes are taken in blocks, and each row sum of
-bounded terms with small power-of-two weights is split error-free (Rump,
-Ogita & Oishi, SIAM J. Sci. Comput. 31 (2008)): the high parts sum
-exactly in any order, so only the tiny low parts round.
+row alone.  The term table (phases, weights, mirror check) is built once
+per call, or once per integral where a PanelGrid carries it.
+
+One kernel, _split_sums, evaluates every row sum on an outer-sum grid of
+centres c and offsets o: the sums at c + o.  Quadrature nodes are panel
+centres plus offsets that all panels of one width share (PanelGrid reads
+that layout from the node array), so by angle addition,
+
+    sin((c + o) u) = sin(cu) cos(ou) + cos(cu) sin(ou),
+    cos((c + o) u) = cos(cu) cos(ou) - sin(cu) sin(ou),
+
+sin/cos are needed once per panel and term and once per width and term,
+not once per node and term.  Arbitrary z, and rounds too small for the
+factoring to pay, are the zero-offset case: the centres are the nodes and
+sin/cos are taken at them directly.  The factored sums are taken at
+c + o, the node before it was rounded, so they can differ from sums at
+the rounded node by about that rounding times |dy/dz|; both stay inside
+the noise model of _delegation_threshold against 40-digit mpmath at their
+own points (tests/test_filters.py).  Either way the centres are taken in
+blocks, and each row sum of bounded terms with small power-of-two weights
+is split error-free (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31
+(2008)): the high parts sum exactly in any order, so only the tiny low
+parts round, and no sum depends on the blocking.
 
 The n+2 unit-magnitude terms of y_n cancel to O(z^(n+1)) at small z, so
 the direct sum cannot resolve |y|^2 where the sequence suppresses it
@@ -58,6 +77,7 @@ label whose instants are not that generator's.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,6 +92,7 @@ __all__ = [
     "y_factor_array",
     "y_abs_sq_array",
     "y_abs_sq_and_x_array",
+    "PanelGrid",
     "y_taylor_moments",
     "equidistant_closed_form",
     "bessel_approx",
@@ -100,6 +121,15 @@ def _delegation_threshold(n: int, z: np.ndarray) -> np.ndarray:
 # a block of the phase matrix holds at most this many elements, so memory
 # stays flat however many nodes one quadrature round brings
 _BLOCK_ELEMENTS = 2**15
+# a PanelGrid takes nodes as its own when every node lies within this many
+# ulps of its panel's scale from centre + offset, at a width level up to
+# _MAX_LEVEL; other nodes take the zero-offset kernel
+_LAYOUT_TOL = 64 * np.finfo(float).eps
+_MAX_LEVEL = 64
+# below this many panel-terms (panels times terms) a round takes the
+# zero-offset kernel: the transcendentals that factoring saves cost less
+# than its fixed cost per round
+_FACTOR_MIN = 2**10
 
 
 def _y_coefficients(seq: PulseSequence):
@@ -112,82 +142,223 @@ def _y_coefficients(seq: PulseSequence):
     return c, d
 
 
-def _mirror_symmetric(t: np.ndarray) -> bool:
-    """True when the instants satisfy t_j + t_(K-1-j) = 1 in floating point."""
-    return bool(np.all(t + t[::-1] == 1.0))
+class _Terms(NamedTuple):
+    """The sums y is read from: rows sum_j w_j f(z u_j), one per f in funcs.
 
-
-def _half_sum(z: np.ndarray, t: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Real S with sum_j w_j e^(iz t_j) = e^(iz/2) S for an odd number K of
-    terms and i e^(iz/2) S for an even one.
-
-    Needs mirror-symmetric instants and weights w_(K-1-j) = (-1)^(K+1) w_j,
-    as y's weights have.  The pair phases u_j = 1/2 - t_(K-1-j) are exact,
-    since t_(K-1-j) >= 1/2.
+    Mirror-symmetric instants give the real half-sum S (funcs is (sin,) for
+    an even number of terms, (cos,) for an odd one), other sequences the
+    full term set with funcs (cos, sin), the real and imaginary parts of y.
     """
-    half = len(t) // 2
-    u = 0.5 - t[::-1][:half]
-    if len(t) % 2 == 0:
-        return _split_sums(z, u, 2.0 * w[:half], np.sin)[0]
-    return _split_sums(z, np.append(u, 0.0), np.append(2.0 * w[:half], w[half]), np.cos)[0]
+
+    u: np.ndarray
+    w: np.ndarray
+    sigma: float
+    funcs: tuple
+
+    @property
+    def mirror(self) -> bool:
+        return len(self.funcs) == 1
 
 
-def _split_sums(z: np.ndarray, u: np.ndarray, w: np.ndarray, *funcs) -> np.ndarray:
-    """sum_j w_j f(z u_j) at every node of z, one row per f in funcs.
-
-    Every term f(z u_j) lies in [-1, 1] and every weight is a small power
-    of two.  Adding and removing sigma >= 2 sum|w| rounds each term to a
-    grid on which the weighted sums of these high parts are exact in any
-    order, so BLAS may sum them.  The exact remainders are summed in
-    numpy's fixed order and round only at their own tiny scale.
-    """
-    flat = z.reshape(-1)
+def _term_table(seq: PulseSequence) -> _Terms:
+    c, d = _y_coefficients(seq)
+    if not bool(np.all(d + d[::-1] == 1.0)):
+        u, w, funcs = d, c, (np.cos, np.sin)
+    else:
+        # S with sum_j c_j e^(iz d_j) = e^(iz/2) S for an odd number K of
+        # terms and i e^(iz/2) S for an even one, from the mirror pairs of
+        # phases u_j = 1/2 - d_(K-1-j); these are exact, since
+        # d_(K-1-j) >= 1/2, and the weights obey c_(K-1-j) = (-1)^(K+1) c_j
+        half = len(d) // 2
+        u, w = 0.5 - d[::-1][:half], 2.0 * c[:half]
+        if len(d) % 2 == 0:
+            funcs = (np.sin,)
+        else:
+            u, w, funcs = np.append(u, 0.0), np.append(w, c[half]), (np.cos,)
     sigma = 2.0 ** (math.ceil(math.log2(max(np.sum(np.abs(w)), 1.0))) + 1)
-    rows = max(1, _BLOCK_ELEMENTS // max(len(u), 1))
-    out = np.empty((len(funcs), flat.size))
+    return _Terms(u, w, sigma, funcs)
+
+
+def _split_sums(centres: np.ndarray, terms: _Terms, funcs, offsets=None) -> np.ndarray:
+    """sum_j w_j f((c + o) u_j) over the term table on the outer-sum grid of
+    centres c and offsets o, one row per f in funcs (np.sin or np.cos), in
+    the shape (len(funcs), centres, offsets).
+
+    offsets=None is the zero-offset case: the grid is the centres
+    themselves and f is taken at c u_j directly.  Otherwise offsets holds
+    cos(o_k u_j) and sin(o_k u_j) as two (offsets, len(u)) tables, and the
+    terms come from sin(c u_j) and cos(c u_j) by angle addition, so the
+    transcendentals are taken once per centre and term, not once per node
+    and term.
+
+    Every term lies in [-1, 1], up to a few rounding errors for the angle
+    addition, and every weight is a small power of two.  Adding and
+    removing sigma >= 2 sum|w| rounds each term to a grid on which the
+    weighted sums of these high parts are exact in any order, so BLAS may
+    sum them.  The exact remainders are summed in numpy's fixed order per
+    node and round only at their own tiny scale, so no node's sums depend
+    on how the centres are blocked.
+    """
+    u, w, sigma = terms.u, terms.w, terms.sigma
+    flat = centres.reshape(-1)
+    width = 1 if offsets is None else offsets[0].shape[0]
+    rows = min(max(1, _BLOCK_ELEMENTS // max(width * len(u), 1)), max(flat.size, 1))
+    out = np.empty((len(funcs), flat.size, width))
+    # one set of block buffers serves every block: fresh block-sized arrays
+    # would cost a page fault per page on each block
+    phase = np.empty((rows, len(u)))
+    values, high = np.empty((2, rows, width, len(u)))
+    if offsets is not None:
+        cos_o, sin_o = offsets
+        sin_c, cos_c = np.empty((2, rows, 1, len(u)))
+        spare = np.empty_like(values)
     for start in range(0, flat.size, rows):
-        phase = np.multiply.outer(flat[start:start + rows], u)
+        r = min(rows, flat.size - start)
+        ph, t, h = phase[:r], values[:r], high[:r]
+        np.multiply.outer(flat[start:start + r], u, out=ph)
+        if offsets is not None:
+            np.sin(ph, out=sin_c[:r, 0])
+            np.cos(ph, out=cos_c[:r, 0])
         for f, sums in zip(funcs, out):
-            terms = f(phase)
-            high = (terms + sigma) - sigma
-            terms -= high
-            terms *= w
-            sums[start:start + rows] = high @ w + terms.sum(axis=1)
-    return out.reshape((len(funcs),) + z.shape)
+            if offsets is None:
+                f(ph, out=t[:, 0])
+            elif f is np.sin:
+                np.multiply(sin_c[:r], cos_o, out=t)
+                t += np.multiply(cos_c[:r], sin_o, out=spare[:r])
+            else:
+                np.multiply(cos_c[:r], cos_o, out=t)
+                t -= np.multiply(sin_c[:r], sin_o, out=spare[:r])
+            np.add(t, sigma, out=h)
+            h -= sigma
+            t -= h
+            t *= w
+            sums[start:start + r] = h @ w + t.sum(axis=-1)
+    return out
 
 
-def x_factor_array(seq: PulseSequence, z: np.ndarray) -> np.ndarray:
+class PanelGrid:
+    """Quadrature nodes in z, read as panel centres plus per-width offsets.
+
+    One grid serves every round of one integral over one sequence.  The
+    nodes come panel by panel, len(abscissae) consecutive nodes each, node k
+    at centre + h x_k for abscissae x that are symmetric with 0 in the
+    middle, and every panel is a panel of half-width half_width bisected
+    L >= 0 times, h = half_width / 2^L (integrate_adaptive's layout, scaled
+    to z).  The filter sums then run at c + o_k(L), with c the panel's
+    middle node and o_k(L) = (half_width / 2^L) x_k: sin/cos(c u_j) once per
+    panel and term, and sin/cos(o_k(L) u_j) once per width level and term
+    for the grid's lifetime.  c + o_k(L) is the node before it was rounded,
+    up to the rounding of the panel edges.
+    """
+
+    def __init__(self, seq: PulseSequence, half_width: float, abscissae):
+        self.seq = seq
+        self.terms = _term_table(seq)
+        self.half_width = float(half_width)
+        self.abscissae = np.asarray(abscissae, dtype=float)
+        self._tables = {}
+
+    def offsets(self, level: int) -> np.ndarray:
+        """o_k = (half_width / 2^level) x_k for every abscissa x_k."""
+        return (self.half_width * 2.0 ** -level) * self.abscissae
+
+    def _offset_rows(self, level: int):
+        rows = self._tables.get(level)
+        if rows is None:
+            phase = np.multiply.outer(self.offsets(level), self.terms.u)
+            rows = self._tables[level] = (np.cos(phase), np.sin(phase))
+        return rows
+
+    def layout(self, z: np.ndarray):
+        """(centres, levels) of the panels of the nodes z, or None where z
+        does not have the grid's layout to within a few rounding errors."""
+        m = self.abscissae.size
+        if z.ndim != 1 or z.size == 0 or z.size % m:
+            return None
+        nodes = z.reshape(-1, m)
+        centres = nodes[:, m // 2]
+        spread = nodes[:, -1] - nodes[:, 0]
+        if not spread.min() > 0.0:
+            return None
+        span = self.half_width * (self.abscissae[-1] - self.abscissae[0])
+        levels = np.rint(math.log2(span) - np.log2(spread))
+        if not (levels.min() >= 0 and levels.max() <= _MAX_LEVEL):
+            return None
+        half = self.half_width * np.exp2(-levels)
+        drift = np.abs(np.multiply.outer(half, self.abscissae) + centres[:, None] - nodes)
+        if np.any(drift > _LAYOUT_TOL * (np.abs(centres) + half)[:, None]):
+            return None
+        return centres, levels.astype(int)
+
+    def sums(self, z: np.ndarray, funcs) -> np.ndarray:
+        """The term sums of funcs at the nodes z, one row per f in z's shape.
+
+        Rounds with fewer than _FACTOR_MIN panel-terms, where factoring
+        saves less than its fixed cost, and nodes without the grid's
+        layout take the zero-offset case.
+        """
+        layout = None
+        if z.size * len(self.terms.u) >= _FACTOR_MIN * self.abscissae.size:
+            layout = self.layout(z)
+        if layout is None:
+            return _split_sums(z, self.terms, funcs).reshape((len(funcs),) + z.shape)
+        centres, levels = layout
+        out = np.empty((len(funcs), centres.size, self.abscissae.size))
+        for level in np.unique(levels).tolist():
+            at = levels == level
+            out[:, at] = _split_sums(centres[at], self.terms, funcs, self._offset_rows(level))
+        return out.reshape(len(funcs), z.size)
+
+
+def _table_of(seq: PulseSequence, grid) -> _Terms:
+    if grid is None:
+        return _term_table(seq)
+    if grid.seq is not seq and grid.seq != seq:
+        raise ValueError("the panel grid was built for another sequence")
+    return grid.terms
+
+
+def _term_sums(terms: _Terms, z: np.ndarray, grid, funcs) -> np.ndarray:
+    # the sums of funcs at the nodes z, one row per f, each in z's shape
+    if grid is not None:
+        return grid.sums(z, funcs)
+    return _split_sums(z, terms, funcs).reshape((len(funcs),) + z.shape)
+
+
+def x_factor_array(seq: PulseSequence, z: np.ndarray, grid=None) -> np.ndarray:
     """x_n(z) = ((-1)^n sin z - Im y_n(z)) / 2 over an array of arguments.
 
-    Im y comes from y's term table through the kernel calls that
-    y_factor_array makes: the half-sum S for mirror-symmetric sequences,
-    the sine row of the full term set for others.
+    Im y comes from y's term table: the half-sum S for mirror-symmetric
+    sequences, the sine row of the full term set for others.  grid, a
+    PanelGrid built for seq, lets quadrature nodes take the panel kernel.
     """
     z = np.asarray(z, dtype=float)
-    c, d = _y_coefficients(seq)
-    if not _mirror_symmetric(d):
-        im = _split_sums(z, d, c, np.sin)[0]
+    terms = _table_of(seq, grid)
+    if not terms.mirror:
+        im = _term_sums(terms, z, grid, (np.sin,))[0]
     else:
-        im = (np.sin(z / 2) if seq.n % 2 else np.cos(z / 2)) * _half_sum(z, d, c)
+        half_sum = _term_sums(terms, z, grid, terms.funcs)[0]
+        im = (np.sin(z / 2) if seq.n % 2 else np.cos(z / 2)) * half_sum
     return 0.5 * ((-1) ** seq.n * np.sin(z) - im)
 
 
-def y_factor_array(seq: PulseSequence, z: np.ndarray) -> np.ndarray:
+def y_factor_array(seq: PulseSequence, z: np.ndarray, grid=None) -> np.ndarray:
     """y_n(z) over an array of arguments.
 
     Mirror-symmetric sequences take the real half-sum, others the full term
-    set; both are summed with the error-free split.
+    set; both are summed with the error-free split.  grid, a PanelGrid
+    built for seq, lets quadrature nodes take the panel kernel.
     """
     z = np.asarray(z, dtype=float)
-    c, d = _y_coefficients(seq)
-    if not _mirror_symmetric(d):
-        re, im = _split_sums(z, d, c, np.cos, np.sin)
-        return re + 1j * im
+    terms = _table_of(seq, grid)
+    rows = _term_sums(terms, z, grid, terms.funcs)
+    if not terms.mirror:
+        return rows[0] + 1j * rows[1]
     rot = np.exp(0.5j * z) if seq.n % 2 else 1j * np.exp(0.5j * z)
-    return rot * _half_sum(z, d, c)
+    return rot * rows[0]
 
 
-def y_abs_sq_array(seq: PulseSequence, z: np.ndarray) -> np.ndarray:
+def y_abs_sq_array(seq: PulseSequence, z: np.ndarray, grid=None) -> np.ndarray:
     """|y_n(z)|^2 over an array of arguments.
 
     Direct summation, except where the value sits below the double-precision
@@ -195,21 +366,22 @@ def y_abs_sq_array(seq: PulseSequence, z: np.ndarray) -> np.ndarray:
     form (equidistant), both for n >= 1, takes over down to the smallest z,
     giving the ideal sequence's values, and sequences with neither take the
     moment expansion at |z| < _SMALL_Z.  The direct sum alone is
-    np.abs(y_factor_array(seq, z)) ** 2.
+    np.abs(y_factor_array(seq, z)) ** 2.  grid is passed on to
+    y_factor_array.
     """
     z = np.asarray(z, dtype=float)
-    return _select_source(seq, z, np.abs(y_factor_array(seq, z)) ** 2)
+    return _select_source(seq, z, np.abs(y_factor_array(seq, z, grid)) ** 2)
 
 
-def y_abs_sq_and_x_array(seq: PulseSequence, z: np.ndarray):
+def y_abs_sq_and_x_array(seq: PulseSequence, z: np.ndarray, grid=None):
     """(|y_n(z)|^2, x_n(z)) from one evaluation of y's term table.
 
     |y|^2 takes its source as y_abs_sq_array does, and x is
     ((-1)^n sin z - Im y) / 2; both equal the single-filter functions'
-    values bit for bit.
+    values with the same grid bit for bit.
     """
     z = np.asarray(z, dtype=float)
-    y = y_factor_array(seq, z)
+    y = y_factor_array(seq, z, grid)
     x = 0.5 * ((-1) ** seq.n * np.sin(z) - y.imag)
     return _select_source(seq, z, np.abs(y) ** 2), x
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["QuadratureSpec", "QuadratureError", "integrate_adaptive"]
+__all__ = ["QuadratureSpec", "QuadratureError", "integrate_adaptive", "NODES"]
 
 # 15-point Kronrod nodes (positive half) with embedded 7-point Gauss rule
 _XGK = np.array([
@@ -44,8 +44,8 @@ _WG = np.array([
     0.417959183673469387755102040816327,
 ])
 
-# full symmetric rule: nodes -x7..x7, 15 entries
-_NODES = np.concatenate([-_XGK[:7], _XGK[::-1][:8]])           # ascending
+# full symmetric rule: nodes -x7..x7, 15 entries, 0 in the middle
+NODES = np.concatenate([-_XGK[:7], _XGK[::-1][:8]])           # ascending
 _W15 = np.concatenate([_WGK[:7], _WGK[::-1][:8]])
 _W7 = np.zeros(15)
 _W7[1:14:2] = np.concatenate([_WG[:3], _WG[::-1][:4]])
@@ -84,7 +84,7 @@ def _eval_panels(f, lefts: np.ndarray, rights: np.ndarray):
     row shape: () for a 1-d f (k = 1), (k,) for one that returns (k, nodes)."""
     centers = 0.5 * (lefts + rights)
     halfs = 0.5 * (rights - lefts)
-    pts = centers[:, None] + halfs[:, None] * _NODES[None, :]
+    pts = centers[:, None] + halfs[:, None] * NODES[None, :]
     fx = np.asarray(f(pts.ravel()), dtype=float)
     if fx.ndim not in (1, 2) or fx.shape[-1] != pts.size:
         raise ValueError(f"f must return shape (nodes,) or (k, nodes) for "
@@ -93,7 +93,7 @@ def _eval_panels(f, lefts: np.ndarray, rights: np.ndarray):
     # a (panels, 15) matrix per row: BLAS sums each line of one matrix in an
     # order that may depend on the matrix's height, so a row's sums match a
     # one-row call on the same panels bit for bit only with a matrix of its own
-    fx = fx.reshape(rows + (len(lefts), _NODES.size))
+    fx = fx.reshape(rows + (len(lefts), NODES.size))
     resk = (fx @ _W15) * halfs
     resg = (fx @ _W7) * halfs
     resabs = (np.abs(fx) @ _W15) * halfs
@@ -120,8 +120,15 @@ def integrate_adaptive(f, a: float, b: float, spec: QuadratureSpec,
     """Integrate f over [a, b].
 
     f maps a 1-d array of nodes to an array of shape (nodes,), or to k rows
-    of shape (k, nodes) that share the nodes.  Each row must meet its own
-    target max(rel_tol * |value|, 50 eps * integral of |row|), the second
+    of shape (k, nodes) that share the nodes.  The nodes come panel by
+    panel, 15 consecutive entries each: panel p with centre c_p and
+    half-width h_p contributes c_p + h_p * NODES, so entry 7 is c_p
+    itself.  Every panel is one of the n0 = min(initial_panels, max_panels)
+    equal panels of [a, b] (edges from np.linspace) bisected L >= 0 times,
+    so h_p is (b - a) / (2 n0) / 2^L up to the rounding of the edges.  An
+    integrand may rely on this layout, as decoherence's do through
+    filters.PanelGrid.  Each row must meet its own target
+    max(rel_tol * |value|, 50 eps * integral of |row|), the second
     term being the rule's machine floor.  A panel is split when any row
     that has not yet met its target asks for it, so a converged row drives
     no splits, but its value is summed over the final panels.

@@ -301,6 +301,21 @@ class TestCompareCommand:
         assert captured.out == ""
         assert "unrecognized arguments" in captured.err
 
+    @pytest.mark.parametrize("values, sweeps", [
+        ({"alpha": 0.5}, ["alphas"]), ({"temperature": 0.3}, ["temperatures"]),
+        ({"alpha": 0.5, "temperature": 0.3}, ["alphas"])],
+        ids=["alpha", "temperature", "both"])
+    def test_single_bath_config_values_rejected(self, tmp_path, capsys, values, sweeps):
+        # a config file can still carry alpha or temperature; the sweep would
+        # record them in the embedded config and ignore them
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(values))
+        code, out, err = run_cli(["compare", "--config", str(cfg), "--n", "1", "--points",
+                                  "2", "--tmin", "1", "--tmax", "2", "--quiet"], capsys)
+        assert code == 2
+        assert out == ""
+        assert all(sweep in err for sweep in sweeps)
+
     @pytest.mark.parametrize("field", ["alphas", "temperatures"])
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_empty_sweep_axis_exit_2(self, tmp_path, capsys, field, source):

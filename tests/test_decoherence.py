@@ -262,6 +262,31 @@ class TestSignalJointQuadrature:
         assert exc_info.value.estimate.shape == (2,)
 
 
+def jittered_udd(n, seed, share=0.2):
+    """udd(n) with each instant moved by up to `share` of its smaller gap."""
+    base = np.sin(np.pi * np.arange(1, n + 1) / (2 * n + 2)) ** 2
+    gaps = np.diff(np.concatenate([[0.0], base, [1.0]]))
+    rng = np.random.default_rng(seed)
+    return custom(base + rng.uniform(-share, share, n) * np.minimum(gaps[:-1], gaps[1:]))
+
+
+class TestPanelKernelMemory:
+    def test_large_custom_signal_stays_blocked(self):
+        # the panel kernel takes the centre rows block by block; sin/cos of
+        # every centre at once would hold about 30 MB here
+        import tracemalloc
+
+        seq, bath = jittered_udd(1000, 1), OhmicBath(alpha=0.25)
+        signal(seq, bath, 1.0)
+        tracemalloc.start()
+        try:
+            signal(seq, bath, 3000.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
+
 class TestClassicalPath:
     def test_phase_identically_zero(self, quad):
         cb = classical_twin(0.25, 0.1)

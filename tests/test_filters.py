@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ddlab.quadrature import NODES
 from ddlab import (
     bessel_approx,
     custom,
@@ -17,6 +18,9 @@ from ddlab import (
 )
 from ddlab.filters import (
     _BLOCK_ELEMENTS,
+    _FACTOR_MIN,
+    PanelGrid,
+    _split_sums,
     x_factor_array,
     y_abs_sq_and_x_array,
     y_abs_sq_array,
@@ -45,14 +49,15 @@ def mirrored_custom(half_count, seed):
     return custom(np.concatenate([half, [0.5], 1.0 - half[::-1]]))
 
 
-def exact_filters(seq, z):
-    """y_n(z) and x_n(z) as 40-digit mpmath sums over the same float instants."""
+def exact_filters(seq, z, offset=0.0):
+    """y_n and x_n at z + offset (exactly) as 40-digit mpmath sums over the
+    same float instants."""
     n = seq.n
     d = [0.0, *seq.deltas, 1.0]
     c = [1] + [2 * (-1) ** m for m in range(1, n + 1)] + [(-1) ** (n + 1)]
     e = [(-1) ** (m + 1) for m in range(1, n + 1)] + [(-1) ** n]
     with mpmath.workdps(40):
-        zm = mpmath.mpf(z)
+        zm = mpmath.mpf(z) + mpmath.mpf(offset)
         cos_sin = [mpmath.cos_sin(zm * dj) for dj in d]
         re = mpmath.fsum(cj * co for cj, (co, _) in zip(c, cos_sin))
         im = mpmath.fsum(cj * si for cj, (_, si) in zip(c, cos_sin))
@@ -281,3 +286,96 @@ class TestBlockedKernel:
             out = f(seq, z)
             assert out.shape == z.shape
             assert np.array_equal(out.ravel(), f(seq, z.ravel()))
+
+
+def panel_nodes(upper, initial, levels, scale):
+    """Nodes in z = w * scale as integrate_adaptive lays them out, with the
+    grid that reads them: initial panel i of [0, upper] bisected levels[i]
+    times, every piece kept."""
+    edges = np.linspace(0.0, upper, initial + 1)
+    lefts, rights = [], []
+    for left, right, level in zip(edges[:-1], edges[1:], levels):
+        pieces = [(left, right)]
+        for _ in range(level):
+            pieces = [half for a, b in pieces
+                      for half in ((a, 0.5 * (a + b)), (0.5 * (a + b), b))]
+        lefts += [a for a, _ in pieces]
+        rights += [b for _, b in pieces]
+    lefts, rights = np.array(lefts), np.array(rights)
+    centres, halfs = 0.5 * (lefts + rights), 0.5 * (rights - lefts)
+    w = (centres[:, None] + halfs[:, None] * NODES[None, :]).ravel()
+    return w * scale, 0.5 * upper / initial * scale
+
+
+# a first-round grid (every panel at level 0) and one whose panels sit at
+# levels 0 to 4
+GRID_LEVELS = {"first_round": lambda k: 0, "mixed_levels": lambda k: k % 5}
+
+
+class TestPanelKernel:
+    # the angle-addition kernel sums at centre + offset, the node before it
+    # was rounded; against 40-digit sums at exactly that point it keeps the
+    # noise model of the direct sums
+    @pytest.mark.parametrize("layout", sorted(GRID_LEVELS))
+    @pytest.mark.parametrize("seq", NOISE_CASES, ids=lambda s: f"{s.scheme}{s.n}")
+    def test_sums_within_noise_model_at_centre_plus_offset(self, seq, layout):
+        rng = np.random.default_rng(seq.n)
+        # enough panels that the round factors rather than taking the
+        # zero-offset kernel
+        initial = max(16, -(-_FACTOR_MIN // PanelGrid(seq, 1.0, NODES).terms.u.size))
+        levels = [GRID_LEVELS[layout](k) for k in range(initial)]
+        z, half_width = panel_nodes(1.0, initial, levels, 4.0 * (seq.n + 2))
+        grid = PanelGrid(seq, half_width, NODES)
+        assert z.size * grid.terms.u.size >= _FACTOR_MIN * NODES.size
+        centres, found = grid.layout(z)
+        assert found.tolist() == [lv for lv in levels for _ in range(2 ** lv)]
+        y, x = y_factor_array(seq, z, grid), x_factor_array(seq, z, grid)
+        for node in rng.choice(z.size, 12, replace=False):
+            panel, k = divmod(int(node), NODES.size)
+            c, o = centres[panel], grid.offsets(found[panel])[k]
+            y_exact, x_exact = exact_filters(seq, c, o)
+            bound = 4 * EPS * (1 + abs(c + o)) * math.sqrt(seq.n + 2)
+            assert abs(y[node] - y_exact) <= bound
+            assert abs(x[node] - x_exact) <= bound
+
+    @pytest.mark.parametrize("seq", [udd(1000), equidistant(99), jittered_custom(300, 3),
+                                     udd(0)], ids=lambda s: f"{s.scheme}{s.n}")
+    def test_rows_independent_of_batching(self, seq):
+        z, half_width = panel_nodes(1.0, 64, [k % 3 for k in range(64)], 50.0 * (seq.n + 1))
+        grid = PanelGrid(seq, half_width, NODES)
+        centres, levels = grid.layout(z)
+        t = grid.terms
+        funcs = t.funcs if t.mirror else (np.cos, np.sin)
+        for level in range(3):
+            at = centres[levels == level]
+            offsets = grid._offset_rows(level)
+            whole = _split_sums(at, t, funcs, offsets)
+            for size in (1, 3, 7):
+                parts = [_split_sums(at[i:i + size], t, funcs, offsets)
+                         for i in range(0, at.size, size)]
+                assert np.array_equal(whole, np.concatenate(parts, axis=1))
+
+    @pytest.mark.parametrize("seq", [udd(100), equidistant(60), jittered_custom(60, 5)],
+                             ids=lambda s: f"{s.scheme}{s.n}")
+    def test_joint_filters_equal_the_single_ones_on_a_grid(self, seq):
+        z, half_width = panel_nodes(1.0, 64, [k % 3 for k in range(64)], 3.0 * (seq.n + 1))
+        grid = PanelGrid(seq, half_width, NODES)
+        y_sq, x = y_abs_sq_and_x_array(seq, z, grid)
+        assert np.array_equal(y_sq, y_abs_sq_array(seq, z, grid))
+        assert np.array_equal(x, x_factor_array(seq, z, grid))
+
+    def test_nodes_off_the_layout_take_the_zero_offset_kernel(self):
+        seq = jittered_custom(100, 4)
+        z, half_width = panel_nodes(1.0, 32, [1] * 32, 300.0)
+        grid = PanelGrid(seq, half_width, NODES)
+        assert grid.layout(z) is not None
+        moved = z.copy()
+        moved[20] += 1e-6
+        for nodes in (moved, z[:-1], z.reshape(-1, 5)):
+            assert grid.layout(nodes) is None
+            assert np.array_equal(y_factor_array(seq, nodes, grid), y_factor_array(seq, nodes))
+
+    def test_grid_of_another_sequence_rejected(self):
+        z, half_width = panel_nodes(1.0, 16, [0] * 16, 10.0)
+        with pytest.raises(ValueError, match="another sequence"):
+            y_factor_array(udd(3), z, PanelGrid(udd(4), half_width, NODES))

@@ -10,7 +10,8 @@ import sys
 
 import pytest
 
-from ddlab import OhmicBath, chi, phase, udd
+import ddlab.filters
+from ddlab import OhmicBath, chi, phase, signal, udd
 from ddlab.quadrature import integrate_adaptive
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -49,3 +50,29 @@ def test_integrand_qualname_tells_chi_from_phase(monkeypatch, evaluate, is_chi):
     evaluate(udd(2), OhmicBath(alpha=0.25), 1.0)
     assert len(qualnames) == 1
     assert ("_chi_raw" in qualnames[0]) == is_chi
+
+
+@pytest.mark.parametrize("evaluate", [chi, signal], ids=["chi", "signal"])
+def test_filter_seam_sees_every_round_in_full(monkeypatch, evaluate):
+    # the tracer counts filters.y.nodes at ddlab.filters.y_factor_array; the
+    # panel kernel must be reached through it, with the round's whole node
+    # array, and on a round large enough to factor it must read the layout
+    rounds, seen = [], []
+
+    def spy_integrate(f, *args, **kwargs):
+        def counted(w):
+            rounds.append(w.size)
+            return f(w)
+        return integrate_adaptive(counted, *args, **kwargs)
+
+    y_factor_array = ddlab.filters.y_factor_array
+
+    def spy_y(seq, z, grid=None):
+        seen.append((z.size, grid is not None and grid.layout(z) is not None))
+        return y_factor_array(seq, z, grid)
+
+    monkeypatch.setattr("ddlab.decoherence.integrate_adaptive", spy_integrate)
+    monkeypatch.setattr("ddlab.filters.y_factor_array", spy_y)
+    evaluate(udd(100), OhmicBath(alpha=0.25), 100.0)
+    assert rounds and [size for size, _ in seen] == rounds
+    assert seen[0][1]
