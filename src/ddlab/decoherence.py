@@ -22,8 +22,8 @@ the node layout that integrate_adaptive documents: panels of 15 nodes,
 each an initial panel of [0, wc] bisected L >= 0 times.  In z = w t that
 is a filters.PanelGrid with initial half-width wc t / (2 n0), n0 =
 _initial_panels(t, wc); one grid per integral carries the sequence's term
-table and each width level's offset sin/cos through every round, and the
-filter functions take the node array with it.
+table (built once per sequence) and each width level's offset sin/cos
+through every round, and the filter functions take the node array with it.
 """
 
 from __future__ import annotations

@@ -28,8 +28,14 @@ first half of the terms:
 so Im y = cos(z/2) S for n even and sin(z/2) S for n odd.  That needs
 about a quarter of the transcendental evaluations of the complex sum, and
 x reuses the same S.  Other sequences sum the full term set, x its sine
-row alone.  The term table (phases, weights, mirror check) is built once
-per call, or once per integral where a PanelGrid carries it.
+row alone.  The term table (phases, weights, mirror check, and whether the
+instants are equidistant) is built once per sequence and cached.
+
+Equidistant instants, d_m = m/(n+1), make y a geometric sum, so S has the
+exact closed form of _equidistant_half_sum at every node, poles removed;
+those sequences (equidistant(n), and custom or udd ones with the same
+instants: udd(0) and udd(1)) never sum the term table.  The instants
+decide, not the label.
 
 One kernel, _split_sums, evaluates every row sum on an outer-sum grid of
 centres c and offsets o: the sums at c + o.  Quadrature nodes are panel
@@ -57,31 +63,31 @@ the direct sum cannot resolve |y|^2 where the sequence suppresses it
 deeply.  y_abs_sq_array is the one place that picks the source of |y|^2
 at each node, from four:
 
+  closed     |y|^2 from the closed-form y, for equidistant instants at
+             every node: the ideal sequence's values, to a few ulps
+             relative down to the smallest z;
   direct     the error-free sum above, wherever it resolves the value;
   Bessel     16 (n+1)^2 J_{n+1}(z/2)^2 for optimized (udd) sequences with
-             n >= 1, exact up to exponentially small corrections for
-             z/(2n+2) < 1 (for n = 0 the J_3 term is only O(z^2) smaller);
-  parity     the exact parity closed form for equidistant sequences with
-             n >= 1, which equidistant_closed_form also exposes;
+             n >= 2, exact up to exponentially small corrections for
+             z/(2n+2) < 1, below the direct sum's noise floor down to the
+             smallest z, so it gives the ideal sequence's values;
   Taylor     z^2 (S1^2 + z^2 (S2^2/4 - S1 S3/3)) from the moments
-             S_k = sum_j c_j d_j^k, at |z| < 1e-5 for the sequences with
-             no analytic form: custom ones and the empty sequence, n = 0,
-             under either label.
+             S_k = sum_j c_j d_j^k, at |z| < 1e-5 for custom sequences
+             with other instants.
 
-The Bessel and parity forms take over from the direct sum below its noise
-floor down to the smallest z, so they give the ideal sequence's values.
-The scheme label picks the form, and PulseSequence rejects a generated
+The udd label picks the Bessel form, and PulseSequence rejects a generated
 label whose instants are not that generator's.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from typing import NamedTuple
 
 import numpy as np
 
-from .sequences import PulseSequence
+from .sequences import PulseSequence, _equidistant_instants
 from .special import bessel_j
 
 __all__ = [
@@ -102,14 +108,18 @@ __all__ = [
 # z factor from rounding of the phase products; TestNoiseBound in
 # tests/test_filters.py checks the bound against mpmath), so |y|^2 below the
 # threshold where that noise exceeds 1e-11 relative is taken from the
-# analytic small-value forms instead: the Bessel approximation for udd,
-# the exact parity closed form for equidistant.  Thresholding on the
-# noise-free analytic value keeps the switchover deterministic.  The udd
-# window stops short of z = 2n+2 where the J_{3(n+1)} corrections wake up.
+# Bessel approximation for udd instead.  Thresholding on the noise-free
+# analytic value keeps the switchover deterministic.  The window stops
+# short of z = 2n+2 where the J_{3(n+1)} corrections wake up.
 _BESSEL_WINDOW = 0.95  # in units of z/(2n+2)
+# equidistant_closed_form refuses z this close to a pole of its tangent form
 _POLE_TOL = 1e-12
-# sequences with no analytic form take |y|^2 from its moment expansion
-# below this |z|, where the omitted O(z^6) terms are negligible
+# pi = _PI_HI + _PI_LO to about 1e-23, _PI_HI of 26 bits, so M * _PI_HI is
+# exact for integers |M| < 2^27
+_PI_HI = 3.1415926218032837
+_PI_LO = 3.178650954705639e-08
+# custom sequences take |y|^2 from its moment expansion below this |z|,
+# where the omitted O(z^6) terms are negligible
 _SMALL_Z = 1e-5
 
 
@@ -132,6 +142,12 @@ _MAX_LEVEL = 64
 _FACTOR_MIN = 2**10
 
 
+# term tables of the last _PLAN_SIZE sequences, by id: id -> (seq, table)
+_PLAN_SIZE = 64
+_PLANS: dict = {}
+_PLANS_LOCK = threading.Lock()
+
+
 def _y_coefficients(seq: PulseSequence):
     """Term weights c_j and instants d_j with y(z) = sum_j c_j e^(iz d_j)."""
     n = seq.n
@@ -148,12 +164,16 @@ class _Terms(NamedTuple):
     Mirror-symmetric instants give the real half-sum S (funcs is (sin,) for
     an even number of terms, (cos,) for an odd one), other sequences the
     full term set with funcs (cos, sin), the real and imaginary parts of y.
+    Equidistant instants are mirror-symmetric, and their S has a closed
+    form, so the table's rows are never summed for them.
     """
 
     u: np.ndarray
     w: np.ndarray
     sigma: float
     funcs: tuple
+    # the instants are equidistant: S comes from _equidistant_half_sum
+    closed: bool
 
     @property
     def mirror(self) -> bool:
@@ -161,6 +181,24 @@ class _Terms(NamedTuple):
 
 
 def _term_table(seq: PulseSequence) -> _Terms:
+    """The term table of seq, built once per sequence object.
+
+    The cache holds the last _PLAN_SIZE sequences by identity, so a hit
+    costs no hash of the instants.  It keeps each sequence it holds alive,
+    so no other object can take that sequence's id meanwhile.
+    """
+    with _PLANS_LOCK:
+        hit = _PLANS.get(id(seq))
+        if hit is not None:
+            return hit[1]
+        terms = _build_term_table(seq)
+        if len(_PLANS) >= _PLAN_SIZE:
+            del _PLANS[next(iter(_PLANS))]
+        _PLANS[id(seq)] = (seq, terms)
+        return terms
+
+
+def _build_term_table(seq: PulseSequence) -> _Terms:
     c, d = _y_coefficients(seq)
     if not bool(np.all(d + d[::-1] == 1.0)):
         u, w, funcs = d, c, (np.cos, np.sin)
@@ -176,7 +214,8 @@ def _term_table(seq: PulseSequence) -> _Terms:
         else:
             u, w, funcs = np.append(u, 0.0), np.append(w, c[half]), (np.cos,)
     sigma = 2.0 ** (math.ceil(math.log2(max(np.sum(np.abs(w)), 1.0))) + 1)
-    return _Terms(u, w, sigma, funcs)
+    u.flags.writeable = w.flags.writeable = False
+    return _Terms(u, w, sigma, funcs, seq.deltas == _equidistant_instants(seq.n))
 
 
 def _split_sums(centres: np.ndarray, terms: _Terms, funcs, offsets=None) -> np.ndarray:
@@ -318,8 +357,10 @@ def _table_of(seq: PulseSequence, grid) -> _Terms:
     return grid.terms
 
 
-def _term_sums(terms: _Terms, z: np.ndarray, grid, funcs) -> np.ndarray:
+def _term_sums(n: int, terms: _Terms, z: np.ndarray, grid, funcs) -> np.ndarray:
     # the sums of funcs at the nodes z, one row per f, each in z's shape
+    if terms.closed:
+        return _equidistant_half_sum(n, z)[None]
     if grid is not None:
         return grid.sums(z, funcs)
     return _split_sums(z, terms, funcs).reshape((len(funcs),) + z.shape)
@@ -328,16 +369,17 @@ def _term_sums(terms: _Terms, z: np.ndarray, grid, funcs) -> np.ndarray:
 def x_factor_array(seq: PulseSequence, z: np.ndarray, grid=None) -> np.ndarray:
     """x_n(z) = ((-1)^n sin z - Im y_n(z)) / 2 over an array of arguments.
 
-    Im y comes from y's term table: the half-sum S for mirror-symmetric
-    sequences, the sine row of the full term set for others.  grid, a
-    PanelGrid built for seq, lets quadrature nodes take the panel kernel.
+    Im y comes from the half-sum S for mirror-symmetric sequences (the
+    closed form for equidistant instants), the sine row of the full term
+    set for others.  grid, a PanelGrid built for seq, lets quadrature nodes
+    take the panel kernel.
     """
     z = np.asarray(z, dtype=float)
     terms = _table_of(seq, grid)
     if not terms.mirror:
-        im = _term_sums(terms, z, grid, (np.sin,))[0]
+        im = _term_sums(seq.n, terms, z, grid, (np.sin,))[0]
     else:
-        half_sum = _term_sums(terms, z, grid, terms.funcs)[0]
+        half_sum = _term_sums(seq.n, terms, z, grid, terms.funcs)[0]
         im = (np.sin(z / 2) if seq.n % 2 else np.cos(z / 2)) * half_sum
     return 0.5 * ((-1) ** seq.n * np.sin(z) - im)
 
@@ -345,13 +387,14 @@ def x_factor_array(seq: PulseSequence, z: np.ndarray, grid=None) -> np.ndarray:
 def y_factor_array(seq: PulseSequence, z: np.ndarray, grid=None) -> np.ndarray:
     """y_n(z) over an array of arguments.
 
-    Mirror-symmetric sequences take the real half-sum, others the full term
-    set; both are summed with the error-free split.  grid, a PanelGrid
+    Equidistant instants take the real half-sum's closed form, other
+    mirror-symmetric sequences the half-sum itself, others the full term
+    set; both sums are taken with the error-free split.  grid, a PanelGrid
     built for seq, lets quadrature nodes take the panel kernel.
     """
     z = np.asarray(z, dtype=float)
     terms = _table_of(seq, grid)
-    rows = _term_sums(terms, z, grid, terms.funcs)
+    rows = _term_sums(seq.n, terms, z, grid, terms.funcs)
     if not terms.mirror:
         return rows[0] + 1j * rows[1]
     rot = np.exp(0.5j * z) if seq.n % 2 else 1j * np.exp(0.5j * z)
@@ -361,16 +404,16 @@ def y_factor_array(seq: PulseSequence, z: np.ndarray, grid=None) -> np.ndarray:
 def y_abs_sq_array(seq: PulseSequence, z: np.ndarray, grid=None) -> np.ndarray:
     """|y_n(z)|^2 over an array of arguments.
 
-    Direct summation, except where the value sits below the double-precision
-    cancellation floor: there the Bessel form (udd) or the parity closed
-    form (equidistant), both for n >= 1, takes over down to the smallest z,
-    giving the ideal sequence's values, and sequences with neither take the
-    moment expansion at |z| < _SMALL_Z.  The direct sum alone is
-    np.abs(y_factor_array(seq, z)) ** 2.  grid is passed on to
-    y_factor_array.
+    np.abs(y_factor_array(seq, z)) ** 2, which is exact at every node for
+    equidistant instants; for other sequences the direct sum, except where
+    the value sits below the double-precision cancellation floor: there the
+    Bessel form (udd, n >= 2) takes over down to the smallest z, giving the
+    ideal sequence's values, and custom sequences take the moment expansion
+    at |z| < _SMALL_Z.  grid is passed on to y_factor_array.
     """
     z = np.asarray(z, dtype=float)
-    return _select_source(seq, z, np.abs(y_factor_array(seq, z, grid)) ** 2)
+    terms = _table_of(seq, grid)
+    return _select_source(seq, terms, z, np.abs(y_factor_array(seq, z, grid)) ** 2)
 
 
 def y_abs_sq_and_x_array(seq: PulseSequence, z: np.ndarray, grid=None):
@@ -381,27 +424,25 @@ def y_abs_sq_and_x_array(seq: PulseSequence, z: np.ndarray, grid=None):
     values with the same grid bit for bit.
     """
     z = np.asarray(z, dtype=float)
+    terms = _table_of(seq, grid)
     y = y_factor_array(seq, z, grid)
     x = 0.5 * ((-1) ** seq.n * np.sin(z) - y.imag)
-    return _select_source(seq, z, np.abs(y) ** 2), x
+    return _select_source(seq, terms, z, np.abs(y) ** 2), x
 
 
-def _select_source(seq: PulseSequence, z: np.ndarray, direct: np.ndarray) -> np.ndarray:
-    # the direct |y|^2, with the analytic or Taylor form swapped in where
-    # y_abs_sq_array describes
+def _select_source(seq: PulseSequence, terms: _Terms, z: np.ndarray,
+                   direct: np.ndarray) -> np.ndarray:
+    # |y|^2 from y_factor_array, with the Bessel or Taylor form swapped in
+    # where y_abs_sq_array describes; the closed form needs neither
+    if terms.closed:
+        return direct
     n = seq.n
-    threshold = _delegation_threshold(n, z)
-    if seq.scheme == "udd" and n >= 1:
+    if seq.scheme == "udd":
+        # n >= 2 here: udd(0) and udd(1) have equidistant instants
+        threshold = _delegation_threshold(n, z)
         window = np.abs(z) < _BESSEL_WINDOW * (2 * n + 2)
         return _delegate(direct, window & (direct < 2.0 * threshold), threshold,
                          lambda c: bessel_approx(n, np.abs(z[c])))
-    if seq.scheme == "equidistant" and n >= 1:
-        # the parity closed form is an exact identity, so it replaces the
-        # noise-limited direct sum at small values; stay away from the
-        # tangent poles where the closed form itself degenerates
-        cos_arg = np.cos(z / (2 * n + 2))
-        return _delegate(direct, (np.abs(cos_arg) > 0.5) & (direct < 2.0 * threshold),
-                         threshold, lambda c: _parity_closed_form(n, z[c], cos_arg[c]))
     small = np.abs(z) < _SMALL_Z
     if np.any(small):
         s1, s2, s3 = y_taylor_moments(seq)
@@ -440,7 +481,7 @@ def x_factor(seq: PulseSequence, z: float) -> float:
 
 
 def y_factor(seq: PulseSequence, z: float) -> complex:
-    """Coherence filter y_n(z), by the direct sum of y_factor_array."""
+    """Coherence filter y_n(z), as y_factor_array gives it."""
     return complex(y_factor_array(seq, np.atleast_1d(float(z)))[0])
 
 
@@ -453,23 +494,53 @@ def equidistant_closed_form(n: int, z):
     """|y_n(z)|^2 for n equidistant pulses, by the parity closed form.
 
     4 tan^2(z/(2n+2)) cos^2(z/2) for n even, 4 tan^2(z/(2n+2)) sin^2(z/2)
-    for n odd.  Raises near the tangent poles (|cos(z/(2n+2))| < 1e-12),
-    where the direct summation remains finite but the closed form blows up.
+    for n odd, evaluated as the square of _equidistant_half_sum, which is
+    finite everywhere.  Keeps the contract of the tangent form: n >= 1, and
+    z within 1e-12 of a tangent pole (|cos(z/(2n+2))| < 1e-12) raises.
     """
     if n < 1:
         raise ValueError(f"closed form needs n >= 1, got {n}")
-    zs = np.asarray(z, dtype=float)
-    cos_arg = np.cos(zs / (2 * n + 2))
-    if np.any(np.abs(cos_arg) < _POLE_TOL):
+    zs = np.atleast_1d(np.asarray(z, dtype=float))
+    if np.any(np.abs(np.cos(zs / (2 * n + 2))) < _POLE_TOL):
         raise ValueError(f"z within {_POLE_TOL} of a tangent pole of the n={n} closed form")
-    out = _parity_closed_form(n, zs, cos_arg)
-    return out if np.ndim(z) else float(out)
+    out = _equidistant_half_sum(n, zs) ** 2
+    return out if np.ndim(z) else float(out[0])
 
 
-def _parity_closed_form(n: int, z: np.ndarray, cos_arg: np.ndarray) -> np.ndarray:
-    # 4 tan^2(z/(2n+2)) {cos, sin}^2(z/2), given cos_arg = cos(z/(2n+2))
-    half = np.cos(z / 2) if n % 2 == 0 else np.sin(z / 2)
-    return 4.0 * (np.sin(z / (2 * n + 2)) / cos_arg) ** 2 * half**2
+def _equidistant_half_sum(n: int, z: np.ndarray) -> np.ndarray:
+    """The half-sum S of n equidistant pulses, from the geometric sum.
+
+    With N = n + 1 and theta = z/(2N),
+
+        S = -2 sin(theta) R,  R = cos(N theta) / cos(theta)  (n even),
+                              R = sin(N theta) / cos(theta)  (n odd),
+
+    so y = -2i e^(iz/2) sin(theta) R or -2 e^(iz/2) sin(theta) R, and n = 0
+    gives y = 1 - e^(iz).  R is a trigonometric polynomial: its poles at
+    theta = (k + 1/2) pi are removable.  Where |cos theta| > 1/2 it is
+    taken as written, with N theta = z/2 exact.  Nearer a pole, z' = z - M pi
+    with M = (2k+1) N is reduced with a two-part pi, phi = z'/(2N), and
+
+        S = 2 (-1)^(n+1) s cos(phi) sin(z'/2) / sin(phi),
+
+    s = 1 for M = 0, 1 (mod 4) and -1 otherwise; the ratio is N at z' = 0.
+    The reduction is exact for |M| < 2^27, |z| below about 4e8.
+    """
+    big_n = n + 1
+    theta = z / (2 * big_n)
+    cos_t = np.cos(theta)
+    top = np.cos(0.5 * z) if n % 2 == 0 else np.sin(0.5 * z)
+    s = -2.0 * np.sin(theta) * (top / cos_t)
+    near = np.abs(cos_t) <= 0.5
+    if np.any(near):
+        m = (2.0 * np.rint(theta[near] / math.pi - 0.5) + 1.0) * big_n
+        reduced = (z[near] - m * _PI_HI) - m * _PI_LO
+        phi = reduced / (2 * big_n)
+        ratio = np.divide(np.sin(0.5 * reduced), np.sin(phi),
+                          out=np.full_like(phi, float(big_n)), where=reduced != 0.0)
+        sign = np.where(np.mod(m, 4.0) < 2.0, 2.0, -2.0) * (-1) ** (n + 1)
+        s[near] = sign * np.cos(phi) * ratio
+    return s
 
 
 def bessel_approx(n: int, z):

@@ -21,8 +21,9 @@ class PulseSequence:
 
     deltas are strictly increasing instants in the open interval (0, 1);
     scheme records how the sequence was generated.  A generated label
-    (equidistant, udd) must match that generator's instants, because the
-    filters pick analytic forms by it.
+    (equidistant, udd) must match that generator's instants.  The filters
+    read the label only for udd, whose Bessel form it picks; the
+    equidistant closed form goes by the instants.
     """
 
     deltas: tuple

@@ -5,12 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ddlab.filters
 from ddlab.quadrature import NODES
 from ddlab import (
+    OhmicBath,
     bessel_approx,
     custom,
     equidistant,
     equidistant_closed_form,
+    signal,
     udd,
     x_factor,
     y_abs_sq,
@@ -19,8 +22,11 @@ from ddlab import (
 from ddlab.filters import (
     _BLOCK_ELEMENTS,
     _FACTOR_MIN,
+    _PLAN_SIZE,
     PanelGrid,
+    _equidistant_half_sum,
     _split_sums,
+    _term_table,
     x_factor_array,
     y_abs_sq_and_x_array,
     y_abs_sq_array,
@@ -63,6 +69,32 @@ def exact_filters(seq, z, offset=0.0):
         im = mpmath.fsum(cj * si for cj, (_, si) in zip(c, cos_sin))
         x = mpmath.fsum(em * si for em, (_, si) in zip(e, cos_sin[1:]))
     return complex(float(re), float(im)), float(x)
+
+
+def ideal_equidistant_y(n, z):
+    """y_n(z) for the ideal instants m/(n+1) as a 40-digit mpmath sum."""
+    with mpmath.workdps(40):
+        zm, big_n = mpmath.mpf(z), n + 1
+        y = 1 + (-1) ** big_n * mpmath.expj(zm) + 2 * mpmath.fsum(
+            (-1) ** m * mpmath.expj(zm * m / big_n) for m in range(1, big_n))
+    return complex(y)
+
+
+def pole_neighbourhood(n):
+    """z at and near the removable poles (2k+1) pi (n+1) of the equidistant
+    closed form below 1e5: the first, a middle and the last pole, each
+    exactly, moved by 1e-15 to 1e-6 relative and absolute, and moved by 1
+    and 3, where the reduced form is steep."""
+    big_n = n + 1
+    last = int((1e5 / (math.pi * big_n) - 1) // 2)
+    out = []
+    for k in sorted({0, last // 2, last}):
+        pole = (2 * k + 1) * math.pi * big_n
+        out.append(pole)
+        for d in (1e-15, 1e-12, 1e-9, 1e-6):
+            out += [pole * (1 + d), pole * (1 - d), pole + d, pole - d]
+        out += [pole - 3.0, pole - 1.0, pole + 1.0, pole + 3.0]
+    return np.array(out)
 
 
 NOISE_CASES = [build(n) for n in (0, 1, 2, 3, 10, 100, 1000) for build in (udd, equidistant)]
@@ -176,6 +208,129 @@ class TestEquidistantClosedForm:
         direct = np.abs(y_factor_array(equidistant(n), zs)) ** 2
         closed = equidistant_closed_form(n, zs)
         assert np.max(np.abs(direct - closed) / np.maximum(1.0, closed)) <= 1e-12
+
+    def test_scalar_near_a_pole(self):
+        # z = 6 lies where |cos(z/4)| < 1/2, the reduced form's region:
+        # 4 tan^2(z/4) sin^2(z/2) = 16 sin^4(z/4)
+        assert equidistant_closed_form(1, 6.0) == pytest.approx(16 * math.sin(1.5) ** 4,
+                                                                rel=1e-14, abs=0.0)
+
+    # the filters of equidistant instants come from the closed form at every
+    # node, the poles of its tangent form included
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 94, 100, 999, 1000])
+    def test_filters_within_noise_model_against_mpmath(self, n):
+        # against the exact sums over the same float instants, the bound of
+        # TestNoiseBound holds from z = 1e-8 to 1e5 and through the poles
+        seq = equidistant(n)
+        z = np.concatenate([np.geomspace(1e-8, 1e5, 14), pole_neighbourhood(n)])
+        y, x = y_factor_array(seq, z), x_factor_array(seq, z)
+        bound = 4 * EPS * (1 + z) * math.sqrt(n + 2)
+        for k, zk in enumerate(z):
+            y_exact, x_exact = exact_filters(seq, float(zk))
+            assert abs(y[k] - y_exact) <= bound[k], zk
+            assert abs(x[k] - x_exact) <= bound[k], zk
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 20, 50, 1000])
+    def test_agrees_with_the_direct_kernel(self, n):
+        # the error-free direct sum of the term table, which these instants
+        # no longer take, on a dense grid over three pole periods: both stay
+        # within the noise bound of the exact sum, so within twice it of
+        # each other
+        seq = equidistant(n)
+        z = np.linspace(0.0, 6.0 * math.pi * (n + 1), 6001)
+        terms = _term_table(seq)
+        direct = _split_sums(z, terms, terms.funcs)[0, :, 0]
+        bound = 8 * EPS * (1 + z) * math.sqrt(n + 2)
+        assert np.all(np.abs(_equidistant_half_sum(n, z) - direct) <= bound)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 94, 100, 999, 1000])
+    def test_abs_sq_relative_at_small_z(self, n):
+        # the closed form is the ideal sequence's |y|^2: against the sum over
+        # the ideal instants m/(n+1) it is exact to a few ulps below z = 1,
+        # where the float instants alone move |y|^2 by up to 2e-7 at n = 1000
+        z = np.geomspace(1e-8, 0.99, 12)
+        got = y_abs_sq_array(equidistant(n), z)
+        want = np.array([abs(ideal_equidistant_y(n, float(zk))) ** 2 for zk in z])
+        assert np.all(np.abs(got - want) <= 1e-13 * want)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 100, 1000])
+    def test_exact_pole_multiples_are_finite(self, n):
+        # at z = (2k+1) pi (n+1) the tangent form is 0/0, the filters are not;
+        # there |y| = 2 (n+1)
+        z = (2 * np.arange(4) + 1) * math.pi * (n + 1)
+        y, x, y_sq = (f(equidistant(n), z) for f in (y_factor_array, x_factor_array,
+                                                     y_abs_sq_array))
+        assert np.all(np.isfinite(y)) and np.all(np.isfinite(x))
+        assert y_sq == pytest.approx(4.0 * (n + 1) ** 2, rel=1e-12)
+        for k, zk in enumerate(z):
+            y_exact, _ = exact_filters(equidistant(n), float(zk))
+            assert abs(y[k] - y_exact) <= 4 * EPS * (1 + zk) * math.sqrt(n + 2)
+
+
+def equidistant_twins(n):
+    """Sequences with the equidistant(n) instants under another label."""
+    return [custom(equidistant(n).deltas)] + [udd(n)] * (n <= 1)
+
+
+class TestClosedFormDispatch:
+    @pytest.mark.parametrize("n", [0, 1, 8, 1000])
+    def test_twins_bit_identical(self, n):
+        # the instants pick the closed form, not the label
+        rng = np.random.default_rng(n)
+        z = np.concatenate([[0.0], np.geomspace(1e-8, 1e4, 60),
+                            rng.uniform(0.0, 10.0 * (n + 1), 200), pole_neighbourhood(n)])
+        base = equidistant(n)
+        for twin in equidistant_twins(n):
+            assert _term_table(twin).closed
+            for f in (y_factor_array, x_factor_array, y_abs_sq_array):
+                assert np.array_equal(f(twin, z), f(base, z))
+            for got, want in zip(y_abs_sq_and_x_array(twin, z), y_abs_sq_and_x_array(base, z)):
+                assert np.array_equal(got, want)
+
+    def test_closed_form_ignores_the_panel_grid(self):
+        seq = equidistant(100)
+        z, half_width = panel_nodes(1.0, 64, [k % 3 for k in range(64)], 300.0)
+        grid = PanelGrid(seq, half_width, NODES)
+        assert grid.layout(z) is not None
+        for f in (y_factor_array, x_factor_array, y_abs_sq_array):
+            assert np.array_equal(f(seq, z, grid), f(seq, z))
+
+    def test_only_equidistant_instants_are_closed(self):
+        for seq in (udd(2), udd(1000), jittered_custom(8, 2), mirrored_custom(4, 3)):
+            assert not _term_table(seq).closed
+
+    def test_equidistant_signal_makes_no_direct_sums(self, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].size)
+            return _split_sums(*args, **kwargs)
+
+        monkeypatch.setattr(ddlab.filters, "_split_sums", spy)
+        point = signal(equidistant(1000), OhmicBath(alpha=0.25), 3000.0)
+        assert np.isfinite(point.chi) and calls == []
+        # the spy does see the direct sums of the other sequences
+        signal(udd(20), OhmicBath(alpha=0.25), 30.0)
+        assert calls
+
+
+class TestTermTableCache:
+    def test_one_table_per_sequence_object(self):
+        seq = jittered_custom(50, 6)
+        assert _term_table(seq) is _term_table(seq)
+        assert PanelGrid(seq, 1.0, NODES).terms is _term_table(seq)
+
+    def test_cached_arrays_are_read_only(self):
+        for seq in (udd(7), equidistant(6), jittered_custom(5, 7)):
+            terms = _term_table(seq)
+            for a in (terms.u, terms.w):
+                with pytest.raises(ValueError):
+                    a[0] = 0.0
+
+    def test_cache_is_bounded(self):
+        for k in range(2 * _PLAN_SIZE):
+            _term_table(jittered_custom(3, 100 + k))
+        assert len(ddlab.filters._PLANS) <= _PLAN_SIZE
 
 
 class TestBesselApprox:
