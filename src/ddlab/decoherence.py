@@ -17,13 +17,10 @@ chi and phi as the two rows of one adaptive quadrature on shared nodes, so
 J and the filter term table are evaluated once per node; each row still
 meets its own tolerance.
 
-Each integrand stays a function of the node array alone, and relies on
-the node layout that integrate_adaptive documents: panels of 15 nodes,
-each an initial panel of [0, wc] bisected L >= 0 times.  In z = w t that
-is a filters.PanelGrid with initial half-width wc t / (2 n0), n0 =
-_initial_panels(t, wc); one grid per integral carries the sequence's term
-table (built once per sequence) and each width level's offset sin/cos
-through every round, and the filter functions take the node array with it.
+Each integral has one filters.PanelGrid, and the quadrature hands it every
+round's panels through its panels hook; the integrand stays a function of
+the node array alone and passes the grid on to the filter functions, which
+then sum by panel.
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ import numpy as np
 
 from .bath import Bath, ClassicalBath, integrand_weight, spectral_density, thermal_weight
 from .filters import PanelGrid, x_factor_array, y_abs_sq_and_x_array, y_abs_sq_array
-from .quadrature import NODES, QuadratureError, QuadratureSpec, integrate_adaptive
+from .quadrature import QuadratureError, QuadratureSpec, integrate_adaptive
 from .sequences import PulseSequence
 
 __all__ = [
@@ -111,15 +108,11 @@ def _initial_panels(t: float, omega_cut: float) -> int:
     return max(16, math.ceil(omega_cut * t / math.pi))
 
 
-def _panel_grid(seq: PulseSequence, t: float, wc: float) -> PanelGrid:
-    # the layout of _frequency_integral's nodes in z = w t (module docstring)
-    return PanelGrid(seq, 0.5 * wc / _initial_panels(t, wc) * t, NODES)
-
-
-def _frequency_integral(kind: str, f, t: float, wc: float, quad: QuadratureSpec):
-    """(value, error bound, evaluations) of f over [0, wc], naming t on failure."""
+def _frequency_integral(kind: str, f, t: float, wc: float, quad: QuadratureSpec, panels):
+    """(value, error bound, evaluations) of f over [0, wc], naming t on
+    failure; panels is integrate_adaptive's hook."""
     try:
-        return integrate_adaptive(f, 0.0, wc, quad, _initial_panels(t, wc))
+        return integrate_adaptive(f, 0.0, wc, quad, _initial_panels(t, wc), panels=panels)
     except QuadratureError as exc:
         raise QuadratureError(
             f"{kind}(t={t:g}): {exc}", estimate=exc.estimate, error_bound=exc.error_bound
@@ -132,12 +125,12 @@ def _chi_raw(seq: PulseSequence, bath: Bath, t: float, quad: QuadratureSpec):
     if t == 0.0:
         return 0.0, 0.0
 
-    grid = _panel_grid(seq, t, bath.cutoff)
+    grid = PanelGrid(seq, t)
 
     def f(w):
         return integrand_weight(bath, w) * y_abs_sq_array(seq, w * t, grid) / (4.0 * w * w)
 
-    val, err, _ = _frequency_integral("chi", f, t, bath.cutoff, quad)
+    val, err, _ = _frequency_integral("chi", f, t, bath.cutoff, quad, panels=grid.set_round)
     return max(val, 0.0), err
 
 
@@ -155,12 +148,12 @@ def phase(seq: PulseSequence, bath: Bath, t: float,
     if isinstance(bath, ClassicalBath) or t == 0.0:
         return 0.0
 
-    grid = _panel_grid(seq, t, bath.cutoff)
+    grid = PanelGrid(seq, t)
 
     def f(w):
         return spectral_density(bath, w) * x_factor_array(seq, w * t, grid) / (2.0 * w * w)
 
-    val, _, _ = _frequency_integral("phase", f, t, bath.cutoff, quad)
+    val, _, _ = _frequency_integral("phase", f, t, bath.cutoff, quad, panels=grid.set_round)
     return val
 
 
@@ -176,7 +169,7 @@ def signal(seq: PulseSequence, bath: Bath, t: float,
         phi = 0.0
         chi_val, err = _chi_raw(seq, bath, t, quad)
     else:
-        grid = _panel_grid(seq, t, bath.cutoff)
+        grid = PanelGrid(seq, t)
 
         def f(w):
             j = spectral_density(bath, w)
@@ -184,7 +177,8 @@ def signal(seq: PulseSequence, bath: Bath, t: float,
             return np.stack((j * thermal_weight(bath.temperature, w) * y_sq / (4.0 * w * w),
                              j * x / (2.0 * w * w)))
 
-        (chi_val, phi), (err, _), _ = _frequency_integral("signal", f, t, bath.cutoff, quad)
+        (chi_val, phi), (err, _), _ = _frequency_integral(
+            "signal", f, t, bath.cutoff, quad, panels=grid.set_round)
         chi_val, phi, err = max(float(chi_val), 0.0), float(phi), float(err)
     if chi_val >= CHI_MAX:
         return CoherencePoint(t=float(t), phi=phi, chi=CHI_MAX, signal=0.0,

@@ -39,8 +39,8 @@ decide, not the label.
 
 One kernel, _split_sums, evaluates every row sum on an outer-sum grid of
 centres c and offsets o: the sums at c + o.  Quadrature nodes are panel
-centres plus offsets that all panels of one width share (PanelGrid reads
-that layout from the node array), so by angle addition,
+centres plus offsets that all panels of one width share (the quadrature
+hands each round's panels to a PanelGrid), so by angle addition,
 
     sin((c + o) u) = sin(cu) cos(ou) + cos(cu) sin(ou),
     cos((c + o) u) = cos(cu) cos(ou) - sin(cu) sin(ou),
@@ -87,6 +87,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .quadrature import NODES
 from .sequences import PulseSequence, _equidistant_instants
 from .special import bessel_j
 
@@ -131,11 +132,6 @@ def _delegation_threshold(n: int, z: np.ndarray) -> np.ndarray:
 # a block of the phase matrix holds at most this many elements, so memory
 # stays flat however many nodes one quadrature round brings
 _BLOCK_ELEMENTS = 2**15
-# a PanelGrid takes nodes as its own when every node lies within this many
-# ulps of its panel's scale from centre + offset, at a width level up to
-# _MAX_LEVEL; other nodes take the zero-offset kernel
-_LAYOUT_TOL = 64 * np.finfo(float).eps
-_MAX_LEVEL = 64
 # below this many panel-terms (panels times terms) a round takes the
 # zero-offset kernel: the transcendentals that factoring saves cost less
 # than its fixed cost per round
@@ -276,76 +272,54 @@ def _split_sums(centres: np.ndarray, terms: _Terms, funcs, offsets=None) -> np.n
 
 
 class PanelGrid:
-    """Quadrature nodes in z, read as panel centres plus per-width offsets.
+    """The quadrature's panels in z, for the panel kernel.
 
-    One grid serves every round of one integral over one sequence.  The
-    nodes come panel by panel, len(abscissae) consecutive nodes each, node k
-    at centre + h x_k for abscissae x that are symmetric with 0 in the
-    middle, and every panel is a panel of half-width half_width bisected
-    L >= 0 times, h = half_width / 2^L (integrate_adaptive's layout, scaled
-    to z).  The filter sums then run at c + o_k(L), with c the panel's
-    middle node and o_k(L) = (half_width / 2^L) x_k: sin/cos(c u_j) once per
-    panel and term, and sin/cos(o_k(L) u_j) once per width level and term
-    for the grid's lifetime.  c + o_k(L) is the node before it was rounded,
-    up to the rounding of the panel edges.
+    One grid serves every round of one integral over one sequence, in
+    z = w t.  set_round, integrate_adaptive's panels hook, takes each
+    round's centres and nominal half-widths in w.  The filter sums of that
+    round's nodes then run at c + o_k, with c the panel's centre and
+    o_k = h x_k for h its half-width and x_k quadrature.NODES: sin/cos(c u_j)
+    once per panel and term, and sin/cos(o_k u_j) once per half-width and
+    term for the grid's lifetime.  c + o_k is the node before it was
+    rounded, up to the rounding of the panel edges.
     """
 
-    def __init__(self, seq: PulseSequence, half_width: float, abscissae):
+    def __init__(self, seq: PulseSequence, t: float):
         self.seq = seq
         self.terms = _term_table(seq)
-        self.half_width = float(half_width)
-        self.abscissae = np.asarray(abscissae, dtype=float)
+        self.t = float(t)
+        self._round = None
         self._tables = {}
 
-    def offsets(self, level: int) -> np.ndarray:
-        """o_k = (half_width / 2^level) x_k for every abscissa x_k."""
-        return (self.half_width * 2.0 ** -level) * self.abscissae
+    def set_round(self, centres: np.ndarray, half_widths: np.ndarray) -> None:
+        """Announce the next round's panels, centres and half-widths in w."""
+        self._round = (centres * self.t, half_widths * self.t)
 
-    def _offset_rows(self, level: int):
-        rows = self._tables.get(level)
+    def _offset_rows(self, half_width: float):
+        rows = self._tables.get(half_width)
         if rows is None:
-            phase = np.multiply.outer(self.offsets(level), self.terms.u)
-            rows = self._tables[level] = (np.cos(phase), np.sin(phase))
+            phase = np.multiply.outer(half_width * NODES, self.terms.u)
+            rows = self._tables[half_width] = (np.cos(phase), np.sin(phase))
         return rows
-
-    def layout(self, z: np.ndarray):
-        """(centres, levels) of the panels of the nodes z, or None where z
-        does not have the grid's layout to within a few rounding errors."""
-        m = self.abscissae.size
-        if z.ndim != 1 or z.size == 0 or z.size % m:
-            return None
-        nodes = z.reshape(-1, m)
-        centres = nodes[:, m // 2]
-        spread = nodes[:, -1] - nodes[:, 0]
-        if not spread.min() > 0.0:
-            return None
-        span = self.half_width * (self.abscissae[-1] - self.abscissae[0])
-        levels = np.rint(math.log2(span) - np.log2(spread))
-        if not (levels.min() >= 0 and levels.max() <= _MAX_LEVEL):
-            return None
-        half = self.half_width * np.exp2(-levels)
-        drift = np.abs(np.multiply.outer(half, self.abscissae) + centres[:, None] - nodes)
-        if np.any(drift > _LAYOUT_TOL * (np.abs(centres) + half)[:, None]):
-            return None
-        return centres, levels.astype(int)
 
     def sums(self, z: np.ndarray, funcs) -> np.ndarray:
         """The term sums of funcs at the nodes z, one row per f in z's shape.
 
-        Rounds with fewer than _FACTOR_MIN panel-terms, where factoring
-        saves less than its fixed cost, and nodes without the grid's
-        layout take the zero-offset case.
+        Only the announced round's nodes take the panel kernel: 15 nodes
+        per panel with the middle ones exactly at the centres.  Other z,
+        and rounds with fewer than _FACTOR_MIN panel-terms, where factoring
+        saves less than its fixed cost, take the zero-offset case.
         """
-        layout = None
-        if z.size * len(self.terms.u) >= _FACTOR_MIN * self.abscissae.size:
-            layout = self.layout(z)
-        if layout is None:
+        m = NODES.size
+        if (self._round is None or z.shape != (m * self._round[0].size,)
+                or z.size * len(self.terms.u) < _FACTOR_MIN * m
+                or not np.array_equal(z[m // 2::m], self._round[0])):
             return _split_sums(z, self.terms, funcs).reshape((len(funcs),) + z.shape)
-        centres, levels = layout
-        out = np.empty((len(funcs), centres.size, self.abscissae.size))
-        for level in np.unique(levels).tolist():
-            at = levels == level
-            out[:, at] = _split_sums(centres[at], self.terms, funcs, self._offset_rows(level))
+        centres, halfs = self._round
+        out = np.empty((len(funcs), centres.size, m))
+        for h in np.unique(halfs).tolist():
+            at = halfs == h
+            out[:, at] = _split_sums(centres[at], self.terms, funcs, self._offset_rows(h))
         return out.reshape(len(funcs), z.size)
 
 

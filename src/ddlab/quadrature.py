@@ -5,7 +5,8 @@ may return k rows on the shared nodes, so that several integrals over one
 interval cost one integrand evaluation per node.  Panels are bisected where
 the embedded error estimate is largest until each row's summed estimate
 meets its relative target (or the machine-precision floor of the rule,
-whichever is larger).
+whichever is larger).  An optional panels hook is told each round's panel
+centres and half-widths before the integrand sees that round's nodes.
 """
 
 from __future__ import annotations
@@ -78,12 +79,16 @@ class QuadratureSpec:
             raise ValueError(f"max_panels must be >= 16, got {self.max_panels}")
 
 
-def _eval_panels(f, lefts: np.ndarray, rights: np.ndarray):
+def _eval_panels(f, lefts: np.ndarray, rights: np.ndarray, widths: np.ndarray, panels):
     """Kronrod value, error estimate and |f| integral of every row of f on
     every panel, stacked in that order as one (3, k, panels) array, and f's
-    row shape: () for a 1-d f (k = 1), (k,) for one that returns (k, nodes)."""
+    row shape: () for a 1-d f (k = 1), (k,) for one that returns (k, nodes).
+    panels, if given, is called with the centres and the nominal half-widths
+    widths first."""
     centers = 0.5 * (lefts + rights)
     halfs = 0.5 * (rights - lefts)
+    if panels is not None:
+        panels(centers, widths)
     pts = centers[:, None] + halfs[:, None] * NODES[None, :]
     fx = np.asarray(f(pts.ravel()), dtype=float)
     if fx.ndim not in (1, 2) or fx.shape[-1] != pts.size:
@@ -116,7 +121,7 @@ def _shown(values: list, fmt: str) -> str:
 
 
 def integrate_adaptive(f, a: float, b: float, spec: QuadratureSpec,
-                       initial_panels: int = 16):
+                       initial_panels: int = 16, panels=None):
     """Integrate f over [a, b].
 
     f maps a 1-d array of nodes to an array of shape (nodes,), or to k rows
@@ -124,10 +129,11 @@ def integrate_adaptive(f, a: float, b: float, spec: QuadratureSpec,
     panel, 15 consecutive entries each: panel p with centre c_p and
     half-width h_p contributes c_p + h_p * NODES, so entry 7 is c_p
     itself.  Every panel is one of the n0 = min(initial_panels, max_panels)
-    equal panels of [a, b] (edges from np.linspace) bisected L >= 0 times,
-    so h_p is (b - a) / (2 n0) / 2^L up to the rounding of the edges.  An
-    integrand may rely on this layout, as decoherence's do through
-    filters.PanelGrid.  Each row must meet its own target
+    equal panels of [a, b] (edges from np.linspace) bisected L >= 0 times.
+    If panels is given, each round calls panels(centres, half_widths)
+    once, before f sees that round's nodes: centres are the round's c_p,
+    and half_widths the nominal (b - a) / (2 n0) * 2^-L, which h_p matches
+    up to the rounding of the edges.  Each row must meet its own target
     max(rel_tol * |value|, 50 eps * integral of |row|), the second
     term being the rule's machine floor.  A panel is split when any row
     that has not yet met its target asks for it, so a converged row drives
@@ -147,7 +153,8 @@ def integrate_adaptive(f, a: float, b: float, spec: QuadratureSpec,
     n0 = int(min(max(initial_panels, 1), spec.max_panels))
     edges = np.linspace(a, b, n0 + 1)
     lefts, rights = edges[:-1], edges[1:]
-    est, rows = _eval_panels(f, lefts, rights)
+    widths = np.full(n0, (b - a) / (2 * n0))
+    est, rows = _eval_panels(f, lefts, rights, widths, panels)
     nevals = 15 * n0
 
     while True:
@@ -191,9 +198,12 @@ def integrate_adaptive(f, a: float, b: float, spec: QuadratureSpec,
         mids = 0.5 * (lefts[split] + rights[split])
         new_l = np.concatenate([lefts[split], mids])
         new_r = np.concatenate([mids, rights[split]])
-        new_est, _ = _eval_panels(f, new_l, new_r)
+        half = 0.5 * widths[split]
+        new_w = np.concatenate([half, half])
+        new_est, _ = _eval_panels(f, new_l, new_r, new_w, panels)
         nevals += 15 * len(new_l)
         keep = ~split
         lefts = np.concatenate([lefts[keep], new_l])
         rights = np.concatenate([rights[keep], new_r])
+        widths = np.concatenate([widths[keep], new_w])
         est = np.concatenate([est.compress(keep, axis=2), new_est], axis=2)

@@ -200,12 +200,15 @@ class TestEquidistantClosedForm:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 20, 50])
     def test_equivalence_with_direct_summation(self, n):
-        # acceptance-style check: direct sum against the parity closed form
+        # acceptance-style check: the error-free direct sum of the term
+        # table, which these instants no longer take, against the parity
+        # closed form
         z = np.linspace(0.0, 20.0, 801)
         pole_spacing = (n + 1) * math.pi
         off_pole = np.abs(z / pole_spacing - np.round(z / pole_spacing)) > 0.02
         zs = z[off_pole]
-        direct = np.abs(y_factor_array(equidistant(n), zs)) ** 2
+        terms = _term_table(equidistant(n))
+        direct = _split_sums(zs, terms, terms.funcs)[0, :, 0] ** 2
         closed = equidistant_closed_form(n, zs)
         assert np.max(np.abs(direct - closed) / np.maximum(1.0, closed)) <= 1e-12
 
@@ -287,13 +290,13 @@ class TestClosedFormDispatch:
             for got, want in zip(y_abs_sq_and_x_array(twin, z), y_abs_sq_and_x_array(base, z)):
                 assert np.array_equal(got, want)
 
-    def test_closed_form_ignores_the_panel_grid(self):
+    def test_closed_form_ignores_the_panel_grid(self, monkeypatch):
         seq = equidistant(100)
-        z, half_width = panel_nodes(1.0, 64, [k % 3 for k in range(64)], 300.0)
-        grid = PanelGrid(seq, half_width, NODES)
-        assert grid.layout(z) is not None
+        z, grid = panel_round(seq, 1.0, 64, [k % 3 for k in range(64)], 300.0)
+        offsets = spy_split_sums(monkeypatch)
         for f in (y_factor_array, x_factor_array, y_abs_sq_array):
             assert np.array_equal(f(seq, z, grid), f(seq, z))
+        assert offsets == []
 
     def test_only_equidistant_instants_are_closed(self):
         for seq in (udd(2), udd(1000), jittered_custom(8, 2), mirrored_custom(4, 3)):
@@ -318,7 +321,7 @@ class TestTermTableCache:
     def test_one_table_per_sequence_object(self):
         seq = jittered_custom(50, 6)
         assert _term_table(seq) is _term_table(seq)
-        assert PanelGrid(seq, 1.0, NODES).terms is _term_table(seq)
+        assert PanelGrid(seq, 1.0).terms is _term_table(seq)
 
     def test_cached_arrays_are_read_only(self):
         for seq in (udd(7), equidistant(6), jittered_custom(5, 7)):
@@ -445,10 +448,10 @@ class TestBlockedKernel:
 
 def panel_nodes(upper, initial, levels, scale):
     """Nodes in z = w * scale as integrate_adaptive lays them out, with the
-    grid that reads them: initial panel i of [0, upper] bisected levels[i]
-    times, every piece kept."""
+    panels' centres and nominal half-widths in w that it announces: initial
+    panel i of [0, upper] bisected levels[i] times, every piece kept."""
     edges = np.linspace(0.0, upper, initial + 1)
-    lefts, rights = [], []
+    lefts, rights, widths = [], [], []
     for left, right, level in zip(edges[:-1], edges[1:], levels):
         pieces = [(left, right)]
         for _ in range(level):
@@ -456,10 +459,45 @@ def panel_nodes(upper, initial, levels, scale):
                       for half in ((a, 0.5 * (a + b)), (0.5 * (a + b), b))]
         lefts += [a for a, _ in pieces]
         rights += [b for _, b in pieces]
+        widths += [upper / (2 * initial) * 0.5 ** level] * len(pieces)
     lefts, rights = np.array(lefts), np.array(rights)
     centres, halfs = 0.5 * (lefts + rights), 0.5 * (rights - lefts)
     w = (centres[:, None] + halfs[:, None] * NODES[None, :]).ravel()
-    return w * scale, 0.5 * upper / initial * scale
+    return w * scale, centres, np.array(widths)
+
+
+def panel_round(seq, upper, initial, levels, scale):
+    """panel_nodes' z, and a PanelGrid for seq at t = scale with the round
+    announced."""
+    z, centres, widths = panel_nodes(upper, initial, levels, scale)
+    grid = PanelGrid(seq, scale)
+    grid.set_round(centres, widths)
+    return z, grid
+
+
+def spy_split_sums(monkeypatch):
+    """The number of centres of every _split_sums call with offsets."""
+    calls = []
+
+    def spy(centres, terms, funcs, offsets=None):
+        if offsets is not None:
+            calls.append(centres.size)
+        return _split_sums(centres, terms, funcs, offsets)
+
+    monkeypatch.setattr(ddlab.filters, "_split_sums", spy)
+    return calls
+
+
+def assert_within_noise_model(seq, y, x, centres, half_widths, rng):
+    """y and x at 12 random nodes of a round, each against 40-digit sums at
+    centre + half-width * NODES[k], the point the panel kernel sums at."""
+    for node in rng.choice(y.size, 12, replace=False):
+        panel, k = divmod(int(node), NODES.size)
+        c, o = centres[panel], half_widths[panel] * NODES[k]
+        y_exact, x_exact = exact_filters(seq, c, o)
+        bound = 4 * EPS * (1 + abs(c + o)) * math.sqrt(seq.n + 2)
+        assert abs(y[node] - y_exact) <= bound
+        assert abs(x[node] - x_exact) <= bound
 
 
 # a first-round grid (every panel at level 0) and one whose panels sit at
@@ -473,37 +511,56 @@ class TestPanelKernel:
     # noise model of the direct sums
     @pytest.mark.parametrize("layout", sorted(GRID_LEVELS))
     @pytest.mark.parametrize("seq", NOISE_CASES, ids=lambda s: f"{s.scheme}{s.n}")
-    def test_sums_within_noise_model_at_centre_plus_offset(self, seq, layout):
+    def test_sums_within_noise_model_at_centre_plus_offset(self, seq, layout, monkeypatch):
         rng = np.random.default_rng(seq.n)
         # enough panels that the round factors rather than taking the
         # zero-offset kernel
-        initial = max(16, -(-_FACTOR_MIN // PanelGrid(seq, 1.0, NODES).terms.u.size))
+        initial = max(16, -(-_FACTOR_MIN // _term_table(seq).u.size))
         levels = [GRID_LEVELS[layout](k) for k in range(initial)]
-        z, half_width = panel_nodes(1.0, initial, levels, 4.0 * (seq.n + 2))
-        grid = PanelGrid(seq, half_width, NODES)
+        scale = 4.0 * (seq.n + 2)
+        z, centres, widths = panel_nodes(1.0, initial, levels, scale)
+        grid = PanelGrid(seq, scale)
+        grid.set_round(centres, widths)
         assert z.size * grid.terms.u.size >= _FACTOR_MIN * NODES.size
-        centres, found = grid.layout(z)
-        assert found.tolist() == [lv for lv in levels for _ in range(2 ** lv)]
+        assert widths.tolist() == [0.5 / initial * 0.5 ** lv
+                                   for lv in levels for _ in range(2 ** lv)]
+        offsets = spy_split_sums(monkeypatch)
         y, x = y_factor_array(seq, z, grid), x_factor_array(seq, z, grid)
-        for node in rng.choice(z.size, 12, replace=False):
-            panel, k = divmod(int(node), NODES.size)
-            c, o = centres[panel], grid.offsets(found[panel])[k]
-            y_exact, x_exact = exact_filters(seq, c, o)
-            bound = 4 * EPS * (1 + abs(c + o)) * math.sqrt(seq.n + 2)
-            assert abs(y[node] - y_exact) <= bound
-            assert abs(x[node] - x_exact) <= bound
+        # both filters took the panel kernel on every panel, unless the
+        # closed form served them
+        assert sum(offsets) == (0 if grid.terms.closed else 2 * centres.size)
+        assert_within_noise_model(seq, y, x, centres * scale, widths * scale, rng)
+
+    def test_knot_aligned_widths_take_the_panel_kernel(self, monkeypatch):
+        # panels of non-uniform, non-dyadic widths, as edges aligned to the
+        # knots of a tabulated bath give: each width has its own offset
+        # table, and the sums keep the noise model at centre + offset
+        seq = jittered_custom(30, 30)
+        rng = np.random.default_rng(6)
+        edges = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, 63)), [1.0]])
+        centres, widths = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
+        assert np.unique(np.log2(widths) % 1.0).size == widths.size
+        scale = 4.0 * (seq.n + 2)
+        z = ((centres[:, None] + widths[:, None] * NODES[None, :]) * scale).ravel()
+        grid = PanelGrid(seq, scale)
+        grid.set_round(centres, widths)
+        assert z.size * grid.terms.u.size >= _FACTOR_MIN * NODES.size
+        offsets = spy_split_sums(monkeypatch)
+        y, x = y_factor_array(seq, z, grid), x_factor_array(seq, z, grid)
+        assert offsets == [1] * (2 * widths.size)
+        assert_within_noise_model(seq, y, x, centres * scale, widths * scale, rng)
 
     @pytest.mark.parametrize("seq", [udd(1000), equidistant(99), jittered_custom(300, 3),
                                      udd(0)], ids=lambda s: f"{s.scheme}{s.n}")
     def test_rows_independent_of_batching(self, seq):
-        z, half_width = panel_nodes(1.0, 64, [k % 3 for k in range(64)], 50.0 * (seq.n + 1))
-        grid = PanelGrid(seq, half_width, NODES)
-        centres, levels = grid.layout(z)
+        scale = 50.0 * (seq.n + 1)
+        _, centres, widths = panel_nodes(1.0, 64, [k % 3 for k in range(64)], scale)
+        grid = PanelGrid(seq, scale)
         t = grid.terms
         funcs = t.funcs if t.mirror else (np.cos, np.sin)
-        for level in range(3):
-            at = centres[levels == level]
-            offsets = grid._offset_rows(level)
+        for width in np.unique(widths):
+            at = centres[widths == width] * scale
+            offsets = grid._offset_rows(width * scale)
             whole = _split_sums(at, t, funcs, offsets)
             for size in (1, 3, 7):
                 parts = [_split_sums(at[i:i + size], t, funcs, offsets)
@@ -513,24 +570,32 @@ class TestPanelKernel:
     @pytest.mark.parametrize("seq", [udd(100), equidistant(60), jittered_custom(60, 5)],
                              ids=lambda s: f"{s.scheme}{s.n}")
     def test_joint_filters_equal_the_single_ones_on_a_grid(self, seq):
-        z, half_width = panel_nodes(1.0, 64, [k % 3 for k in range(64)], 3.0 * (seq.n + 1))
-        grid = PanelGrid(seq, half_width, NODES)
+        z, grid = panel_round(seq, 1.0, 64, [k % 3 for k in range(64)], 3.0 * (seq.n + 1))
         y_sq, x = y_abs_sq_and_x_array(seq, z, grid)
         assert np.array_equal(y_sq, y_abs_sq_array(seq, z, grid))
         assert np.array_equal(x, x_factor_array(seq, z, grid))
 
-    def test_nodes_off_the_layout_take_the_zero_offset_kernel(self):
+    def test_nodes_off_the_announced_round_take_the_zero_offset_kernel(self, monkeypatch):
         seq = jittered_custom(100, 4)
-        z, half_width = panel_nodes(1.0, 32, [1] * 32, 300.0)
-        grid = PanelGrid(seq, half_width, NODES)
-        assert grid.layout(z) is not None
+        z, centres, widths = panel_nodes(1.0, 32, [1] * 32, 300.0)
+        offsets = spy_split_sums(monkeypatch)
+        # no round announced
+        assert np.array_equal(y_factor_array(seq, z, PanelGrid(seq, 300.0)),
+                              y_factor_array(seq, z))
+        assert offsets == []
+        grid = PanelGrid(seq, 300.0)
+        grid.set_round(centres, widths)
         moved = z.copy()
-        moved[20] += 1e-6
-        for nodes in (moved, z[:-1], z.reshape(-1, 5)):
-            assert grid.layout(nodes) is None
+        moved[7 + 15 * 20] += 1e-6
+        # another node count, and a moved middle node
+        for nodes in (z[:-15], moved):
             assert np.array_equal(y_factor_array(seq, nodes, grid), y_factor_array(seq, nodes))
+        assert offsets == []
+        # the announced round itself takes the panel kernel
+        y_factor_array(seq, z, grid)
+        assert sum(offsets) == centres.size
 
     def test_grid_of_another_sequence_rejected(self):
-        z, half_width = panel_nodes(1.0, 16, [0] * 16, 10.0)
+        z, _, _ = panel_nodes(1.0, 16, [0] * 16, 10.0)
         with pytest.raises(ValueError, match="another sequence"):
-            y_factor_array(udd(3), z, PanelGrid(udd(4), half_width, NODES))
+            y_factor_array(udd(3), z, PanelGrid(udd(4), 10.0))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ddlab.quadrature import QuadratureError, QuadratureSpec, integrate_adaptive
+from ddlab.quadrature import NODES, QuadratureError, QuadratureSpec, integrate_adaptive
 
 
 def test_polynomial_machine_accurate():
@@ -170,3 +170,45 @@ class TestRows:
         with pytest.raises(ValueError, match=r"\(k, nodes\)"):
             integrate_adaptive(lambda x: np.stack([x, x], axis=1), 0.0, 1.0,
                                QuadratureSpec())
+
+
+class TestPanelsHook:
+    """panels(centres, half_widths) announces each round's panels to f."""
+
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_called_once_per_round_before_f(self, rows):
+        a, b, n0 = 0.3, 3.1, 16
+        events = []
+
+        def panels(centres, half_widths):
+            events.append(("panels", centres.copy(), half_widths.copy()))
+
+        def f(x):
+            events.append(("f", x.copy()))
+            row = np.sin(40.0 * x) * np.exp(x)
+            return row if rows == 1 else np.stack([row, np.cos(x)])
+
+        integrate_adaptive(f, a, b, QuadratureSpec(rel_tol=1e-12), n0, panels=panels)
+        kinds = [event[0] for event in events]
+        assert len(kinds) >= 6 and kinds == ["panels", "f"] * (len(kinds) // 2)
+        h0 = (b - a) / (2 * n0)
+        tol = 4 * np.finfo(float).eps * b
+        for (_, centres, half_widths), (_, nodes) in zip(events[::2], events[1::2]):
+            assert nodes.size == NODES.size * centres.size == NODES.size * half_widths.size
+            grid = nodes.reshape(-1, NODES.size)
+            assert np.array_equal(grid[:, NODES.size // 2], centres)
+            assert np.all(np.abs(grid - (centres[:, None] + half_widths[:, None] * NODES))
+                          <= tol)
+            # nominal widths: h0 / 2^L exactly, for whole L >= 0
+            levels = np.log2(h0 / half_widths)
+            assert np.all(levels == np.rint(levels)) and levels.min() >= 0
+            assert np.array_equal(half_widths, h0 * 0.5 ** levels)
+        # the first round is the n0 initial panels, later rounds only halves
+        assert np.array_equal(events[0][2], np.full(n0, h0))
+        assert all(np.all(half_widths < h0) for _, _, half_widths in events[2::2])
+
+    def test_empty_interval_makes_no_call(self):
+        calls = []
+        result = integrate_adaptive(lambda x: x, 2.0, 2.0, QuadratureSpec(),
+                                    panels=lambda *args: calls.append(args))
+        assert result == (0.0, 0.0, 0) and calls == []

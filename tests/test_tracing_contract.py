@@ -56,8 +56,8 @@ def test_integrand_qualname_tells_chi_from_phase(monkeypatch, evaluate, is_chi):
 def test_filter_seam_sees_every_round_in_full(monkeypatch, evaluate):
     # the tracer counts filters.y.nodes at ddlab.filters.y_factor_array; the
     # panel kernel must be reached through it, with the round's whole node
-    # array, and on a round large enough to factor it must read the layout
-    rounds, seen = [], []
+    # array, and a round large enough to factor must sum with offsets
+    rounds, seen, offsets = [], [], []
 
     def spy_integrate(f, *args, **kwargs):
         def counted(w):
@@ -66,13 +66,22 @@ def test_filter_seam_sees_every_round_in_full(monkeypatch, evaluate):
         return integrate_adaptive(counted, *args, **kwargs)
 
     y_factor_array = ddlab.filters.y_factor_array
+    split_sums = ddlab.filters._split_sums
 
     def spy_y(seq, z, grid=None):
-        seen.append((z.size, grid is not None and grid.layout(z) is not None))
-        return y_factor_array(seq, z, grid)
+        before = len(offsets)
+        out = y_factor_array(seq, z, grid)
+        seen.append((z.size, len(offsets) > before))
+        return out
+
+    def spy_split(centres, terms, funcs, offsets_rows=None):
+        if offsets_rows is not None:
+            offsets.append(centres.size)
+        return split_sums(centres, terms, funcs, offsets_rows)
 
     monkeypatch.setattr("ddlab.decoherence.integrate_adaptive", spy_integrate)
     monkeypatch.setattr("ddlab.filters.y_factor_array", spy_y)
+    monkeypatch.setattr("ddlab.filters._split_sums", spy_split)
     evaluate(udd(100), OhmicBath(alpha=0.25), 100.0)
     assert rounds and [size for size, _ in seen] == rounds
     assert seen[0][1]
