@@ -162,7 +162,10 @@ def min_pulses(scheme: str, bath: Bath, epsilon: float, t_target: float,
     storage_time solve also assumes a single crossing in t (see there).
     Doubles n until the target is met, then bisects for n with store(n - 1)
     below it.  If store(n - 2) also reaches it, a step-2 bisection over
-    n's parity class finds the smallest count.
+    n's parity class finds the smallest count.  The doubling gives up with
+    SearchExhaustedError at N_SEARCH_CAP, or as soon as two doublings in a
+    row leave the storage time within BRACKET_RTOL: the include_phase
+    storage time plateaus that way, which no pulse count lifts.
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
@@ -191,8 +194,17 @@ def min_pulses(scheme: str, bath: Bath, epsilon: float, t_target: float,
 
     if store(0) >= t_target:
         return 0
-    n_hi = 1
+    n_hi, flat = 1, 0
     while store(n_hi) < t_target:
+        # two doublings in a row within the solves' own resolution: the
+        # storage time has stalled (with include_phase it plateaus near
+        # sqrt(2 epsilon)/alpha), so more pulses would not reach the target
+        prev = store(n_hi // 2)
+        flat = flat + 1 if abs(store(n_hi) - prev) <= BRACKET_RTOL * prev else 0
+        if flat == 2:
+            raise SearchExhaustedError(
+                f"storage time stalls at {store(n_hi):.10g} from n = {n_hi // 4} to {n_hi}; "
+                f"no more pulses are tried for storage {t_target:g}")
         n_hi *= 2
         if n_hi > N_SEARCH_CAP:
             raise SearchExhaustedError(

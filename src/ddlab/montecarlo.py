@@ -20,6 +20,19 @@ i.e. seed_k = mix64(base_seed + (k+1) * 0x9E3779B97F4A7C15) with the
 splitmix64 finalizer mix64.  Each trajectory draws its cosine amplitudes
 first, then its sine amplitudes.  This mapping is part of the module
 contract and must not change.
+
+How the contract is served: np.random.default_rng(seed_k) would hash
+seed_k through SeedSequence in Python and seed a fresh PCG64 per
+trajectory.  mc_signal instead computes all trajectory seeds with uint64
+arithmetic and their SeedSequence(seed_k).generate_state(4, uint64) words
+in one batch with uint32 arithmetic (O'Neill's seed_seq_fe: hashmix and mix
+over a pool of 4 words).  Each call then builds one PCG64 and one Generator,
+sets the PCG64 state from each trajectory's words as PCG64's own seeding
+does, and draws that trajectory's normals into a reused buffer.  synthesize
+sets the state the same way from SeedSequence's words for its one seed.
+The draws are numpy's default generator's, bit for bit: numpy's
+stream-compatibility policy (NEP 19) fixes SeedSequence's hash and PCG64's
+seeding.  Nothing is shared between calls, so mc_signal stays thread-safe.
 """
 
 from __future__ import annotations
@@ -35,11 +48,22 @@ from .sequences import PulseSequence
 __all__ = ["Trajectory", "McEstimate", "trajectory_seed", "synthesize",
            "toggled_phase", "mc_signal"]
 
+_MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
+# numpy.random.SeedSequence's hash constants and pool size, and PCG64's
+# 128-bit LCG multiplier
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
-def _mix64(z: int) -> int:
+
+def _mix64(z):
+    """splitmix64's finalizer, on a Python int or elementwise on a uint64 array."""
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (z ^ (z >> 31)) & _MASK64
@@ -49,6 +73,52 @@ def trajectory_seed(base_seed: int, index: int) -> int:
     """The declared 64-bit per-trajectory seed: output index of a splitmix64
     stream with state base_seed."""
     return _mix64((int(base_seed) + (int(index) + 1) * _GOLDEN) & _MASK64)
+
+
+def _hash_constants(init: int, mult: int):
+    # SeedSequence's running hash constant h: each hash step xors the value
+    # with h, advances h to h * mult and multiplies the value by the new h
+    while True:
+        nxt = (init * mult) & _MASK32
+        yield init, nxt
+        init = nxt
+
+
+def _trajectory_words(base_seed: int, samples: int) -> np.ndarray:
+    """SeedSequence(trajectory_seed(base_seed, k)).generate_state(4, np.uint64)
+    for k < samples, one row of 4 uint64 words each.
+
+    The base seed is reduced mod 2^64 first, as trajectory_seed does.  Each
+    64-bit seed enters SeedSequence as its two little-endian 32-bit words; a
+    seed below 2^32 is one word, which the pool pads with zeros, so the high
+    word 0 gives the same hash.  All hash arithmetic is on uint32 arrays,
+    which wrap silently.
+    """
+    steps = np.arange(1, samples + 1, dtype=np.uint64) * _GOLDEN
+    seeds = _mix64(steps + (int(base_seed) & _MASK64))
+    consts = _hash_constants(_INIT_A, _MULT_A)
+
+    def hashmix(value):
+        xor, mult = next(consts)
+        value = (value ^ xor) * mult
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        value = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return value ^ (value >> 16)
+
+    zero = np.zeros(samples, dtype=np.uint32)
+    entropy = ((seeds & _MASK32).astype(np.uint32), (seeds >> 32).astype(np.uint32), zero, zero)
+    pool = [hashmix(word) for word in entropy]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    out = []
+    for i, (xor, mult) in zip(range(8), _hash_constants(_INIT_B, _MULT_B)):
+        value = (pool[i % _POOL_SIZE] ^ xor) * mult
+        out.append((value ^ (value >> 16)).astype(np.uint64))
+    return np.stack([out[2 * j] | (out[2 * j + 1] << 32) for j in range(4)], axis=1)
 
 
 @dataclass(frozen=True)
@@ -104,11 +174,32 @@ def _check_sampling(bath: ClassicalBath, dt: float, mode_count: int):
             f"dt = {dt:g} aliases the spectrum: need dt <= pi/(4 omega_max) = {dt_max:g}")
 
 
-def _draw_amplitudes(seed: int, sigmas: np.ndarray):
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal(len(sigmas))
-    b = rng.standard_normal(len(sigmas))
-    return sigmas * a, sigmas * b
+def _draw_amplitudes(gen: np.random.Generator, words, sigmas: np.ndarray,
+                     buf: np.ndarray):
+    """One trajectory's cosine and sine amplitudes, as np.random.default_rng
+    would draw them from the seed whose generate_state(4, uint64) words are
+    `words`.
+
+    gen's PCG64 is set to the state its seeding derives from the words:
+    inc = (w2:w3 << 1) | 1 and state = step(step(0) + w0:w1), with step the
+    128-bit LCG.  buf (2 * len(sigmas) floats) takes all normals in one call,
+    which is the same stream as a cosine call followed by a sine call.
+    """
+    w0, w1, w2, w3 = words.tolist()
+    inc = (((w2 << 64) | w3) << 1 | 1) & _MASK128
+    state = ((inc + ((w0 << 64) | w1)) * _PCG64_MULT + inc) & _MASK128
+    gen.bit_generator.state = {"bit_generator": "PCG64",
+                               "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+    gen.standard_normal(out=buf)
+    m = len(sigmas)
+    return sigmas * buf[:m], sigmas * buf[m:]
+
+
+def _generator() -> np.random.Generator:
+    # the state is overwritten before every draw; the seed only avoids
+    # asking the OS for entropy
+    return np.random.Generator(np.random.PCG64(0))
 
 
 def synthesize(bath: ClassicalBath, t_max: float, dt: float, mode_count: int,
@@ -123,7 +214,9 @@ def synthesize(bath: ClassicalBath, t_max: float, dt: float, mode_count: int,
     n_steps = max(1, math.ceil(t_max / dt))
     times = np.linspace(0.0, t_max, n_steps + 1)
     omegas, sigmas = _mode_bins(bath, mode_count)
-    amp_cos, amp_sin = _draw_amplitudes(seed, sigmas)
+    words = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+    amp_cos, amp_sin = _draw_amplitudes(_generator(), words, sigmas,
+                                        np.empty(2 * mode_count))
     values = np.cos(np.outer(times, omegas)) @ amp_cos
     values += np.sin(np.outer(times, omegas)) @ amp_sin
     for arr in (times, values, omegas, amp_cos, amp_sin):
@@ -188,9 +281,10 @@ def _batched_phases(bath: ClassicalBath, seq: PulseSequence, t: float,
     wcol = t * weights
     u_cos = np.cos(np.outer(omegas, instants)) @ wcol
     u_sin = np.sin(np.outer(omegas, instants)) @ wcol
+    gen, buf = _generator(), np.empty(2 * mode_count)
     phases = np.empty(samples)
-    for k in range(samples):
-        ac, asn = _draw_amplitudes(trajectory_seed(seed, k), sigmas)
+    for k, row in enumerate(_trajectory_words(seed, samples)):
+        ac, asn = _draw_amplitudes(gen, row, sigmas, buf)
         phases[k] = ac @ u_cos + asn @ u_sin
     return phases
 

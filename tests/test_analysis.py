@@ -8,6 +8,7 @@ from ddlab import (
     OhmicBath,
     QuadratureError,
     RangeExhaustedError,
+    SearchExhaustedError,
     TabulatedSpectralDensity,
     compare_schemes,
     custom,
@@ -215,6 +216,31 @@ class TestMinPulses:
             n for n in range(40)
             if storage_time(equidistant(n), bath, 1e-4, quad).t_store >= t_target)
         assert min_pulses("equidistant", bath, 1e-4, t_target, quad) == expected
+
+    def test_include_phase_matches_linear_scan_below_the_plateau(self, quad):
+        bath = OhmicBath(alpha=0.25)
+        t_target = 0.05658
+        expected = next(
+            n for n in range(8)
+            if storage_time(udd(n), bath, 1e-4, quad, include_phase=True).t_store >= t_target)
+        assert expected == 2
+        assert min_pulses("udd", bath, 1e-4, t_target, quad, include_phase=True) == expected
+
+    def test_include_phase_plateau_stops_the_search(self, quad, monkeypatch):
+        # with the phase, udd storage times sit on a plateau near
+        # sqrt(2 epsilon)/alpha from n = 4 on (bit-identical from n = 8); the
+        # doubling used to run on to N_SEARCH_CAP, 18 solves
+        solves = []
+
+        def counted(seq, *args, **kwargs):
+            solves.append(seq.n)
+            return storage_time(seq, *args, **kwargs)
+
+        monkeypatch.setattr("ddlab.analysis.storage_time", counted)
+        with pytest.raises(SearchExhaustedError, match=r"stalls at 0\.0565790838"):
+            min_pulses("udd", OhmicBath(alpha=0.25), 1e-4, 1.0, quad, include_phase=True)
+        assert len(solves) <= 8
+        assert max(solves) <= 16
 
     def test_scheme_validation(self, quad):
         with pytest.raises(ValueError, match="scheme"):

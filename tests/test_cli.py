@@ -191,6 +191,23 @@ class TestMinPulsesCommand:
         _, rows = parse_csv(out)
         assert rows[0]["n_min"] == "2"
 
+    def test_include_phase_plateau_exit_4(self, capsys, monkeypatch):
+        solves = []
+        storage_time = ddlab.analysis.storage_time
+
+        def counted(seq, *args, **kwargs):
+            solves.append(seq.n)
+            return storage_time(seq, *args, **kwargs)
+
+        monkeypatch.setattr("ddlab.analysis.storage_time", counted)
+        code, out, err = run_cli(
+            ["min-pulses", "--scheme", "udd", "--alpha", "0.25", "--epsilon", "1e-4",
+             "--t-target", "1.0", "--include-phase", "--quiet"], capsys)
+        assert code == 4
+        assert out == ""
+        assert "storage time stalls at 0.05657908389" in err
+        assert len(solves) <= 8
+
     def test_custom_scheme_exit_2(self, capsys):
         code, out, err = run_cli(
             ["min-pulses", "--scheme", "custom", "--deltas", "0.5", "--quiet"], capsys)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -6,7 +7,8 @@ import pytest
 
 import ddlab
 from ddlab import ClassicalBath, Trajectory, mc_signal, synthesize, toggled_phase, udd
-from ddlab.montecarlo import _batched_phases, _mode_bins, _draw_amplitudes, trajectory_seed
+from ddlab.montecarlo import (_batched_phases, _draw_amplitudes, _generator, _mode_bins,
+                              _trajectory_words, trajectory_seed)
 from conftest import classical_twin
 
 
@@ -39,6 +41,104 @@ class TestSeedSplitting:
         seeds = {trajectory_seed(1, k) for k in range(1000)}
         assert len(seeds) == 1000
         assert trajectory_seed(1, 5) != trajectory_seed(2, 5)
+
+
+def unmix64(z: int) -> int:
+    # inverse of splitmix64's finalizer
+    def unxorshift(z, s):
+        x = z
+        for _ in range(64 // s):
+            x = z ^ (x >> s)
+        return x
+    mask = (1 << 64) - 1
+    z = unxorshift(z, 31)
+    z = unxorshift(z * pow(0x94D049BB133111EB, -1, 1 << 64) & mask, 27)
+    return unxorshift(z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & mask, 30)
+
+
+def base_for(seed: int) -> int:
+    """The base seed whose trajectory 0 has the given seed."""
+    return (unmix64(seed) - 0x9E3779B97F4A7C15) % 2**64
+
+
+def reference_draw(base_seed):
+    """_draw_amplitudes as np.random.default_rng(trajectory_seed(base_seed, k))
+    draws it, for the k-th call."""
+    calls = itertools.count()
+
+    def draw(gen, words, sigmas, buf):
+        rng = np.random.default_rng(trajectory_seed(base_seed, next(calls)))
+        return sigmas * rng.standard_normal(len(sigmas)), sigmas * rng.standard_normal(len(sigmas))
+    return draw
+
+
+class TestSeedBatch:
+    """The batched SeedSequence hash and PCG64 seeding against numpy itself:
+    a numpy release that changed either would fail here."""
+
+    @pytest.mark.parametrize("base", [0, 12345, 2024, -1, 2**64 + 5, 2**64 - 1])
+    def test_words_match_seed_sequence(self, base):
+        words = _trajectory_words(base, 1000)
+        expected = [np.random.SeedSequence(trajectory_seed(base, k)).generate_state(4, np.uint64)
+                    for k in range(1000)]
+        assert words.dtype == np.uint64
+        assert np.array_equal(words, np.array(expected))
+
+    def test_words_of_chosen_seeds(self):
+        # seeds below 2^32 enter SeedSequence as one word, the rest as two
+        rng = np.random.default_rng(2024)
+        seeds = ([0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+                 + [int(s) for s in rng.integers(0, 2**32, 1000, dtype=np.uint64)])
+        for seed in seeds:
+            assert np.array_equal(_trajectory_words(base_for(seed), 1)[0],
+                                  np.random.SeedSequence(seed).generate_state(4, np.uint64))
+
+    def test_draws_match_default_rng(self):
+        sigmas = np.linspace(0.1, 2.0, 96)
+        gen, buf = _generator(), np.empty(2 * 96)
+        for k, words in enumerate(_trajectory_words(31, 1000)):
+            amp_cos, amp_sin = _draw_amplitudes(gen, words, sigmas, buf)
+            rng = np.random.default_rng(trajectory_seed(31, k))
+            assert np.array_equal(amp_cos, sigmas * rng.standard_normal(96))
+            assert np.array_equal(amp_sin, sigmas * rng.standard_normal(96))
+
+    def test_state_matches_pcg64_seeding(self):
+        gen, empty = _generator(), np.empty(0)
+        for seed in (0, 1, 2**32, 2**64 - 1, *(trajectory_seed(5, k) for k in range(200))):
+            words = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+            _draw_amplitudes(gen, words, empty, empty)
+            assert gen.bit_generator.state == np.random.PCG64(seed).state
+
+    # a base seed whose first trajectory seed is below 2^32, where
+    # SeedSequence takes a one-word entropy
+    SHORT_SEED_BASE = base_for(12345)
+
+    @pytest.mark.parametrize("base", [-1, 2**64 + 5, SHORT_SEED_BASE, 17])
+    def test_batched_phases_match_the_default_rng_loop(self, base, monkeypatch):
+        bath = classical_twin(0.1, 0.25)
+        args = (bath, udd(3), 2.0, 300, base, 0.02, 128)
+        phases = _batched_phases(*args)
+        monkeypatch.setattr("ddlab.montecarlo._draw_amplitudes", reference_draw(base))
+        assert np.array_equal(phases, _batched_phases(*args))
+
+    def test_short_seed_base(self):
+        assert trajectory_seed(self.SHORT_SEED_BASE, 0) == 12345
+
+    def test_synthesize_matches_default_rng(self):
+        bath = flat_bath()
+        _, sigmas = _mode_bins(bath, 64)
+        for seed in (0, 12345, 2**64 - 1, 2**70 + 3):
+            traj = synthesize(bath, 1.0, 0.02, 64, seed)
+            rng = np.random.default_rng(seed)
+            assert np.array_equal(traj.amp_cos, sigmas * rng.standard_normal(64))
+            assert np.array_equal(traj.amp_sin, sigmas * rng.standard_normal(64))
+
+    @pytest.mark.parametrize("seed, error", [(-1, ValueError), (1.5, TypeError)])
+    def test_synthesize_rejects_what_default_rng_rejects(self, seed, error):
+        with pytest.raises(error):
+            np.random.default_rng(seed)
+        with pytest.raises(error):
+            synthesize(flat_bath(), 1.0, 0.02, 16, seed)
 
 
 class TestSynthesize:
@@ -84,8 +184,9 @@ class TestSynthesize:
         g0 = 0.2 * 20.0 / math.pi
         _, sigmas = _mode_bins(bath, 512)
         f0 = np.empty(10000)
-        for k in range(10000):
-            amp_cos, _ = _draw_amplitudes(trajectory_seed(99, k), sigmas)
+        gen, buf = _generator(), np.empty(2 * 512)
+        for k, words in enumerate(_trajectory_words(99, 10000)):
+            amp_cos, _ = _draw_amplitudes(gen, words, sigmas, buf)
             f0[k] = amp_cos.sum()
         assert np.var(f0) == pytest.approx(g0, rel=0.05, abs=0.0)
 

@@ -11,7 +11,8 @@ import sys
 import pytest
 
 import ddlab.filters
-from ddlab import OhmicBath, chi, phase, signal, udd
+import ddlab.montecarlo
+from ddlab import ClassicalBath, OhmicBath, chi, mc_signal, phase, signal, synthesize, udd
 from ddlab.quadrature import integrate_adaptive
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -85,3 +86,22 @@ def test_filter_seam_sees_every_round_in_full(monkeypatch, evaluate):
     evaluate(udd(100), OhmicBath(alpha=0.25), 100.0)
     assert rounds and [size for size, _ in seen] == rounds
     assert seen[0][1]
+
+
+def test_draw_seam_sees_every_trajectory(monkeypatch):
+    # the tracer counts montecarlo.trajectories at
+    # ddlab.montecarlo._draw_amplitudes: every trajectory must reach it
+    # through the module attribute, once
+    bath = ClassicalBath(power_spectrum=lambda w: 0.2 + 0.0 * w, omega_max=4.0)
+    calls = []
+    draw = ddlab.montecarlo._draw_amplitudes
+
+    def spy(*args):
+        calls.append(1)
+        return draw(*args)
+
+    monkeypatch.setattr("ddlab.montecarlo._draw_amplitudes", spy)
+    mc_signal(bath, udd(2), 1.0, 137, 5, 0.05, 32)
+    assert len(calls) == 137
+    synthesize(bath, 1.0, 0.05, 32, 5)
+    assert len(calls) == 138
