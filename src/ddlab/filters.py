@@ -37,26 +37,33 @@ those sequences (equidistant(n), and custom or udd ones with the same
 instants: udd(0) and udd(1)) never sum the term table.  The instants
 decide, not the label.
 
-One kernel, _split_sums, evaluates every row sum on an outer-sum grid of
-centres c and offsets o: the sums at c + o.  Quadrature nodes are panel
-centres plus offsets that all panels of one width share (the quadrature
-hands each round's panels to a PanelGrid), so by angle addition,
+Two kernels take the row sums, both split error-free, so that no sum
+depends on how the nodes are blocked or on BLAS's thread count.
+Quadrature nodes are panel centres plus offsets that all panels of one
+width share (the quadrature hands each round's panels to a PanelGrid), so
+by angle addition,
 
     sin((c + o) u) = sin(cu) cos(ou) + cos(cu) sin(ou),
     cos((c + o) u) = cos(cu) cos(ou) - sin(cu) sin(ou),
 
-sin/cos are needed once per panel and term and once per width and term,
-not once per node and term.  Arbitrary z, and rounds too small for the
-factoring to pay, are the zero-offset case: the centres are the nodes and
-sin/cos are taken at them directly.  The factored sums are taken at
-c + o, the node before it was rounded, so they can differ from sums at
-the rounded node by about that rounding times |dy/dz|; both stay inside
-the noise model of _delegation_threshold against 40-digit mpmath at their
-own points (tests/test_filters.py).  Either way the centres are taken in
-blocks, and each row sum of bounded terms with small power-of-two weights
-is split error-free (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31
-(2008)): the high parts sum exactly in any order, so only the tiny low
-parts round, and no sum depends on the blocking.
+and since the offsets come in pairs +-o, the sums at the 15 nodes of a
+panel are matrix products of the rows w sin(cu), w cos(cu) with a table of
+cos(ou), sin(ou) per width: sin/cos are needed once per panel and term and
+once per width and term, not once per node and term.  _panel_sums takes
+these products error-free after Ozaki, Ogita, Oishi & Rump (Numer.
+Algorithms 59 (2012)): both factors are cut into slices short enough that
+every slice product is exact in any summation order, so BLAS's GEMM sums
+them and no panel sum depends on the order of the terms either; the few
+slice products left out stay below 1 % of the noise floor.  The panel
+sums are taken at c + o, the node before it was rounded, so they can
+differ from sums at the rounded node by about that rounding times
+|dy/dz|; both stay inside the noise model of _delegation_threshold against
+40-digit mpmath at their own points (tests/test_filters.py).
+Arbitrary z, and rounds too small for the panel kernel to pay, take
+_split_sums at the nodes themselves: each term is split error-free (Rump,
+Ogita & Oishi, SIAM J. Sci. Comput. 31 (2008)), the high parts sum exactly
+in any order, and only the tiny low parts round.  Both kernels split with
+_split.
 
 The n+2 unit-magnitude terms of y_n cancel to O(z^(n+1)) at small z, so
 the direct sum cannot resolve |y|^2 where the sequence suppresses it
@@ -66,7 +73,7 @@ at each node, from four:
   closed     |y|^2 from the closed-form y, for equidistant instants at
              every node: the ideal sequence's values, to a few ulps
              relative down to the smallest z;
-  direct     the error-free sum above, wherever it resolves the value;
+  direct     the error-free sums above, wherever they resolve the value;
   Bessel     16 (n+1)^2 J_{n+1}(z/2)^2 for optimized (udd) sequences with
              n >= 2, exact up to exponentially small corrections for
              z/(2n+2) < 1, below the direct sum's noise floor down to the
@@ -81,6 +88,7 @@ label whose instants are not that generator's.
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from typing import NamedTuple
@@ -119,6 +127,7 @@ _POLE_TOL = 1e-12
 # exact for integers |M| < 2^27
 _PI_HI = 3.1415926218032837
 _PI_LO = 3.178650954705639e-08
+_EPS = float(np.finfo(float).eps)
 # custom sequences take |y|^2 from its moment expansion below this |z|,
 # where the omitted O(z^6) terms are negligible
 _SMALL_Z = 1e-5
@@ -129,13 +138,17 @@ def _delegation_threshold(n: int, z: np.ndarray) -> np.ndarray:
     return np.maximum(1e-8, 3.2e-8 * (1.0 + np.abs(z)) ** 2 * (n + 2))
 
 
-# a block of the phase matrix holds at most this many elements, so memory
+# a block of the zero-offset kernel's phase matrix holds at most this many
+# elements, and one of the panel kernel's four times as many, so memory
 # stays flat however many nodes one quadrature round brings
 _BLOCK_ELEMENTS = 2**15
-# below this many panel-terms (panels times terms) a round takes the
-# zero-offset kernel: the transcendentals that factoring saves cost less
-# than its fixed cost per round
-_FACTOR_MIN = 2**10
+# below this many panel-term-rows (panels times terms times rows summed) a
+# round takes the zero-offset kernel: the transcendentals that the panel
+# kernel saves cost less than its fixed cost of about 0.1 ms per round.
+# Measured break-even (Python 3.11, numpy 2.4, OpenBLAS on one thread of a
+# 2-core Xeon, offset table cached): 360 to 500 for tables of 3 to 51
+# terms, under one panel for 501 and 1002 terms
+_FACTOR_MIN = 2**9
 
 
 # term tables of the last _PLAN_SIZE sequences, by id: id -> (seq, table)
@@ -166,10 +179,16 @@ class _Terms(NamedTuple):
 
     u: np.ndarray
     w: np.ndarray
+    # the zero-offset kernel's splitting constant, >= 2 sum|w|
     sigma: float
     funcs: tuple
     # the instants are equidistant: S comes from _equidistant_half_sum
     closed: bool
+    # the panel kernel's slicing: max|w| rounded up to a power of two, and
+    # the count and width of the slices (_slicing)
+    scale: float
+    slices: int
+    beta: int
 
     @property
     def mirror(self) -> bool:
@@ -210,64 +229,224 @@ def _build_term_table(seq: PulseSequence) -> _Terms:
         else:
             u, w, funcs = np.append(u, 0.0), np.append(w, c[half]), (np.cos,)
     sigma = 2.0 ** (math.ceil(math.log2(max(np.sum(np.abs(w)), 1.0))) + 1)
+    scale = 2.0 ** math.ceil(math.log2(np.max(np.abs(w))))
     u.flags.writeable = w.flags.writeable = False
-    return _Terms(u, w, sigma, funcs, seq.deltas == _equidistant_instants(seq.n))
+    return _Terms(u, w, sigma, funcs, seq.deltas == _equidistant_instants(seq.n),
+                  scale, *_slicing(len(u), scale, seq.n))
 
 
-def _split_sums(centres: np.ndarray, terms: _Terms, funcs, offsets=None) -> np.ndarray:
-    """sum_j w_j f((c + o) u_j) over the term table on the outer-sum grid of
-    centres c and offsets o, one row per f in funcs (np.sin or np.cos), in
-    the shape (len(funcs), centres, offsets).
+def _slicing(k: int, scale: float, n: int) -> tuple:
+    """(slices, beta) for the panel kernel on a table of k terms with
+    weights up to scale, for a sequence of n pulses.
 
-    offsets=None is the zero-offset case: the grid is the centres
-    themselves and f is taken at c u_j directly.  Otherwise offsets holds
-    cos(o_k u_j) and sin(o_k u_j) as two (offsets, len(u)) tables, and the
-    terms come from sin(c u_j) and cos(c u_j) by angle addition, so the
-    transcendentals are taken once per centre and term, not once per node
-    and term.
+    The fewest slices s whose dropped products, at most
+    2 k scale 2^(-s beta) (s + 3)/4 (1 + 2^(1-beta)) per sum, stay below
+    1 % of the noise floor 4 eps sqrt(n+2) at z = 0, each slice as wide as
+    the exactness condition s k (2^beta + 1)^2 < 2^53 allows (_panel_sums).
+    """
+    floor = 0.01 * 4.0 * _EPS * math.sqrt(n + 2)
+    for s in itertools.count(1):
+        beta = (53 - (s * k).bit_length()) // 2 + 1
+        while beta > 0 and s * k * (2**beta + 1) ** 2 >= 2**53:
+            beta -= 1
+        if beta < 2:
+            raise ValueError(f"no exact slicing for a table of {k} terms")
+        if 2 * k * scale * 2.0 ** (-s * beta) * (s + 3) / 4 * (1 + 2.0 ** (1 - beta)) < floor:
+            return s, beta
 
-    Every term lies in [-1, 1], up to a few rounding errors for the angle
-    addition, and every weight is a small power of two.  Adding and
-    removing sigma >= 2 sum|w| rounds each term to a grid on which the
+
+def _split(x: np.ndarray, sigma: float, high: np.ndarray) -> None:
+    """high = x rounded to a multiple of ulp(sigma), and x -= high.
+
+    fl(fl(x + sigma) - sigma) rounds x to that grid whenever |x| <= sigma/2,
+    and the remainder x - high is exact (Rump, Ogita & Oishi 2008).  With
+    high x itself, x is rounded in place and no remainder is kept.
+    """
+    np.add(x, sigma, out=high)
+    high -= sigma
+    if high is not x:
+        x -= high
+
+
+def _slices(x: np.ndarray, spare: np.ndarray, scale: float, beta: int, count: int):
+    """Cut x into count slices, yielded in turn: the first count-1 in spare,
+    each overwritten by the next, and the last in x.
+
+    For values of magnitude <= scale (a power of two), slice i is a multiple
+    of scale 2^(-i beta), at most scale for i = 1 and at most half the unit
+    of slice i-1 after, so at most 2^beta units.  What the last slice
+    leaves, <= scale 2^(-count beta) / 2, is dropped.
+    """
+    for i in range(1, count):
+        _split(x, 0.75 * scale * 2.0 ** (53 - i * beta), spare)
+        yield spare
+    _split(x, 0.75 * scale * 2.0 ** (53 - count * beta), x)
+    yield x
+
+
+def _split_sums(z: np.ndarray, terms: _Terms, funcs) -> np.ndarray:
+    """sum_j w_j f(z u_j) over the term table at arbitrary nodes z, one row
+    per f in funcs (np.sin or np.cos), in the shape (len(funcs), z.size).
+
+    Every term lies in [-1, 1] and every weight is a small power of two.
+    _split with sigma >= 2 sum|w| rounds each term to a grid on which the
     weighted sums of these high parts are exact in any order, so BLAS may
     sum them.  The exact remainders are summed in numpy's fixed order per
     node and round only at their own tiny scale, so no node's sums depend
-    on how the centres are blocked.
+    on how the nodes are blocked.
     """
     u, w, sigma = terms.u, terms.w, terms.sigma
-    flat = centres.reshape(-1)
-    width = 1 if offsets is None else offsets[0].shape[0]
-    rows = min(max(1, _BLOCK_ELEMENTS // max(width * len(u), 1)), max(flat.size, 1))
-    out = np.empty((len(funcs), flat.size, width))
+    flat = z.reshape(-1)
+    rows = min(max(1, _BLOCK_ELEMENTS // max(len(u), 1)), max(flat.size, 1))
+    out = np.empty((len(funcs), flat.size))
     # one set of block buffers serves every block: fresh block-sized arrays
     # would cost a page fault per page on each block
-    phase = np.empty((rows, len(u)))
-    values, high = np.empty((2, rows, width, len(u)))
-    if offsets is not None:
-        cos_o, sin_o = offsets
-        sin_c, cos_c = np.empty((2, rows, 1, len(u)))
-        spare = np.empty_like(values)
+    phase, values, high = np.empty((3, rows, len(u)))
     for start in range(0, flat.size, rows):
         r = min(rows, flat.size - start)
         ph, t, h = phase[:r], values[:r], high[:r]
         np.multiply.outer(flat[start:start + r], u, out=ph)
-        if offsets is not None:
-            np.sin(ph, out=sin_c[:r, 0])
-            np.cos(ph, out=cos_c[:r, 0])
         for f, sums in zip(funcs, out):
-            if offsets is None:
-                f(ph, out=t[:, 0])
-            elif f is np.sin:
-                np.multiply(sin_c[:r], cos_o, out=t)
-                t += np.multiply(cos_c[:r], sin_o, out=spare[:r])
-            else:
-                np.multiply(cos_c[:r], cos_o, out=t)
-                t -= np.multiply(sin_c[:r], sin_o, out=spare[:r])
-            np.add(t, sigma, out=h)
-            h -= sigma
-            t -= h
+            f(ph, out=t)
+            _split(t, sigma, h)
             t *= w
             sums[start:start + r] = h @ w + t.sum(axis=-1)
+    return out
+
+
+def _offset_table(terms: _Terms, half_width: float) -> np.ndarray:
+    """The panel kernel's table B for the panels of one half-width h.
+
+    With o_k = h x_k for the nodes x_k in quadrature.NODES from the middle
+    one up, B holds C = cos(o_k u_j) for those 8 offsets and S = sin(o_k u_j)
+    for the 7 nonzero ones, cut into terms.slices slices (_slices, scale 1):
+    the slices of C side by side, then those of S, one row per term.
+    """
+    s, k, mid = terms.slices, terms.u.size, NODES.size // 2
+    values, spare = np.empty((2, k, NODES.size))
+    phase = np.multiply.outer(terms.u, half_width * NODES[mid:])
+    np.cos(phase, out=values[:, :mid + 1])
+    np.sin(phase[:, 1:], out=values[:, mid + 1:])
+    table = np.empty((k, s * NODES.size))
+    cos_part = table[:, :s * (mid + 1)].reshape(k, s, mid + 1)
+    sin_part = table[:, s * (mid + 1):].reshape(k, s, mid)
+    for j, piece in enumerate(_slices(values, spare, 1.0, terms.beta, s)):
+        cos_part[:, j], sin_part[:, j] = piece[:, :mid + 1], piece[:, mid + 1:]
+    return table
+
+
+def _level_sums(prods: np.ndarray, width: int, out: np.ndarray) -> None:
+    """out = sum_l sum_(i+j=l+1) X_i B_j over the levels l = s..1, in that
+    order, from prods[i-1] holding X_i B_1 .. X_i B_(s+1-i) side by side,
+    width columns each.  The products of one level add exactly
+    (_panel_sums), so each level is summed in place in its first block."""
+    s = len(prods)
+    for l in range(s, 0, -1):
+        level = prods[0, :, width * (l - 1):width * l]
+        for i in range(1, l):
+            level += prods[i, :, width * (l - 1 - i):width * (l - i)]
+        if l == s:
+            out[...] = level
+        else:
+            out += level
+
+
+def _panel_sums(centres: np.ndarray, half_widths: np.ndarray, terms: _Terms, funcs,
+                table) -> np.ndarray:
+    """sum_j w_j f((c + h x_k) u_j) over the term table for panels of
+    centres c and half-widths h at the quadrature nodes x_k, one row per f
+    in funcs (np.sin or np.cos), in the shape (len(funcs), centres, 15).
+    table(h) gives _offset_table(terms, h).
+
+    Since NODES is symmetric about its middle node, angle addition makes
+    the sums at c + o and c - o two matrix products away:
+
+        sum_j w_j sin((c +- o) u_j) = X_s C +- X_c S,
+        sum_j w_j cos((c +- o) u_j) = X_c C -+ X_s S,
+
+    with the rows X_s = w sin(cu), X_c = w cos(cu) over the terms and B's
+    columns C = cos(ou), S = sin(ou).  The centres are taken in blocks,
+    sorted by half-width; each block's X is formed and sliced once, and
+    only the products run per half-width, on that width's rows.
+
+    The products are error-free after Ozaki, Ogita, Oishi & Rump (Numer.
+    Algorithms 59 (2012)).  X (|X| <= terms.scale) and B (|B| <= 1) are cut
+    into s = terms.slices slices of beta = terms.beta bits (_slices), and
+    each product is taken as the levels l = 1..s,
+
+        X B ~ sum_l sum_(i+j=l+1) X_i B_j.
+
+    Every term of a level is an integer of at most (2^beta + 1)^2 units of
+    that level, and a level has at most s len(u) terms, so with
+
+        s len(u) (2^beta + 1)^2 < 2^53
+
+    every partial sum of a level is exact, in any order, blocking or BLAS
+    thread count.  The levels are then added in a fixed order, the smallest
+    first, and X_s C, X_c S combined as above: no node's value depends on
+    the batching of centres or the order of the terms.  Per term, the
+    products left out and the remainders of the last slices change each of
+    X_s C, X_c S by at most scale 2^(-s beta) (s + 3)/4 (1 + 2^(1-beta)),
+    so a sum by at most
+
+        2 len(u) scale 2^(-s beta) (s + 3)/4 (1 + 2^(1-beta)),
+
+    which _slicing keeps below 1 % of the noise floor 4 eps sqrt(n+2) at
+    z = 0.
+    """
+    s, k, mid = terms.slices, terms.u.size, NODES.size // 2
+    order = np.argsort(half_widths, kind="stable")
+    rows = min(max(1, _BLOCK_ELEMENTS // k), max(centres.size, 1))
+    # a block's X_s and X_c rows, interleaved: what is left to cut, and the
+    # slice cut off last
+    rest, piece = np.empty((2, rows, 2, k))
+    # which of X_s (0) and X_c (1) meets C, per f; S meets the other
+    c_part = [0 if f is np.sin else 1 for f in funcs]
+    both = len(set(c_part)) == 2
+    # the products of every slice with the C and then the S slices of B,
+    # laid out as in B, and their sums, for the rows of X_s and X_c that
+    # need them
+    height, split = (2 * rows if both else rows), s * (mid + 1)
+    prods = np.empty((s, height, s * NODES.size))
+    acc = np.empty((height, NODES.size))
+    sums = np.empty((rows, NODES.size))
+    out = np.empty((len(funcs), centres.size, NODES.size))
+    for start in range(0, centres.size, rows):
+        at = order[start:start + rows]
+        r = at.size
+        phase = piece[:r, 0]
+        np.multiply.outer(centres[at], terms.u, out=phase)
+        np.sin(phase, out=rest[:r, 0])
+        np.cos(phase, out=rest[:r, 1])
+        rest[:r] *= terms.w
+        widths = half_widths[at]
+        edges = [0, *(np.flatnonzero(widths[1:] != widths[:-1]) + 1).tolist(), r]
+        for i, x in enumerate(_slices(rest[:r], piece[:r], terms.scale, terms.beta, s)):
+            cols = s - i
+            for lo, hi in zip(edges[:-1], edges[1:]):
+                b = table(float(widths[lo]))
+                if both:
+                    x_c = x_s = x[lo:hi].reshape(2 * (hi - lo), k)
+                    lo, hi = 2 * lo, 2 * hi
+                else:
+                    x_c, x_s = x[lo:hi, c_part[0]], x[lo:hi, 1 - c_part[0]]
+                c_cols = np.s_[:cols * (mid + 1)]
+                s_cols = np.s_[split:split + cols * mid]
+                np.matmul(x_c, b[:, c_cols], out=prods[i, lo:hi, c_cols])
+                np.matmul(x_s, b[:, s_cols], out=prods[i, lo:hi, s_cols])
+        used = 2 * r if both else r
+        _level_sums(prods[:, :used, :split], mid + 1, acc[:used, :mid + 1])
+        _level_sums(prods[:, :used, split:], mid, acc[:used, mid + 1:])
+        for row, p in zip(out, c_part):
+            # C from one of X_s, X_c and S from the other; the cosine row
+            # takes c - o where the sine row takes c + o
+            cos_c = acc[p:used:2, :mid + 1] if both else acc[:r, :mid + 1]
+            sin_s = acc[1 - p:used:2, mid + 1:] if both else acc[:r, mid + 1:]
+            dst = sums[:r] if p == 0 else sums[:r, ::-1]
+            dst[:, mid] = cos_c[:, 0]
+            np.add(cos_c[:, 1:], sin_s, out=dst[:, mid + 1:])
+            np.subtract(cos_c[:, 1:], sin_s, out=dst[:, mid - 1::-1])
+            row[at] = sums[:r]
     return out
 
 
@@ -278,10 +457,11 @@ class PanelGrid:
     z = w t.  set_round, integrate_adaptive's panels hook, takes each
     round's centres and nominal half-widths in w.  The filter sums of that
     round's nodes then run at c + o_k, with c the panel's centre and
-    o_k = h x_k for h its half-width and x_k quadrature.NODES: sin/cos(c u_j)
-    once per panel and term, and sin/cos(o_k u_j) once per half-width and
-    term for the grid's lifetime.  c + o_k is the node before it was
-    rounded, up to the rounding of the panel edges.
+    o_k = h x_k for h its half-width and x_k quadrature.NODES, as the
+    error-free sliced matrix products of _panel_sums: sin/cos(c u_j) once
+    per panel and term, sin/cos(o_k u_j) once per half-width and term for
+    the grid's lifetime, in that width's sliced offset table.  c + o_k is
+    the node before it was rounded, up to the rounding of the panel edges.
     """
 
     def __init__(self, seq: PulseSequence, t: float):
@@ -295,31 +475,28 @@ class PanelGrid:
         """Announce the next round's panels, centres and half-widths in w."""
         self._round = (centres * self.t, half_widths * self.t)
 
-    def _offset_rows(self, half_width: float):
-        rows = self._tables.get(half_width)
-        if rows is None:
-            phase = np.multiply.outer(half_width * NODES, self.terms.u)
-            rows = self._tables[half_width] = (np.cos(phase), np.sin(phase))
-        return rows
+    def _offset_table(self, half_width: float) -> np.ndarray:
+        table = self._tables.get(half_width)
+        if table is None:
+            table = self._tables[half_width] = _offset_table(self.terms, half_width)
+        return table
 
     def sums(self, z: np.ndarray, funcs) -> np.ndarray:
         """The term sums of funcs at the nodes z, one row per f in z's shape.
 
         Only the announced round's nodes take the panel kernel: 15 nodes
         per panel with the middle ones exactly at the centres.  Other z,
-        and rounds with fewer than _FACTOR_MIN panel-terms, where factoring
-        saves less than its fixed cost, take the zero-offset case.
+        and rounds with fewer than _FACTOR_MIN panel-term-rows, where the
+        panel kernel saves less than its fixed cost, take the zero-offset
+        kernel.
         """
         m = NODES.size
         if (self._round is None or z.shape != (m * self._round[0].size,)
-                or z.size * len(self.terms.u) < _FACTOR_MIN * m
+                or z.size * len(self.terms.u) * len(funcs) < _FACTOR_MIN * m
                 or not np.array_equal(z[m // 2::m], self._round[0])):
             return _split_sums(z, self.terms, funcs).reshape((len(funcs),) + z.shape)
         centres, halfs = self._round
-        out = np.empty((len(funcs), centres.size, m))
-        for h in np.unique(halfs).tolist():
-            at = halfs == h
-            out[:, at] = _split_sums(centres[at], self.terms, funcs, self._offset_rows(h))
+        out = _panel_sums(centres, halfs, self.terms, funcs, self._offset_table)
         return out.reshape(len(funcs), z.size)
 
 

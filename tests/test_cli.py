@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ddlab
@@ -528,25 +529,47 @@ class TestConfigHandling:
         assert quiet == ""
 
 
+def rows_under_blas_threads(argv, thread_counts):
+    """The data rows of `python -m ddlab.cli *argv` with OPENBLAS_NUM_THREADS
+    unset (None) or set to each count."""
+    src = str(Path(ddlab.__file__).resolve().parents[1])
+    rows = []
+    for threads in thread_counts:
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        proc = subprocess.run([sys.executable, "-m", "ddlab.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=300, check=True)
+        rows.append([ln for ln in proc.stdout.splitlines() if not ln.startswith("#")])
+    return rows
+
+
 class TestDeterminism:
     def test_storage_rows_independent_of_blas_threads(self):
         # the filter kernel hands row sums to BLAS; a rerun must give the
         # same bytes whether BLAS runs one thread or several
-        src = str(Path(ddlab.__file__).resolve().parents[1])
-        rows = []
-        for threads in (None, "1"):
-            env = {k: v for k, v in os.environ.items()
-                   if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-            if threads is not None:
-                env["OPENBLAS_NUM_THREADS"] = threads
-            proc = subprocess.run(
-                [sys.executable, "-m", "ddlab.cli", "storage", "--scheme", "udd",
-                 "--n", "100", "--quiet"],
-                env=env, capture_output=True, text=True, timeout=300, check=True)
-            rows.append([ln for ln in proc.stdout.splitlines() if not ln.startswith("#")])
+        rows = rows_under_blas_threads(
+            ["storage", "--scheme", "udd", "--n", "100", "--quiet"], (None, "1"))
         assert len(rows[0]) == 2
         assert rows[0] == rows[1]
+
+    def test_large_custom_signal_independent_of_blas_threads(self, tmp_path):
+        # a jittered udd(1000) near t = 3000 takes the panel kernel on
+        # rounds of about a thousand panels, whose slice products are large
+        # enough for OpenBLAS to run them on several threads
+        base = np.sin(np.pi * np.arange(1, 1001) / 2002) ** 2
+        gaps = np.diff(np.concatenate([[0.0], base, [1.0]]))
+        jitter = np.random.default_rng(5).uniform(-0.2, 0.2, 1000)
+        deltas = base + jitter * np.minimum(gaps[:-1], gaps[1:])
+        path = tmp_path / "deltas.csv"
+        path.write_text("delta\n" + "".join(f"{float(d)!r}\n" for d in deltas))
+        rows = rows_under_blas_threads(
+            ["signal", "--scheme", "custom", "--deltas-file", str(path), "--points", "2",
+             "--tmin", "2900", "--tmax", "3000", "--quiet"], (None, "1", "2"))
+        assert len(rows[0]) == 3
+        assert rows[0] == rows[1] == rows[2]
 
 
 class TestCustomSequenceInput:

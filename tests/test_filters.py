@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ddlab.filters
+from ddlab.analysis import N_SEARCH_CAP
 from ddlab.quadrature import NODES
 from ddlab import (
     OhmicBath,
@@ -24,7 +25,10 @@ from ddlab.filters import (
     _FACTOR_MIN,
     _PLAN_SIZE,
     PanelGrid,
+    _slicing,
     _equidistant_half_sum,
+    _offset_table,
+    _panel_sums,
     _split_sums,
     _term_table,
     x_factor_array,
@@ -208,7 +212,7 @@ class TestEquidistantClosedForm:
         off_pole = np.abs(z / pole_spacing - np.round(z / pole_spacing)) > 0.02
         zs = z[off_pole]
         terms = _term_table(equidistant(n))
-        direct = _split_sums(zs, terms, terms.funcs)[0, :, 0] ** 2
+        direct = _split_sums(zs, terms, terms.funcs)[0] ** 2
         closed = equidistant_closed_form(n, zs)
         assert np.max(np.abs(direct - closed) / np.maximum(1.0, closed)) <= 1e-12
 
@@ -242,7 +246,7 @@ class TestEquidistantClosedForm:
         seq = equidistant(n)
         z = np.linspace(0.0, 6.0 * math.pi * (n + 1), 6001)
         terms = _term_table(seq)
-        direct = _split_sums(z, terms, terms.funcs)[0, :, 0]
+        direct = _split_sums(z, terms, terms.funcs)[0]
         bound = 8 * EPS * (1 + z) * math.sqrt(n + 2)
         assert np.all(np.abs(_equidistant_half_sum(n, z) - direct) <= bound)
 
@@ -293,10 +297,10 @@ class TestClosedFormDispatch:
     def test_closed_form_ignores_the_panel_grid(self, monkeypatch):
         seq = equidistant(100)
         z, grid = panel_round(seq, 1.0, 64, [k % 3 for k in range(64)], 300.0)
-        offsets = spy_split_sums(monkeypatch)
+        panel_calls = spy_panel_sums(monkeypatch)
         for f in (y_factor_array, x_factor_array, y_abs_sq_array):
             assert np.array_equal(f(seq, z, grid), f(seq, z))
-        assert offsets == []
+        assert panel_calls == []
 
     def test_only_equidistant_instants_are_closed(self):
         for seq in (udd(2), udd(1000), jittered_custom(8, 2), mirrored_custom(4, 3)):
@@ -475,16 +479,15 @@ def panel_round(seq, upper, initial, levels, scale):
     return z, grid
 
 
-def spy_split_sums(monkeypatch):
-    """The number of centres of every _split_sums call with offsets."""
+def spy_panel_sums(monkeypatch):
+    """The number of centres of every _panel_sums call."""
     calls = []
 
-    def spy(centres, terms, funcs, offsets=None):
-        if offsets is not None:
-            calls.append(centres.size)
-        return _split_sums(centres, terms, funcs, offsets)
+    def spy(centres, half_widths, terms, funcs, table):
+        calls.append(centres.size)
+        return _panel_sums(centres, half_widths, terms, funcs, table)
 
-    monkeypatch.setattr(ddlab.filters, "_split_sums", spy)
+    monkeypatch.setattr(ddlab.filters, "_panel_sums", spy)
     return calls
 
 
@@ -505,16 +508,56 @@ def assert_within_noise_model(seq, y, x, centres, half_widths, rng):
 GRID_LEVELS = {"first_round": lambda k: 0, "mixed_levels": lambda k: k % 5}
 
 
+class TestSlicing:
+    # the panel kernel's slice count s and width beta per table, checked by
+    # arithmetic alone: the exactness condition of its level products, and
+    # the bound on the products it leaves out against the noise floor
+
+    @staticmethod
+    def tables(n):
+        # (terms, max weight) of the full term set and of the mirror half-sum
+        return (n + 2, 2.0), ((n + 3) // 2, 4.0 if n >= 2 else 2.0)
+
+    def test_exact_and_below_the_noise_floor_up_to_the_search_cap(self):
+        worst = 0.0
+        for n in range(N_SEARCH_CAP + 1):
+            floor = 4 * EPS * math.sqrt(n + 2)
+            for k, scale in self.tables(n):
+                s, beta = _slicing(k, scale, n)
+                assert s * k * (2**beta + 1) ** 2 < 2**53, (n, k)
+                dropped = (2 * k * scale * 2.0 ** (-s * beta) * (s + 3) / 4
+                           * (1 + 2.0 ** (1 - beta)))
+                worst = max(worst, dropped / floor)
+        assert worst < 0.01
+
+    def test_slices_as_wide_as_exactness_allows(self):
+        for n in (0, 1, 2, 30, 100, 999, 1000, 65536, N_SEARCH_CAP):
+            for k, scale in self.tables(n):
+                s, beta = _slicing(k, scale, n)
+                assert s * k * (2 ** (beta + 1) + 1) ** 2 >= 2**53
+
+    @pytest.mark.parametrize("seq", [udd(0), udd(1), udd(2), udd(7), udd(100),
+                                     jittered_custom(30, 30), mirrored_custom(10, 31),
+                                     jittered_custom(1000, 8)],
+                             ids=lambda s: f"{s.scheme}{s.n}")
+    def test_term_tables_take_the_checked_slicing(self, seq):
+        terms = _term_table(seq)
+        k, scale = self.tables(seq.n)[terms.mirror]
+        assert (terms.u.size, terms.scale) == (k, scale)
+        assert np.max(np.abs(terms.w)) == scale
+        assert (terms.slices, terms.beta) == _slicing(k, scale, seq.n)
+
+
 class TestPanelKernel:
-    # the angle-addition kernel sums at centre + offset, the node before it
+    # the panel kernel sums at centre + offset, the node before it
     # was rounded; against 40-digit sums at exactly that point it keeps the
     # noise model of the direct sums
     @pytest.mark.parametrize("layout", sorted(GRID_LEVELS))
     @pytest.mark.parametrize("seq", NOISE_CASES, ids=lambda s: f"{s.scheme}{s.n}")
     def test_sums_within_noise_model_at_centre_plus_offset(self, seq, layout, monkeypatch):
         rng = np.random.default_rng(seq.n)
-        # enough panels that the round factors rather than taking the
-        # zero-offset kernel
+        # enough panels that the round takes the panel kernel rather than
+        # the zero-offset kernel
         initial = max(16, -(-_FACTOR_MIN // _term_table(seq).u.size))
         levels = [GRID_LEVELS[layout](k) for k in range(initial)]
         scale = 4.0 * (seq.n + 2)
@@ -524,17 +567,18 @@ class TestPanelKernel:
         assert z.size * grid.terms.u.size >= _FACTOR_MIN * NODES.size
         assert widths.tolist() == [0.5 / initial * 0.5 ** lv
                                    for lv in levels for _ in range(2 ** lv)]
-        offsets = spy_split_sums(monkeypatch)
+        panel_calls = spy_panel_sums(monkeypatch)
         y, x = y_factor_array(seq, z, grid), x_factor_array(seq, z, grid)
         # both filters took the panel kernel on every panel, unless the
         # closed form served them
-        assert sum(offsets) == (0 if grid.terms.closed else 2 * centres.size)
+        assert sum(panel_calls) == (0 if grid.terms.closed else 2 * centres.size)
         assert_within_noise_model(seq, y, x, centres * scale, widths * scale, rng)
 
     def test_knot_aligned_widths_take_the_panel_kernel(self, monkeypatch):
         # panels of non-uniform, non-dyadic widths, as edges aligned to the
         # knots of a tabulated bath give: each width has its own offset
-        # table, and the sums keep the noise model at centre + offset
+        # table, each filter makes one kernel call over the whole round, and
+        # the sums keep the noise model at centre + offset
         seq = jittered_custom(30, 30)
         rng = np.random.default_rng(6)
         edges = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, 63)), [1.0]])
@@ -545,9 +589,9 @@ class TestPanelKernel:
         grid = PanelGrid(seq, scale)
         grid.set_round(centres, widths)
         assert z.size * grid.terms.u.size >= _FACTOR_MIN * NODES.size
-        offsets = spy_split_sums(monkeypatch)
+        panel_calls = spy_panel_sums(monkeypatch)
         y, x = y_factor_array(seq, z, grid), x_factor_array(seq, z, grid)
-        assert offsets == [1] * (2 * widths.size)
+        assert panel_calls == [widths.size] * 2
         assert_within_noise_model(seq, y, x, centres * scale, widths * scale, rng)
 
     @pytest.mark.parametrize("seq", [udd(1000), equidistant(99), jittered_custom(300, 3),
@@ -555,17 +599,36 @@ class TestPanelKernel:
     def test_rows_independent_of_batching(self, seq):
         scale = 50.0 * (seq.n + 1)
         _, centres, widths = panel_nodes(1.0, 64, [k % 3 for k in range(64)], scale)
+        centres, widths = centres * scale, widths * scale
         grid = PanelGrid(seq, scale)
         t = grid.terms
         funcs = t.funcs if t.mirror else (np.cos, np.sin)
-        for width in np.unique(widths):
-            at = centres[widths == width] * scale
-            offsets = grid._offset_rows(width * scale)
-            whole = _split_sums(at, t, funcs, offsets)
-            for size in (1, 3, 7):
-                parts = [_split_sums(at[i:i + size], t, funcs, offsets)
-                         for i in range(0, at.size, size)]
-                assert np.array_equal(whole, np.concatenate(parts, axis=1))
+        whole = _panel_sums(centres, widths, t, funcs, grid._offset_table)
+        for size in (1, 3, 7):
+            parts = [_panel_sums(centres[i:i + size], widths[i:i + size], t, funcs,
+                                 grid._offset_table)
+                     for i in range(0, centres.size, size)]
+            assert np.array_equal(whole, np.concatenate(parts, axis=1))
+
+    @pytest.mark.parametrize("seq", [udd(2), udd(100), jittered_custom(1000, 8)],
+                             ids=lambda s: f"{s.scheme}{s.n}")
+    def test_sums_independent_of_term_order(self, seq):
+        # the slice products are exact, so permuting the terms (u, w and the
+        # rows of the offset tables with them) changes no bit of any sum
+        terms = _term_table(seq)
+        assert terms.u.size in (2, 51, 1002)
+        scale = 50.0 * (seq.n + 1)
+        _, centres, widths = panel_nodes(1.0, 64, [k % 3 for k in range(64)], scale)
+        centres, widths = centres * scale, widths * scale
+        funcs = terms.funcs if terms.mirror else (np.cos, np.sin)
+        want = _panel_sums(centres, widths, terms, funcs, lambda h: _offset_table(terms, h))
+        rng = np.random.default_rng(seq.n)
+        for _ in range(3):
+            perm = rng.permutation(terms.u.size)
+            shuffled = terms._replace(u=terms.u[perm], w=terms.w[perm])
+            tables = {h: _offset_table(terms, h)[perm] for h in np.unique(widths).tolist()}
+            got = _panel_sums(centres, widths, shuffled, funcs, tables.__getitem__)
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("seq", [udd(100), equidistant(60), jittered_custom(60, 5)],
                              ids=lambda s: f"{s.scheme}{s.n}")
@@ -578,11 +641,11 @@ class TestPanelKernel:
     def test_nodes_off_the_announced_round_take_the_zero_offset_kernel(self, monkeypatch):
         seq = jittered_custom(100, 4)
         z, centres, widths = panel_nodes(1.0, 32, [1] * 32, 300.0)
-        offsets = spy_split_sums(monkeypatch)
+        panel_calls = spy_panel_sums(monkeypatch)
         # no round announced
         assert np.array_equal(y_factor_array(seq, z, PanelGrid(seq, 300.0)),
                               y_factor_array(seq, z))
-        assert offsets == []
+        assert panel_calls == []
         grid = PanelGrid(seq, 300.0)
         grid.set_round(centres, widths)
         moved = z.copy()
@@ -590,10 +653,10 @@ class TestPanelKernel:
         # another node count, and a moved middle node
         for nodes in (z[:-15], moved):
             assert np.array_equal(y_factor_array(seq, nodes, grid), y_factor_array(seq, nodes))
-        assert offsets == []
+        assert panel_calls == []
         # the announced round itself takes the panel kernel
         y_factor_array(seq, z, grid)
-        assert sum(offsets) == centres.size
+        assert sum(panel_calls) == centres.size
 
     def test_grid_of_another_sequence_rejected(self):
         z, _, _ = panel_nodes(1.0, 16, [0] * 16, 10.0)

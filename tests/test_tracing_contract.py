@@ -57,8 +57,8 @@ def test_integrand_qualname_tells_chi_from_phase(monkeypatch, evaluate, is_chi):
 def test_filter_seam_sees_every_round_in_full(monkeypatch, evaluate):
     # the tracer counts filters.y.nodes at ddlab.filters.y_factor_array; the
     # panel kernel must be reached through it, with the round's whole node
-    # array, and a round large enough to factor must sum with offsets
-    rounds, seen, offsets = [], [], []
+    # array, and a round large enough for it must take the panel kernel
+    rounds, seen, panel_calls = [], [], []
 
     def spy_integrate(f, *args, **kwargs):
         def counted(w):
@@ -67,22 +67,21 @@ def test_filter_seam_sees_every_round_in_full(monkeypatch, evaluate):
         return integrate_adaptive(counted, *args, **kwargs)
 
     y_factor_array = ddlab.filters.y_factor_array
-    split_sums = ddlab.filters._split_sums
+    panel_sums = ddlab.filters._panel_sums
 
     def spy_y(seq, z, grid=None):
-        before = len(offsets)
+        before = len(panel_calls)
         out = y_factor_array(seq, z, grid)
-        seen.append((z.size, len(offsets) > before))
+        seen.append((z.size, len(panel_calls) > before))
         return out
 
-    def spy_split(centres, terms, funcs, offsets_rows=None):
-        if offsets_rows is not None:
-            offsets.append(centres.size)
-        return split_sums(centres, terms, funcs, offsets_rows)
+    def spy_panel(centres, half_widths, terms, funcs, table):
+        panel_calls.append(centres.size)
+        return panel_sums(centres, half_widths, terms, funcs, table)
 
     monkeypatch.setattr("ddlab.decoherence.integrate_adaptive", spy_integrate)
     monkeypatch.setattr("ddlab.filters.y_factor_array", spy_y)
-    monkeypatch.setattr("ddlab.filters._split_sums", spy_split)
+    monkeypatch.setattr("ddlab.filters._panel_sums", spy_panel)
     evaluate(udd(100), OhmicBath(alpha=0.25), 100.0)
     assert rounds and [size for size, _ in seen] == rounds
     assert seen[0][1]
