@@ -49,16 +49,28 @@ by angle addition,
 and since the offsets come in pairs +-o, the sums at the 15 nodes of a
 panel are matrix products of the rows w sin(cu), w cos(cu) with a table of
 cos(ou), sin(ou) per width: sin/cos are needed once per panel and term and
-once per width and term, not once per node and term.  _panel_sums takes
+once per width and term, not once per node and term.  The quadrature
+bisects equal panels of [0, w_c], so a panel of half-width h is centred at
+(2k+1) h up to the rounding of its edges.  For tables of at least
+_LATTICE_TERMS terms the centre rows come from that lattice point by angle
+addition once more: with k = 8q + r, e^((2k+1)hu i) is a row of a step
+table of the first 8 lattice points per width times e^(16qhu i), so sin/cos
+are taken once per 8 consecutive panels and term instead.  A PanelGrid
+builds a width's step table in the first round where sharing base rows
+saves _LATTICE_SAVED rows of sin/cos; centres of other widths, hand-made
+panels off the lattice and smaller tables keep sin/cos.  Each centre takes
+its path by its own position and width, so no row depends on how the
+centres are batched.  _panel_sums takes
 these products error-free after Ozaki, Ogita, Oishi & Rump (Numer.
 Algorithms 59 (2012)): both factors are cut into slices short enough that
 every slice product is exact in any summation order, so BLAS's GEMM sums
 them and no panel sum depends on the order of the terms either; the few
 slice products left out stay below 1 % of the noise floor.  The panel
-sums are taken at c + o, the node before it was rounded, so they can
-differ from sums at the rounded node by about that rounding times
+sums are taken at c + o, the node before it was rounded, with c the
+lattice point where there is one (within 4 eps c of the centre), so they
+can differ from sums at the rounded node by about that distance times
 |dy/dz|; both stay inside the noise model of _delegation_threshold against
-40-digit mpmath at their own points (tests/test_filters.py).
+40-digit mpmath at the centre plus offset (tests/test_filters.py).
 Arbitrary z, and rounds too small for the panel kernel to pay, take
 _split_sums at the nodes themselves: each term is split error-free (Rump,
 Ogita & Oishi, SIAM J. Sci. Comput. 31 (2008)), the high parts sum exactly
@@ -149,6 +161,24 @@ _BLOCK_ELEMENTS = 2**15
 # 2-core Xeon, offset table cached): 360 to 500 for tables of 3 to 51
 # terms, under one panel for 501 and 1002 terms
 _FACTOR_MIN = 2**9
+# tables of at least this many terms take the centre rows of panels on
+# their width's lattice by angle addition (_centre_rows); below it the
+# sin/cos saved cost less than the step table and the per-group calls.
+# Measured on signals at t = 123 and 600 (40- and 192-panel first rounds,
+# same machine as _FACTOR_MIN): tables of 64 to 128 terms lost up to 23 %
+# on the 40-panel round, tables of 192 and 256 terms lost on neither
+_LATTICE_TERMS = 192
+# a width's step table holds the rows of its first 8 lattice centres, and
+# 8 consecutive centres share one base row
+_LATTICE_STEPS = 8
+# a PanelGrid builds a width's step table in the first round whose lattice
+# centres of that width, by sharing base rows, save at least this many rows
+# of sin/cos: three tables' worth, where first rounds of 26 panels and more
+# gained (measured as _LATTICE_TERMS, t = 60 to 600)
+_LATTICE_SAVED = 3 * _LATTICE_STEPS
+# a centre c is on the lattice of half-width h where |c - (2k+1) h| is at
+# most this times c; the quadrature's centres were measured within 2 eps c
+_LATTICE_TOL = 4 * _EPS
 
 
 # term tables of the last _PLAN_SIZE sequences, by id: id -> (seq, table)
@@ -335,6 +365,91 @@ def _offset_table(terms: _Terms, half_width: float) -> np.ndarray:
     return table
 
 
+def _sin_cos(phase: np.ndarray, sin_out: np.ndarray, cos_out: np.ndarray) -> None:
+    """sin(phase) into sin_out, then cos(phase) into cos_out, which may be
+    phase itself: the one source of the panel kernel's centre rows."""
+    np.sin(phase, out=sin_out)
+    np.cos(phase, out=cos_out)
+
+
+def _step_table(terms: _Terms, half_width: float) -> np.ndarray:
+    """The lattice steps of one half-width h: w e^((2r+1) h u i) for
+    r = 0.._LATTICE_STEPS-1, the rows of the lattice's first
+    _LATTICE_STEPS centres, as complex rows w cos + i w sin."""
+    table = np.empty((_LATTICE_STEPS, terms.u.size), dtype=complex)
+    phase = np.multiply.outer(half_width * np.arange(1, 2 * _LATTICE_STEPS, 2), terms.u)
+    _sin_cos(phase, table.imag, table.real)
+    table.real *= terms.w
+    table.imag *= terms.w
+    return table
+
+
+def _lattice_index(centres: np.ndarray, half_widths: np.ndarray) -> np.ndarray:
+    """k with |c - (2k+1) h| <= _LATTICE_TOL c for each centre c and
+    half-width h, and -1 where no k >= 0 is that close.
+
+    Panels of [0, w_c] bisected from np.linspace edges are centred at
+    (2k+1) h up to the rounding of their edges; hand-made panels are not.
+    """
+    k = np.rint(0.5 * (centres / half_widths - 1.0))
+    on = np.abs(centres - (2.0 * k + 1.0) * half_widths) <= _LATTICE_TOL * centres
+    return np.where(on, k, -1.0).astype(np.int64)
+
+
+def _direct_rows(centres, terms: _Terms, rows, spare) -> None:
+    # _centre_rows from sin/cos of c u itself
+    phase = spare[:, 0]
+    np.multiply.outer(centres, terms.u, out=phase)
+    _sin_cos(phase, rows[:, 0], rows[:, 1])
+    rows *= terms.w
+
+
+def _centre_rows(centres, half_widths, index, terms: _Terms, steps, rows, spare) -> None:
+    """rows[:, 0] = w sin(cu) and rows[:, 1] = w cos(cu) for each centre c.
+
+    Where index holds k >= 0, c is taken as (2k+1) h, the lattice point of
+    its half-width h: with k = q B + r for B = _LATTICE_STEPS,
+    e^((2k+1) h u i) = e^(2qB h u i) e^((2r+1) h u i), from the step table
+    steps[h] (_step_table) and, for q > 0, sin/cos of one row per q, by
+    angle addition as numpy's complex product, term by term.  Each row is
+    then within a few ulps of w sin/cos((2k+1) h u), plus the eps
+    |(2k+1) h u| of its rounded phases.  Other centres, and all of them
+    where index is None, take sin/cos of c u itself.  Either way a centre's
+    rows depend on its own c, h and k alone, not on the other rows or the
+    order of the terms.  The lattice rows of one q and width must be
+    adjacent and ordered by k, and so must the other rows.  spare, of rows'
+    shape, is overwritten.
+    """
+    if index is None:
+        _direct_rows(centres, terms, rows, spare)
+        return
+    u, m = terms.u, _LATTICE_STEPS
+    ks, hs = index.tolist(), half_widths.tolist()
+    base = np.empty(u.size, dtype=complex)
+    lo = 0
+    for hi in range(1, len(ks) + 1):
+        if hi < len(ks) and (ks[hi] < 0 if ks[lo] < 0 else
+                             ks[hi] // m == ks[lo] // m and hs[hi] == hs[lo]):
+            continue
+        if ks[lo] < 0:
+            _direct_rows(centres[lo:hi], terms, rows[lo:hi], spare[lo:hi])
+        else:
+            h, first = hs[lo], ks[lo] % m
+            table = steps[h]
+            # a view of the table for consecutive steps, which every run of
+            # panels of one width gives, a copy for any others
+            step = (table[first:first + hi - lo] if ks[hi - 1] - ks[lo] == hi - lo - 1
+                    else table[index[lo:hi] % m])
+            if ks[lo] >= m:
+                # e^(2qB h u i) times the steps
+                np.multiply(2 * (ks[lo] - first) * h, u, out=base.real)
+                _sin_cos(base.real, base.imag, base.real)
+                step = np.multiply(step, base, out=spare[lo:hi].reshape(hi - lo, -1).view(complex))
+            rows[lo:hi, 0] = step.imag
+            rows[lo:hi, 1] = step.real
+        lo = hi
+
+
 def _level_sums(prods: np.ndarray, width: int, out: np.ndarray) -> None:
     """out = sum_l sum_(i+j=l+1) X_i B_j over the levels l = s..1, in that
     order, from prods[i-1] holding X_i B_1 .. X_i B_(s+1-i) side by side,
@@ -352,11 +467,14 @@ def _level_sums(prods: np.ndarray, width: int, out: np.ndarray) -> None:
 
 
 def _panel_sums(centres: np.ndarray, half_widths: np.ndarray, terms: _Terms, funcs,
-                table) -> np.ndarray:
+                table, steps=None) -> np.ndarray:
     """sum_j w_j f((c + h x_k) u_j) over the term table for panels of
     centres c and half-widths h at the quadrature nodes x_k, one row per f
     in funcs (np.sin or np.cos), in the shape (len(funcs), centres, 15).
-    table(h) gives _offset_table(terms, h).
+    table(h) gives _offset_table(terms, h).  For tables of at least
+    _LATTICE_TERMS terms, steps maps half-widths h to _step_table(terms, h)
+    (None: every width, built for this call); centres of a width with a
+    step table take the lattice path of _centre_rows, others sin/cos.
 
     Since NODES is symmetric about its middle node, angle addition makes
     the sums at c + o and c - o two matrix products away:
@@ -366,8 +484,11 @@ def _panel_sums(centres: np.ndarray, half_widths: np.ndarray, terms: _Terms, fun
 
     with the rows X_s = w sin(cu), X_c = w cos(cu) over the terms and B's
     columns C = cos(ou), S = sin(ou).  The centres are taken in blocks,
-    sorted by half-width; each block's X is formed and sliced once, and
-    only the products run per half-width, on that width's rows.
+    sorted by half-width and then by lattice index (_lattice_index); each
+    block's X is formed (_centre_rows) and sliced once, and only the
+    products run per half-width, on that width's rows.  Centres on their
+    width's lattice are summed at that lattice point, within
+    _LATTICE_TOL c of c.
 
     The products are error-free after Ozaki, Ogita, Oishi & Rump (Numer.
     Algorithms 59 (2012)).  X (|X| <= terms.scale) and B (|B| <= 1) are cut
@@ -395,7 +516,22 @@ def _panel_sums(centres: np.ndarray, half_widths: np.ndarray, terms: _Terms, fun
     z = 0.
     """
     s, k, mid = terms.slices, terms.u.size, NODES.size // 2
-    order = np.argsort(half_widths, kind="stable")
+    index = None
+    if k >= _LATTICE_TERMS:
+        distinct = set(half_widths.tolist())
+        if steps is None:
+            steps = {h: _step_table(terms, h) for h in distinct}
+        if not distinct.isdisjoint(steps):
+            index = _lattice_index(centres, half_widths)
+            # centres of widths without a step table take sin/cos
+            for h in distinct.difference(steps):
+                index[half_widths == h] = -1
+    if index is None:
+        order = np.argsort(half_widths, kind="stable")
+    else:
+        # by width, and in each width the lattice rows by k after the others
+        order = np.argsort(index, kind="stable")
+        order = order[np.argsort(half_widths[order], kind="stable")]
     rows = min(max(1, _BLOCK_ELEMENTS // k), max(centres.size, 1))
     # a block's X_s and X_c rows, interleaved: what is left to cut, and the
     # slice cut off last
@@ -414,12 +550,9 @@ def _panel_sums(centres: np.ndarray, half_widths: np.ndarray, terms: _Terms, fun
     for start in range(0, centres.size, rows):
         at = order[start:start + rows]
         r = at.size
-        phase = piece[:r, 0]
-        np.multiply.outer(centres[at], terms.u, out=phase)
-        np.sin(phase, out=rest[:r, 0])
-        np.cos(phase, out=rest[:r, 1])
-        rest[:r] *= terms.w
         widths = half_widths[at]
+        _centre_rows(centres[at], widths, None if index is None else index[at], terms, steps,
+                     rest[:r], piece[:r])
         edges = [0, *(np.flatnonzero(widths[1:] != widths[:-1]) + 1).tolist(), r]
         for i, x in enumerate(_slices(rest[:r], piece[:r], terms.scale, terms.beta, s)):
             cols = s - i
@@ -458,10 +591,16 @@ class PanelGrid:
     round's centres and nominal half-widths in w.  The filter sums of that
     round's nodes then run at c + o_k, with c the panel's centre and
     o_k = h x_k for h its half-width and x_k quadrature.NODES, as the
-    error-free sliced matrix products of _panel_sums: sin/cos(c u_j) once
-    per panel and term, sin/cos(o_k u_j) once per half-width and term for
-    the grid's lifetime, in that width's sliced offset table.  c + o_k is
-    the node before it was rounded, up to the rounding of the panel edges.
+    error-free sliced matrix products of _panel_sums.  sin/cos(o_k u_j) are
+    taken once per half-width and term for the grid's lifetime, in that
+    width's sliced offset table.  The rows at c come from sin/cos(c u_j)
+    per panel and term, or, for tables of at least _LATTICE_TERMS terms and
+    centres on the lattice (2k+1) h (every panel the quadrature lays out),
+    by angle addition: from that width's step table, the rows of its first
+    _LATTICE_STEPS lattice centres, kept for the grid's lifetime too, and
+    sin/cos of one row per _LATTICE_STEPS consecutive centres.  c + o_k is
+    the node before it was rounded, up to the rounding of the panel edges,
+    and (2k+1) h lies within _LATTICE_TOL c of c.
     """
 
     def __init__(self, seq: PulseSequence, t: float):
@@ -470,10 +609,26 @@ class PanelGrid:
         self.t = float(t)
         self._round = None
         self._tables = {}
+        # step tables by half-width, built by set_round
+        self._steps = {}
 
     def set_round(self, centres: np.ndarray, half_widths: np.ndarray) -> None:
         """Announce the next round's panels, centres and half-widths in w."""
         self._round = (centres * self.t, half_widths * self.t)
+        terms = self.terms
+        if not terms.closed and terms.u.size >= _LATTICE_TERMS and centres.size > _LATTICE_SAVED:
+            self._add_step_tables(*self._round)
+
+    def _add_step_tables(self, centres: np.ndarray, half_widths: np.ndarray) -> None:
+        # a width gets its step table in the first round where its lattice
+        # centres share base rows enough to save _LATTICE_SAVED rows of
+        # sin/cos; no round then takes more sin/cos than direct rows would
+        for h in set(half_widths.tolist()).difference(self._steps):
+            mine = half_widths == h
+            k = _lattice_index(centres[mine], half_widths[mine])
+            k = k[k >= 0]
+            if k.size - len(set((k // _LATTICE_STEPS).tolist())) >= _LATTICE_SAVED:
+                self._steps[h] = _step_table(self.terms, h)
 
     def _offset_table(self, half_width: float) -> np.ndarray:
         table = self._tables.get(half_width)
@@ -496,7 +651,8 @@ class PanelGrid:
                 or not np.array_equal(z[m // 2::m], self._round[0])):
             return _split_sums(z, self.terms, funcs).reshape((len(funcs),) + z.shape)
         centres, halfs = self._round
-        out = _panel_sums(centres, halfs, self.terms, funcs, self._offset_table)
+        out = _panel_sums(centres, halfs, self.terms, funcs, self._offset_table,
+                          self._steps)
         return out.reshape(len(funcs), z.size)
 
 

@@ -32,12 +32,16 @@ def _backward_recurrence(order: int, xs: np.ndarray) -> np.ndarray:
     every = max(1, int(math.log(_BIG) / math.log(2.0 * m / float(np.min(xs)) + 1.0)))
     jp = np.zeros_like(xs)                  # J_{k+1}, seeded at zero
     jc = np.ones_like(xs)                   # J_k, seeded at one
+    jm = np.empty_like(xs)                  # J_{k-1}: the buffers rotate
     evens = np.zeros_like(xs)               # sum_{k>=0} J_{2k}; the norm is 2 evens - J_0
     result = np.zeros_like(xs)
     inv_x = 1.0 / xs
     for k in range(m, 0, -1):
-        jm = (2.0 * k) * inv_x * jc - jp
-        jp, jc = jc, jm
+        # (2k inv_x) jc - jp, in that order, in place
+        np.multiply(inv_x, 2.0 * k, out=jm)
+        jm *= jc
+        jm -= jp
+        jp, jc, jm = jc, jm, jp
         if k - 1 == order:
             result = jc.copy()
         if k % 2 == 1:

@@ -10,6 +10,7 @@ from ddlab.analysis import N_SEARCH_CAP
 from ddlab.quadrature import NODES
 from ddlab import (
     OhmicBath,
+    TabulatedSpectralDensity,
     bessel_approx,
     custom,
     equidistant,
@@ -23,13 +24,18 @@ from ddlab import (
 from ddlab.filters import (
     _BLOCK_ELEMENTS,
     _FACTOR_MIN,
+    _LATTICE_STEPS,
+    _LATTICE_TERMS,
     _PLAN_SIZE,
     PanelGrid,
+    _centre_rows,
+    _lattice_index,
     _slicing,
     _equidistant_half_sum,
     _offset_table,
     _panel_sums,
     _split_sums,
+    _step_table,
     _term_table,
     x_factor_array,
     y_abs_sq_and_x_array,
@@ -483,9 +489,9 @@ def spy_panel_sums(monkeypatch):
     """The number of centres of every _panel_sums call."""
     calls = []
 
-    def spy(centres, half_widths, terms, funcs, table):
+    def spy(centres, *args):
         calls.append(centres.size)
-        return _panel_sums(centres, half_widths, terms, funcs, table)
+        return _panel_sums(centres, *args)
 
     monkeypatch.setattr(ddlab.filters, "_panel_sums", spy)
     return calls
@@ -662,3 +668,174 @@ class TestPanelKernel:
         z, _, _ = panel_nodes(1.0, 16, [0] * 16, 10.0)
         with pytest.raises(ValueError, match="another sequence"):
             y_factor_array(udd(3), z, PanelGrid(udd(4), 10.0))
+
+
+def spy_centre_paths(monkeypatch):
+    """The number of centres of every _direct_rows call (sin/cos of c u
+    itself), and the half-widths whose step tables are built."""
+    direct, steps = [], []
+    direct_rows = ddlab.filters._direct_rows
+
+    def spy_direct(centres, *args):
+        direct.append(centres.size)
+        return direct_rows(centres, *args)
+
+    def spy_steps(terms, half_width):
+        steps.append(half_width)
+        return _step_table(terms, half_width)
+
+    monkeypatch.setattr(ddlab.filters, "_direct_rows", spy_direct)
+    monkeypatch.setattr(ddlab.filters, "_step_table", spy_steps)
+    return direct, steps
+
+
+LARGE_TABLES = [udd(1000), jittered_custom(1000, 8)]
+
+
+def knotted_bath():
+    # a tabulated density with kinks inside [0, 1]: the quadrature bisects
+    # round after round around them
+    w = np.linspace(0.0, 1.0, 7)
+    return TabulatedSpectralDensity(w, 0.5 * w * (1 + np.arange(7) % 2))
+
+
+class TestLatticeRows:
+    # centres on their width's lattice (2k+1) h take their rows by angle
+    # addition from the width's step table, for tables of at least
+    # _LATTICE_TERMS terms; other centres and smaller tables take sin/cos
+    # of c u
+
+    @pytest.mark.parametrize("layout", sorted(GRID_LEVELS))
+    @pytest.mark.parametrize("seq", LARGE_TABLES, ids=lambda s: f"{s.scheme}{s.n}")
+    def test_rows_at_the_lattice_centre_within_a_few_ulps(self, seq, layout):
+        # each row against 30-digit sin/cos at (2k+1) h exactly: a few ulps
+        # of the weight, plus eps |(2k+1) h u| from rounding the phases
+        terms = _term_table(seq)
+        scale = 3.0 * (seq.n + 1)
+        _, centres, widths = panel_nodes(1.0, 64, [GRID_LEVELS[layout](k) for k in range(64)],
+                                         scale)
+        centres, widths = centres * scale, widths * scale
+        index = _lattice_index(centres, widths)
+        assert np.all(index >= 0)
+        order = np.lexsort((index, widths))
+        centres, widths, index = centres[order], widths[order], index[order]
+        rows, spare = np.empty((2, centres.size, 2, terms.u.size))
+        steps = {h: _step_table(terms, h) for h in set(widths.tolist())}
+        _centre_rows(centres, widths, index, terms, steps, rows, spare)
+        # rows of the step tables themselves (k < 8) and by angle addition
+        added = np.flatnonzero(index >= _LATTICE_STEPS)
+        picks = [*np.flatnonzero(index < _LATTICE_STEPS)[:3], *added[::added.size // 6]]
+        for i in picks:
+            with mpmath.workdps(30):
+                point = (2 * int(index[i]) + 1) * mpmath.mpf(float(widths[i]))
+                want = [mpmath.cos_sin(point * mpmath.mpf(float(u))) for u in terms.u]
+            bound = np.abs(terms.w) * EPS * (4.0 + float(point) * np.abs(terms.u))
+            assert np.all(np.abs(rows[i, 0] - [float(si) for _, si in want] * terms.w) <= bound)
+            assert np.all(np.abs(rows[i, 1] - [float(co) for co, _ in want] * terms.w) <= bound)
+
+    def test_quadrature_centres_are_on_the_lattice(self, monkeypatch):
+        # every round that a signal announces, round after round of
+        # bisections included, in z
+        rounds = []
+        set_round = PanelGrid.set_round
+
+        def spy(grid, centres, half_widths):
+            set_round(grid, centres, half_widths)
+            rounds.append(grid._round)
+
+        monkeypatch.setattr(PanelGrid, "set_round", spy)
+        for t in (10.0, 40.0, 300.0):
+            signal(udd(4), knotted_bath(), t)
+        assert len(rounds) > 30
+        for centres, widths in rounds:
+            assert np.all(_lattice_index(centres, widths) >= 0)
+
+    # per layout of 64 initial panels: its levels, and the levels whose
+    # panels keep sin/cos because they share too few base rows to pay for
+    # their width's step table (_LATTICE_SAVED): in the mixed grid, the 13
+    # level-0 panels (every fifth) and the 13 pairs at level 1
+    LAYOUTS = {"first_round": (GRID_LEVELS["first_round"], ()),
+               "two_levels": (lambda k: k // 32, ()),
+               "mixed_levels": (GRID_LEVELS["mixed_levels"], (0, 1))}
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("seq", LARGE_TABLES, ids=lambda s: f"{s.scheme}{s.n}")
+    def test_quadrature_grids_take_the_lattice_path(self, seq, layout, monkeypatch):
+        direct, steps = spy_centre_paths(monkeypatch)
+        level_of, kept = self.LAYOUTS[layout]
+        levels = [level_of(k) for k in range(64)]
+        z, grid = panel_round(seq, 1.0, 64, levels, 3.0 * (seq.n + 1))
+        assert grid.terms.u.size >= _LATTICE_TERMS
+        y_factor_array(seq, z, grid)
+        x_factor_array(seq, z, grid)
+        # each table built once, kept by the grid for the second filter
+        tabled = {1 / 128 * 0.5 ** lv * grid.t for lv in set(levels) - set(kept)}
+        assert sorted(steps) == sorted(tabled)
+        assert sum(direct) == 2 * sum(2 ** lv for lv in levels if lv in kept)
+
+    def test_centres_off_the_lattice_take_sin_cos(self, monkeypatch):
+        # knot-aligned panels of 64 widths, where only the first, [0, 2h],
+        # is centred on its lattice, and panels of one width moved by 0.3 of
+        # it, where none is: the others take sin/cos
+        seq = jittered_custom(1000, 8)
+        terms = _term_table(seq)
+        rng = np.random.default_rng(6)
+        edges = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, 63)), [1.0]])
+        knotted = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges), 1
+        moved = (np.arange(64) * 2 + 1.3) / 128, np.full(64, 1 / 128), 0
+        direct, _ = spy_centre_paths(monkeypatch)
+        for centres, widths, on in (knotted, moved):
+            centres, widths = centres * 3000.0, widths * 3000.0
+            assert np.flatnonzero(_lattice_index(centres, widths) >= 0).tolist() == [0] * on
+            direct.clear()
+            _panel_sums(centres, widths, terms, terms.funcs,
+                        lambda h: _offset_table(terms, h))
+            assert sum(direct) == centres.size - on
+
+    def test_closed_form_builds_no_step_tables(self, monkeypatch):
+        # equidistant instants never sum their (large) term table
+        seq = equidistant(1000)
+        _, steps = spy_centre_paths(monkeypatch)
+        z, grid = panel_round(seq, 1.0, 64, [0] * 64, 3.0 * (seq.n + 1))
+        assert grid.terms.closed and grid.terms.u.size >= _LATTICE_TERMS
+        y_factor_array(seq, z, grid)
+        assert steps == []
+
+    @pytest.mark.parametrize("seq", [udd(100), jittered_custom(30, 30), jittered_custom(180, 2)],
+                             ids=lambda s: f"{s.scheme}{s.n}")
+    def test_tables_below_the_gate_take_sin_cos(self, seq, monkeypatch):
+        direct, steps = spy_centre_paths(monkeypatch)
+        terms = _term_table(seq)
+        assert terms.u.size < _LATTICE_TERMS
+        _, centres, widths = panel_nodes(1.0, 64, [0] * 64, 3.0 * (seq.n + 1))
+        _panel_sums(centres, widths, terms, terms.funcs, lambda h: _offset_table(terms, h))
+        z, grid = panel_round(seq, 1.0, 64, [0] * 64, 3.0 * (seq.n + 1))
+        y_factor_array(seq, z, grid)
+        assert sum(direct) == 2 * 64 and steps == []
+
+    @pytest.mark.parametrize("panels", [16, 64])
+    @pytest.mark.parametrize("seq", LARGE_TABLES, ids=lambda s: f"{s.scheme}{s.n}")
+    def test_first_round_takes_no_more_sin_cos(self, seq, panels, monkeypatch):
+        # a first round with a fresh grid, as every integral starts.  64
+        # panels: 8 step rows and 7 base rows, where sin/cos of c u take 64
+        # rows.  16 panels would save 7 rows, too few for a step table
+        # (_LATTICE_SAVED), so they keep sin/cos of c u.
+        counted = []
+        sin_cos = ddlab.filters._sin_cos
+
+        def spy(phase, *args):
+            counted.append(phase.size)
+            return sin_cos(phase, *args)
+
+        monkeypatch.setattr(ddlab.filters, "_sin_cos", spy)
+        k = _term_table(seq).u.size
+        z, grid = panel_round(seq, 1.0, panels, [0] * panels, 3.0 * (seq.n + 1))
+        lattice = y_factor_array(seq, z, grid)
+        assert sum(counted) == (panels if panels < 64 else _LATTICE_STEPS + 7) * k
+        counted.clear()
+        monkeypatch.setattr(ddlab.filters, "_LATTICE_TERMS", k + 1)
+        z, grid = panel_round(seq, 1.0, panels, [0] * panels, 3.0 * (seq.n + 1))
+        direct = y_factor_array(seq, z, grid)
+        assert sum(counted) == panels * k
+        # the lattice points lie within a few ulps of the centres
+        assert np.allclose(lattice, direct, rtol=0.0, atol=1e-9)

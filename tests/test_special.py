@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import jv, jvp
 
-from ddlab.special import bessel_j
+from ddlab.special import _backward_recurrence, bessel_j
 
 
 def test_zero_argument():
@@ -95,3 +95,32 @@ def test_smallest_denormal_argument():
         warnings.simplefilter("error")
         assert bessel_j(0, 5e-324) == 1.0
         assert bessel_j(1, 5e-324) == 0.0
+
+
+def _plain_backward_recurrence(order, xs):
+    # Miller's recurrence step by step with fresh arrays, as a reference for
+    # the bits of the in-place loop in ddlab.special
+    big = 1e150
+    top = float(np.max(xs))
+    m = int(max(order, top) + 2.0 * math.sqrt(max(order, top)) + 40)
+    every = max(1, int(math.log(big) / math.log(2.0 * m / float(np.min(xs)) + 1.0)))
+    jp, jc = np.zeros_like(xs), np.ones_like(xs)
+    evens, result = np.zeros_like(xs), np.zeros_like(xs)
+    inv_x = 1.0 / xs
+    for k in range(m, 0, -1):
+        jp, jc = jc, (2.0 * k) * inv_x * jc - jp
+        if k - 1 == order:
+            result = jc.copy()
+        if k % 2 == 1:
+            evens = evens + jc
+        if k % every == 0:
+            scale = np.where(np.maximum(np.abs(jc), np.abs(jp)) > big, 1.0 / big, 1.0)
+            jp, jc, evens, result = jp * scale, jc * scale, evens * scale, result * scale
+    return result / (2.0 * evens - jc)
+
+
+@pytest.mark.parametrize("order", [2, 7, 101, 1001])
+def test_recurrence_bits_match_a_plain_loop(order):
+    # the in-place recurrence takes the same operations in the same order
+    x = np.concatenate([np.geomspace(3e-4, 2.0 * order + 50.0, 797), [1e-3, 0.5, 2.0 * order]])
+    assert np.array_equal(_backward_recurrence(order, x), _plain_backward_recurrence(order, x))
