@@ -26,10 +26,11 @@ first half of the terms:
     n odd:   y = e^(iz/2) S,    S = c_mid + sum_j 2 c_j cos(z u_j),
 
 so Im y = cos(z/2) S for n even and sin(z/2) S for n odd.  That needs
-about a quarter of the transcendental evaluations of the complex sum, and
-x reuses the same S.  Other sequences sum the full term set, x its sine
-row alone.  The term table (phases, weights, mirror check, and whether the
-instants are equidistant) is built once per sequence and cached.
+about a quarter of the transcendental evaluations of the complex sum.
+Other sequences sum the full term set.  x is always read from y's sums,
+so both filters take the same kernel on the same nodes.  The term table
+(phases, weights, mirror check, and whether the instants are equidistant)
+is built once per sequence and cached.
 
 Equidistant instants, d_m = m/(n+1), make y a geometric sum, so S has the
 exact closed form of _equidistant_half_sum at every node, poles removed;
@@ -51,23 +52,22 @@ panel are matrix products of the rows w sin(cu), w cos(cu) with a table of
 cos(ou), sin(ou) per width: sin/cos are needed once per panel and term and
 once per width and term, not once per node and term.  The quadrature
 bisects equal panels of [0, w_c], so a panel of half-width h is centred at
-(2k+1) h up to the rounding of its edges.  For tables of at least
-_LATTICE_TERMS terms the centre rows come from that lattice point by angle
-addition once more: with k = 8q + r, e^((2k+1)hu i) is a row of a step
-table of the first 8 lattice points per width times e^(16qhu i), so sin/cos
-are taken once per 8 consecutive panels and term instead.  A PanelGrid
-builds a width's step table in the first round where sharing base rows
-saves _LATTICE_SAVED rows of sin/cos; centres of other widths, hand-made
-panels off the lattice and smaller tables keep sin/cos.  Each centre takes
-its path by its own position and width, so no row depends on how the
-centres are batched.  _panel_sums takes
+(2k+1) h up to the rounding of its edges, and every first round is a
+lattice run: its centres are the consecutive lattice points k = k0, k0+1,
+... of one half-width.  For tables of at least _LATTICE_TERMS terms the
+centre rows of a lattice run come from those points by angle addition once
+more: with k = 8q + r, e^((2k+1)hu i) is a row of a step table of the
+first 8 lattice points times e^(16qhu i), so sin/cos are taken once per 8
+consecutive panels and term instead.  A PanelGrid builds that round's step
+table where sharing base rows saves _LATTICE_SAVED rows of sin/cos; every
+other round, and smaller tables, keep sin/cos.  _panel_sums takes
 these products error-free after Ozaki, Ogita, Oishi & Rump (Numer.
 Algorithms 59 (2012)): both factors are cut into slices short enough that
 every slice product is exact in any summation order, so BLAS's GEMM sums
 them and no panel sum depends on the order of the terms either; the few
 slice products left out stay below 1 % of the noise floor.  The panel
 sums are taken at c + o, the node before it was rounded, with c the
-lattice point where there is one (within 4 eps c of the centre), so they
+lattice point in a lattice run (within 4 eps c of the centre), so they
 can differ from sums at the rounded node by about that distance times
 |dy/dz|; both stay inside the noise model of _delegation_threshold against
 40-digit mpmath at the centre plus offset (tests/test_filters.py).
@@ -168,13 +168,13 @@ _FACTOR_MIN = 2**9
 # same machine as _FACTOR_MIN): tables of 64 to 128 terms lost up to 23 %
 # on the 40-panel round, tables of 192 and 256 terms lost on neither
 _LATTICE_TERMS = 192
-# a width's step table holds the rows of its first 8 lattice centres, and
-# 8 consecutive centres share one base row
+# a step table holds the rows of the first 8 lattice centres of its
+# half-width, and 8 consecutive centres share one base row
 _LATTICE_STEPS = 8
-# a PanelGrid builds a width's step table in the first round whose lattice
-# centres of that width, by sharing base rows, save at least this many rows
-# of sin/cos: three tables' worth, where first rounds of 26 panels and more
-# gained (measured as _LATTICE_TERMS, t = 60 to 600)
+# a PanelGrid builds a lattice run's step table where its centres, by
+# sharing base rows, save at least this many rows of sin/cos: three tables'
+# worth, where first rounds of 26 panels and more gained (measured as
+# _LATTICE_TERMS, t = 60 to 600)
 _LATTICE_SAVED = 3 * _LATTICE_STEPS
 # a centre c is on the lattice of half-width h where |c - (2k+1) h| is at
 # most this times c; the quadrature's centres were measured within 2 eps c
@@ -314,9 +314,9 @@ def _slices(x: np.ndarray, spare: np.ndarray, scale: float, beta: int, count: in
     yield x
 
 
-def _split_sums(z: np.ndarray, terms: _Terms, funcs) -> np.ndarray:
+def _split_sums(z: np.ndarray, terms: _Terms) -> np.ndarray:
     """sum_j w_j f(z u_j) over the term table at arbitrary nodes z, one row
-    per f in funcs (np.sin or np.cos), in the shape (len(funcs), z.size).
+    per f in terms.funcs, each in z's shape.
 
     Every term lies in [-1, 1] and every weight is a small power of two.
     _split with sigma >= 2 sum|w| rounds each term to a grid on which the
@@ -325,7 +325,7 @@ def _split_sums(z: np.ndarray, terms: _Terms, funcs) -> np.ndarray:
     node and round only at their own tiny scale, so no node's sums depend
     on how the nodes are blocked.
     """
-    u, w, sigma = terms.u, terms.w, terms.sigma
+    u, w, sigma, funcs = terms.u, terms.w, terms.sigma, terms.funcs
     flat = z.reshape(-1)
     rows = min(max(1, _BLOCK_ELEMENTS // max(len(u), 1)), max(flat.size, 1))
     out = np.empty((len(funcs), flat.size))
@@ -341,7 +341,7 @@ def _split_sums(z: np.ndarray, terms: _Terms, funcs) -> np.ndarray:
             _split(t, sigma, h)
             t *= w
             sums[start:start + r] = h @ w + t.sum(axis=-1)
-    return out
+    return out.reshape((len(funcs),) + z.shape)
 
 
 def _offset_table(terms: _Terms, half_width: float) -> np.ndarray:
@@ -384,16 +384,20 @@ def _step_table(terms: _Terms, half_width: float) -> np.ndarray:
     return table
 
 
-def _lattice_index(centres: np.ndarray, half_widths: np.ndarray) -> np.ndarray:
-    """k with |c - (2k+1) h| <= _LATTICE_TOL c for each centre c and
-    half-width h, and -1 where no k >= 0 is that close.
+def _lattice_start(centres: np.ndarray, half_widths: np.ndarray):
+    """k0 if the centres c are the lattice points (2k+1) h of one half-width
+    h for k = k0, k0+1, ... in turn, each with |c - (2k+1) h| <=
+    _LATTICE_TOL c; None otherwise.
 
     Panels of [0, w_c] bisected from np.linspace edges are centred at
-    (2k+1) h up to the rounding of their edges; hand-made panels are not.
+    (2k+1) h up to the rounding of their edges, and the first round's
+    panels are consecutive; hand-made panels are not on the lattice.
     """
-    k = np.rint(0.5 * (centres / half_widths - 1.0))
-    on = np.abs(centres - (2.0 * k + 1.0) * half_widths) <= _LATTICE_TOL * centres
-    return np.where(on, k, -1.0).astype(np.int64)
+    h = half_widths[0]
+    k0 = int(np.rint(0.5 * (centres[0] / h - 1.0)))
+    points = (2.0 * np.arange(k0, k0 + centres.size) + 1.0) * h
+    run = np.all(half_widths == h) and np.all(np.abs(centres - points) <= _LATTICE_TOL * centres)
+    return k0 if k0 >= 0 and run else None
 
 
 def _direct_rows(centres, terms: _Terms, rows, spare) -> None:
@@ -404,49 +408,38 @@ def _direct_rows(centres, terms: _Terms, rows, spare) -> None:
     rows *= terms.w
 
 
-def _centre_rows(centres, half_widths, index, terms: _Terms, steps, rows, spare) -> None:
+def _centre_rows(centres, half_width: float, lattice, terms: _Terms, rows, spare) -> None:
     """rows[:, 0] = w sin(cu) and rows[:, 1] = w cos(cu) for each centre c.
 
-    Where index holds k >= 0, c is taken as (2k+1) h, the lattice point of
-    its half-width h: with k = q B + r for B = _LATTICE_STEPS,
+    With lattice = (k0, steps), the centres are a lattice run
+    (_lattice_start) of half-width h = half_width, and c is taken as
+    (2k+1) h for k = k0, k0+1, ...: with k = q B + r for B = _LATTICE_STEPS,
     e^((2k+1) h u i) = e^(2qB h u i) e^((2r+1) h u i), from the step table
-    steps[h] (_step_table) and, for q > 0, sin/cos of one row per q, by
-    angle addition as numpy's complex product, term by term.  Each row is
-    then within a few ulps of w sin/cos((2k+1) h u), plus the eps
-    |(2k+1) h u| of its rounded phases.  Other centres, and all of them
-    where index is None, take sin/cos of c u itself.  Either way a centre's
-    rows depend on its own c, h and k alone, not on the other rows or the
-    order of the terms.  The lattice rows of one q and width must be
-    adjacent and ordered by k, and so must the other rows.  spare, of rows'
-    shape, is overwritten.
+    steps (_step_table) and, for q > 0, sin/cos of one row per q, by angle
+    addition as numpy's complex product, term by term.  Each row is then
+    within a few ulps of w sin/cos((2k+1) h u), plus the eps |(2k+1) h u|
+    of its rounded phases.  With lattice None, the rows take sin/cos of
+    c u itself.  spare, of rows' shape, is overwritten.
     """
-    if index is None:
+    if lattice is None:
         _direct_rows(centres, terms, rows, spare)
         return
-    u, m = terms.u, _LATTICE_STEPS
-    ks, hs = index.tolist(), half_widths.tolist()
+    (k0, steps), u, m = lattice, terms.u, _LATTICE_STEPS
     base = np.empty(u.size, dtype=complex)
     lo = 0
-    for hi in range(1, len(ks) + 1):
-        if hi < len(ks) and (ks[hi] < 0 if ks[lo] < 0 else
-                             ks[hi] // m == ks[lo] // m and hs[hi] == hs[lo]):
-            continue
-        if ks[lo] < 0:
-            _direct_rows(centres[lo:hi], terms, rows[lo:hi], spare[lo:hi])
-        else:
-            h, first = hs[lo], ks[lo] % m
-            table = steps[h]
-            # a view of the table for consecutive steps, which every run of
-            # panels of one width gives, a copy for any others
-            step = (table[first:first + hi - lo] if ks[hi - 1] - ks[lo] == hi - lo - 1
-                    else table[index[lo:hi] % m])
-            if ks[lo] >= m:
-                # e^(2qB h u i) times the steps
-                np.multiply(2 * (ks[lo] - first) * h, u, out=base.real)
-                _sin_cos(base.real, base.imag, base.real)
-                step = np.multiply(step, base, out=spare[lo:hi].reshape(hi - lo, -1).view(complex))
-            rows[lo:hi, 0] = step.imag
-            rows[lo:hi, 1] = step.real
+    # one group per q, of consecutive steps
+    while lo < centres.size:
+        k = k0 + lo
+        first = k % m
+        hi = min(centres.size, lo + m - first)
+        step = steps[first:first + hi - lo]
+        if k >= m:
+            # e^(2qB h u i) times the steps
+            np.multiply(2 * (k - first) * half_width, u, out=base.real)
+            _sin_cos(base.real, base.imag, base.real)
+            step = np.multiply(step, base, out=spare[lo:hi].reshape(hi - lo, -1).view(complex))
+        rows[lo:hi, 0] = step.imag
+        rows[lo:hi, 1] = step.real
         lo = hi
 
 
@@ -466,15 +459,16 @@ def _level_sums(prods: np.ndarray, width: int, out: np.ndarray) -> None:
             out += level
 
 
-def _panel_sums(centres: np.ndarray, half_widths: np.ndarray, terms: _Terms, funcs,
-                table, steps=None) -> np.ndarray:
+def _panel_sums(centres: np.ndarray, half_widths: np.ndarray, terms: _Terms, table,
+                lattice=None) -> np.ndarray:
     """sum_j w_j f((c + h x_k) u_j) over the term table for panels of
     centres c and half-widths h at the quadrature nodes x_k, one row per f
-    in funcs (np.sin or np.cos), in the shape (len(funcs), centres, 15).
-    table(h) gives _offset_table(terms, h).  For tables of at least
-    _LATTICE_TERMS terms, steps maps half-widths h to _step_table(terms, h)
-    (None: every width, built for this call); centres of a width with a
-    step table take the lattice path of _centre_rows, others sin/cos.
+    in terms.funcs, in the shape (len(terms.funcs), centres, 15).
+    table(h) gives _offset_table(terms, h).  lattice = (k0, steps) says
+    that the centres are a lattice run from k0 (_lattice_start) and gives
+    its _step_table: for tables of at least _LATTICE_TERMS terms the
+    centre rows then take the lattice path of _centre_rows, otherwise
+    sin/cos.
 
     Since NODES is symmetric about its middle node, angle addition makes
     the sums at c + o and c - o two matrix products away:
@@ -484,11 +478,10 @@ def _panel_sums(centres: np.ndarray, half_widths: np.ndarray, terms: _Terms, fun
 
     with the rows X_s = w sin(cu), X_c = w cos(cu) over the terms and B's
     columns C = cos(ou), S = sin(ou).  The centres are taken in blocks,
-    sorted by half-width and then by lattice index (_lattice_index); each
-    block's X is formed (_centre_rows) and sliced once, and only the
-    products run per half-width, on that width's rows.  Centres on their
-    width's lattice are summed at that lattice point, within
-    _LATTICE_TOL c of c.
+    sorted by half-width; each block's X is formed (_centre_rows) and
+    sliced once, and only the products run per half-width, on that width's
+    rows.  The centres of a lattice run are summed at their lattice
+    points, within _LATTICE_TOL c of c.
 
     The products are error-free after Ozaki, Ogita, Oishi & Rump (Numer.
     Algorithms 59 (2012)).  X (|X| <= terms.scale) and B (|B| <= 1) are cut
@@ -515,23 +508,15 @@ def _panel_sums(centres: np.ndarray, half_widths: np.ndarray, terms: _Terms, fun
     which _slicing keeps below 1 % of the noise floor 4 eps sqrt(n+2) at
     z = 0.
     """
-    s, k, mid = terms.slices, terms.u.size, NODES.size // 2
-    index = None
-    if k >= _LATTICE_TERMS:
-        distinct = set(half_widths.tolist())
-        if steps is None:
-            steps = {h: _step_table(terms, h) for h in distinct}
-        if not distinct.isdisjoint(steps):
-            index = _lattice_index(centres, half_widths)
-            # centres of widths without a step table take sin/cos
-            for h in distinct.difference(steps):
-                index[half_widths == h] = -1
-    if index is None:
-        order = np.argsort(half_widths, kind="stable")
-    else:
-        # by width, and in each width the lattice rows by k after the others
-        order = np.argsort(index, kind="stable")
-        order = order[np.argsort(half_widths[order], kind="stable")]
+    s, k, mid, funcs = terms.slices, terms.u.size, NODES.size // 2, terms.funcs
+    if k < _LATTICE_TERMS:
+        # smaller tables decline the lattice: numpy's complex product of
+        # several rows against one base row rounds rows of few terms
+        # differently from the product of one row, so theirs would depend
+        # on how the centres are blocked
+        lattice = None
+    # a lattice run has one width, so its centres keep their order
+    order = np.argsort(half_widths, kind="stable")
     rows = min(max(1, _BLOCK_ELEMENTS // k), max(centres.size, 1))
     # a block's X_s and X_c rows, interleaved: what is left to cut, and the
     # slice cut off last
@@ -551,8 +536,9 @@ def _panel_sums(centres: np.ndarray, half_widths: np.ndarray, terms: _Terms, fun
         at = order[start:start + rows]
         r = at.size
         widths = half_widths[at]
-        _centre_rows(centres[at], widths, None if index is None else index[at], terms, steps,
-                     rest[:r], piece[:r])
+        _centre_rows(centres[at], float(widths[0]),
+                     None if lattice is None else (lattice[0] + start, lattice[1]),
+                     terms, rest[:r], piece[:r])
         edges = [0, *(np.flatnonzero(widths[1:] != widths[:-1]) + 1).tolist(), r]
         for i, x in enumerate(_slices(rest[:r], piece[:r], terms.scale, terms.beta, s)):
             cols = s - i
@@ -594,13 +580,13 @@ class PanelGrid:
     error-free sliced matrix products of _panel_sums.  sin/cos(o_k u_j) are
     taken once per half-width and term for the grid's lifetime, in that
     width's sliced offset table.  The rows at c come from sin/cos(c u_j)
-    per panel and term, or, for tables of at least _LATTICE_TERMS terms and
-    centres on the lattice (2k+1) h (every panel the quadrature lays out),
-    by angle addition: from that width's step table, the rows of its first
-    _LATTICE_STEPS lattice centres, kept for the grid's lifetime too, and
-    sin/cos of one row per _LATTICE_STEPS consecutive centres.  c + o_k is
-    the node before it was rounded, up to the rounding of the panel edges,
-    and (2k+1) h lies within _LATTICE_TOL c of c.
+    per panel and term, or, for tables of at least _LATTICE_TERMS terms
+    and a round that is a lattice run (every first round), by angle
+    addition: from the round's step table, the rows of the first
+    _LATTICE_STEPS lattice centres of its half-width, and sin/cos of one
+    row per _LATTICE_STEPS consecutive centres.  c + o_k is the node
+    before it was rounded, up to the rounding of the panel edges, and
+    (2k+1) h lies within _LATTICE_TOL c of c.
     """
 
     def __init__(self, seq: PulseSequence, t: float):
@@ -608,27 +594,24 @@ class PanelGrid:
         self.terms = _term_table(seq)
         self.t = float(t)
         self._round = None
+        # (k0, step table) of the round, if it takes the lattice path
+        self._lattice = None
         self._tables = {}
-        # step tables by half-width, built by set_round
-        self._steps = {}
 
     def set_round(self, centres: np.ndarray, half_widths: np.ndarray) -> None:
-        """Announce the next round's panels, centres and half-widths in w."""
-        self._round = (centres * self.t, half_widths * self.t)
-        terms = self.terms
-        if not terms.closed and terms.u.size >= _LATTICE_TERMS and centres.size > _LATTICE_SAVED:
-            self._add_step_tables(*self._round)
+        """Announce the next round's panels, centres and half-widths in w.
 
-    def _add_step_tables(self, centres: np.ndarray, half_widths: np.ndarray) -> None:
-        # a width gets its step table in the first round where its lattice
-        # centres share base rows enough to save _LATTICE_SAVED rows of
-        # sin/cos; no round then takes more sin/cos than direct rows would
-        for h in set(half_widths.tolist()).difference(self._steps):
-            mine = half_widths == h
-            k = _lattice_index(centres[mine], half_widths[mine])
-            k = k[k >= 0]
-            if k.size - len(set((k // _LATTICE_STEPS).tolist())) >= _LATTICE_SAVED:
-                self._steps[h] = _step_table(self.terms, h)
+        A lattice run gets a step table where its centres, by sharing base
+        rows, save at least _LATTICE_SAVED rows of sin/cos.
+        """
+        self._round = centres, half_widths = centres * self.t, half_widths * self.t
+        self._lattice = None
+        terms, n, m = self.terms, centres.size, _LATTICE_STEPS
+        if not terms.closed and terms.u.size >= _LATTICE_TERMS and n > _LATTICE_SAVED:
+            k0 = _lattice_start(centres, half_widths)
+            # the rows saved: centres less base rows, one per q = k // m
+            if k0 is not None and n - ((k0 + n - 1) // m - k0 // m + 1) >= _LATTICE_SAVED:
+                self._lattice = k0, _step_table(terms, float(half_widths[0]))
 
     def _offset_table(self, half_width: float) -> np.ndarray:
         table = self._tables.get(half_width)
@@ -636,8 +619,8 @@ class PanelGrid:
             table = self._tables[half_width] = _offset_table(self.terms, half_width)
         return table
 
-    def sums(self, z: np.ndarray, funcs) -> np.ndarray:
-        """The term sums of funcs at the nodes z, one row per f in z's shape.
+    def sums(self, z: np.ndarray) -> np.ndarray:
+        """The term sums at the nodes z: one row per f in terms.funcs.
 
         Only the announced round's nodes take the panel kernel: 15 nodes
         per panel with the middle ones exactly at the centres.  Other z,
@@ -645,50 +628,32 @@ class PanelGrid:
         panel kernel saves less than its fixed cost, take the zero-offset
         kernel.
         """
-        m = NODES.size
+        m, rows = NODES.size, len(self.terms.funcs)
         if (self._round is None or z.shape != (m * self._round[0].size,)
-                or z.size * len(self.terms.u) * len(funcs) < _FACTOR_MIN * m
+                or z.size * len(self.terms.u) * rows < _FACTOR_MIN * m
                 or not np.array_equal(z[m // 2::m], self._round[0])):
-            return _split_sums(z, self.terms, funcs).reshape((len(funcs),) + z.shape)
+            return _split_sums(z, self.terms)
         centres, halfs = self._round
-        out = _panel_sums(centres, halfs, self.terms, funcs, self._offset_table,
-                          self._steps)
-        return out.reshape(len(funcs), z.size)
+        return _panel_sums(centres, halfs, self.terms, self._offset_table,
+                           self._lattice).reshape(rows, z.size)
 
 
 def _table_of(seq: PulseSequence, grid) -> _Terms:
-    if grid is None:
-        return _term_table(seq)
-    if grid.seq is not seq and grid.seq != seq:
+    if grid is not None and grid.seq is not seq and grid.seq != seq:
         raise ValueError("the panel grid was built for another sequence")
-    return grid.terms
+    return _term_table(seq) if grid is None else grid.terms
 
 
-def _term_sums(n: int, terms: _Terms, z: np.ndarray, grid, funcs) -> np.ndarray:
-    # the sums of funcs at the nodes z, one row per f, each in z's shape
-    if terms.closed:
-        return _equidistant_half_sum(n, z)[None]
-    if grid is not None:
-        return grid.sums(z, funcs)
-    return _split_sums(z, terms, funcs).reshape((len(funcs),) + z.shape)
+def _x_from_y(n: int, z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # x_n = ((-1)^n sin z - Im y_n) / 2, term by term
+    return 0.5 * ((-1) ** n * np.sin(z) - y.imag)
 
 
 def x_factor_array(seq: PulseSequence, z: np.ndarray, grid=None) -> np.ndarray:
-    """x_n(z) = ((-1)^n sin z - Im y_n(z)) / 2 over an array of arguments.
-
-    Im y comes from the half-sum S for mirror-symmetric sequences (the
-    closed form for equidistant instants), the sine row of the full term
-    set for others.  grid, a PanelGrid built for seq, lets quadrature nodes
-    take the panel kernel.
-    """
+    """x_n(z) = ((-1)^n sin z - Im y_n(z)) / 2 over an array of arguments,
+    read from y_factor_array(seq, z, grid): the same sums, the same kernel."""
     z = np.asarray(z, dtype=float)
-    terms = _table_of(seq, grid)
-    if not terms.mirror:
-        im = _term_sums(seq.n, terms, z, grid, (np.sin,))[0]
-    else:
-        half_sum = _term_sums(seq.n, terms, z, grid, terms.funcs)[0]
-        im = (np.sin(z / 2) if seq.n % 2 else np.cos(z / 2)) * half_sum
-    return 0.5 * ((-1) ** seq.n * np.sin(z) - im)
+    return _x_from_y(seq.n, z, y_factor_array(seq, z, grid))
 
 
 def y_factor_array(seq: PulseSequence, z: np.ndarray, grid=None) -> np.ndarray:
@@ -701,7 +666,12 @@ def y_factor_array(seq: PulseSequence, z: np.ndarray, grid=None) -> np.ndarray:
     """
     z = np.asarray(z, dtype=float)
     terms = _table_of(seq, grid)
-    rows = _term_sums(seq.n, terms, z, grid, terms.funcs)
+    if terms.closed:
+        rows = _equidistant_half_sum(seq.n, z)[None]
+    elif grid is not None:
+        rows = grid.sums(z)
+    else:
+        rows = _split_sums(z, terms)
     if not terms.mirror:
         return rows[0] + 1j * rows[1]
     rot = np.exp(0.5j * z) if seq.n % 2 else 1j * np.exp(0.5j * z)
@@ -733,8 +703,7 @@ def y_abs_sq_and_x_array(seq: PulseSequence, z: np.ndarray, grid=None):
     z = np.asarray(z, dtype=float)
     terms = _table_of(seq, grid)
     y = y_factor_array(seq, z, grid)
-    x = 0.5 * ((-1) ** seq.n * np.sin(z) - y.imag)
-    return _select_source(seq, terms, z, np.abs(y) ** 2), x
+    return _select_source(seq, terms, z, np.abs(y) ** 2), _x_from_y(seq.n, z, y)
 
 
 def _select_source(seq: PulseSequence, terms: _Terms, z: np.ndarray,

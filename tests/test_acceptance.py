@@ -101,7 +101,7 @@ def test_criterion_04_equidistant_closed_forms():
         # the error-free direct sum of the term table, which equidistant
         # instants no longer take: |y|^2 is the half-sum squared
         terms = _term_table(equidistant(n))
-        direct = _split_sums(zs, terms, terms.funcs)[0] ** 2
+        direct = _split_sums(zs, terms)[0] ** 2
         closed = ddlab.equidistant_closed_form(n, zs)
         dev = float(np.max(np.abs(direct - closed) / np.maximum(1.0, closed)))
         assert dev <= 1e-12

@@ -12,6 +12,7 @@ from ddlab import (
     OhmicBath,
     TabulatedSpectralDensity,
     bessel_approx,
+    chi,
     custom,
     equidistant,
     equidistant_closed_form,
@@ -29,7 +30,7 @@ from ddlab.filters import (
     _PLAN_SIZE,
     PanelGrid,
     _centre_rows,
-    _lattice_index,
+    _lattice_start,
     _slicing,
     _equidistant_half_sum,
     _offset_table,
@@ -218,7 +219,7 @@ class TestEquidistantClosedForm:
         off_pole = np.abs(z / pole_spacing - np.round(z / pole_spacing)) > 0.02
         zs = z[off_pole]
         terms = _term_table(equidistant(n))
-        direct = _split_sums(zs, terms, terms.funcs)[0] ** 2
+        direct = _split_sums(zs, terms)[0] ** 2
         closed = equidistant_closed_form(n, zs)
         assert np.max(np.abs(direct - closed) / np.maximum(1.0, closed)) <= 1e-12
 
@@ -252,7 +253,7 @@ class TestEquidistantClosedForm:
         seq = equidistant(n)
         z = np.linspace(0.0, 6.0 * math.pi * (n + 1), 6001)
         terms = _term_table(seq)
-        direct = _split_sums(z, terms, terms.funcs)[0]
+        direct = _split_sums(z, terms)[0]
         bound = 8 * EPS * (1 + z) * math.sqrt(n + 2)
         assert np.all(np.abs(_equidistant_half_sum(n, z) - direct) <= bound)
 
@@ -600,41 +601,64 @@ class TestPanelKernel:
         assert panel_calls == [widths.size] * 2
         assert_within_noise_model(seq, y, x, centres * scale, widths * scale, rng)
 
+    def test_x_and_y_take_the_same_kernel(self, monkeypatch):
+        # x is read from y's sums: a round whose two rows (cos and sin) pass
+        # _FACTOR_MIN where one would not takes the panel kernel for both
+        seq = jittered_custom(30, 30)
+        z, grid = panel_round(seq, 1.0, 12, [0] * 12, 4.0 * (seq.n + 2))
+        k = grid.terms.u.size
+        assert k == 32 and not grid.terms.mirror
+        assert 12 * k * 2 >= _FACTOR_MIN > 12 * k
+        panel_calls = spy_panel_sums(monkeypatch)
+        y, x = y_factor_array(seq, z, grid), x_factor_array(seq, z, grid)
+        assert panel_calls == [12, 12]
+        assert np.array_equal(x, 0.5 * (np.sin(z) - y.imag))
+
     @pytest.mark.parametrize("seq", [udd(1000), equidistant(99), jittered_custom(300, 3),
                                      udd(0)], ids=lambda s: f"{s.scheme}{s.n}")
     def test_rows_independent_of_batching(self, seq):
+        # a mixed-level round, and a first round as a lattice run: each
+        # part of the run starts at its own k0 (tables below _LATTICE_TERMS
+        # terms decline the lattice)
         scale = 50.0 * (seq.n + 1)
-        _, centres, widths = panel_nodes(1.0, 64, [k % 3 for k in range(64)], scale)
-        centres, widths = centres * scale, widths * scale
         grid = PanelGrid(seq, scale)
         t = grid.terms
-        funcs = t.funcs if t.mirror else (np.cos, np.sin)
-        whole = _panel_sums(centres, widths, t, funcs, grid._offset_table)
-        for size in (1, 3, 7):
-            parts = [_panel_sums(centres[i:i + size], widths[i:i + size], t, funcs,
-                                 grid._offset_table)
-                     for i in range(0, centres.size, size)]
-            assert np.array_equal(whole, np.concatenate(parts, axis=1))
+        for levels, lattice in (([k % 3 for k in range(64)], False), ([0] * 64, True)):
+            _, centres, widths = panel_nodes(1.0, 64, levels, scale)
+            centres, widths = centres * scale, widths * scale
+            steps = _step_table(t, float(widths[0])) if lattice else None
+            whole = _panel_sums(centres, widths, t, grid._offset_table,
+                                (0, steps) if lattice else None)
+            for size in (1, 3, 7):
+                parts = [_panel_sums(centres[i:i + size], widths[i:i + size], t,
+                                     grid._offset_table, (i, steps) if lattice else None)
+                         for i in range(0, centres.size, size)]
+                assert np.array_equal(whole, np.concatenate(parts, axis=1))
 
     @pytest.mark.parametrize("seq", [udd(2), udd(100), jittered_custom(1000, 8)],
                              ids=lambda s: f"{s.scheme}{s.n}")
     def test_sums_independent_of_term_order(self, seq):
         # the slice products are exact, so permuting the terms (u, w and the
-        # rows of the offset tables with them) changes no bit of any sum
+        # rows of the offset tables with them), on a mixed-level round and
+        # on a first round as a lattice run (its step table's columns
+        # permuted too), changes no bit of any sum
         terms = _term_table(seq)
         assert terms.u.size in (2, 51, 1002)
         scale = 50.0 * (seq.n + 1)
-        _, centres, widths = panel_nodes(1.0, 64, [k % 3 for k in range(64)], scale)
-        centres, widths = centres * scale, widths * scale
-        funcs = terms.funcs if terms.mirror else (np.cos, np.sin)
-        want = _panel_sums(centres, widths, terms, funcs, lambda h: _offset_table(terms, h))
         rng = np.random.default_rng(seq.n)
-        for _ in range(3):
-            perm = rng.permutation(terms.u.size)
-            shuffled = terms._replace(u=terms.u[perm], w=terms.w[perm])
-            tables = {h: _offset_table(terms, h)[perm] for h in np.unique(widths).tolist()}
-            got = _panel_sums(centres, widths, shuffled, funcs, tables.__getitem__)
-            assert np.array_equal(got, want)
+        for levels, lattice in (([k % 3 for k in range(64)], False), ([0] * 64, True)):
+            _, centres, widths = panel_nodes(1.0, 64, levels, scale)
+            centres, widths = centres * scale, widths * scale
+            steps = _step_table(terms, float(widths[0])) if lattice else None
+            want = _panel_sums(centres, widths, terms, lambda h: _offset_table(terms, h),
+                               (0, steps) if lattice else None)
+            for _ in range(3):
+                perm = rng.permutation(terms.u.size)
+                shuffled = terms._replace(u=terms.u[perm], w=terms.w[perm])
+                tables = {h: _offset_table(terms, h)[perm] for h in np.unique(widths).tolist()}
+                got = _panel_sums(centres, widths, shuffled, tables.__getitem__,
+                                  (0, steps[:, perm]) if lattice else None)
+                assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("seq", [udd(100), equidistant(60), jittered_custom(60, 5)],
                              ids=lambda s: f"{s.scheme}{s.n}")
@@ -699,35 +723,49 @@ def knotted_bath():
     return TabulatedSpectralDensity(w, 0.5 * w * (1 + np.arange(7) % 2))
 
 
-class TestLatticeRows:
-    # centres on their width's lattice (2k+1) h take their rows by angle
-    # addition from the width's step table, for tables of at least
-    # _LATTICE_TERMS terms; other centres and smaller tables take sin/cos
-    # of c u
+def bump_bath():
+    # J = 0.25 w^3 exp(-((w - 0.8)/0.05)^2) on 101 knots over [0, 1]: the
+    # first round at t = 3000 is 955 panels, the later ones up to 30
+    w = np.linspace(0.0, 1.0, 101)
+    return TabulatedSpectralDensity(w, 0.25 * w**3 * np.exp(-(((w - 0.8) / 0.05) ** 2)))
 
-    @pytest.mark.parametrize("layout", sorted(GRID_LEVELS))
+
+def lattice_run(layout, scale):
+    """Centres and half-widths in z of a lattice run: a first round of 64
+    panels, or the 48 halves of its panels 20 to 43 bisected, k = 40..87."""
+    if layout == "first_round":
+        _, centres, widths = panel_nodes(1.0, 64, [0] * 64, scale)
+    else:
+        _, centres, widths = panel_nodes(1.0, 64, [1] * 64, scale)
+        centres, widths = centres[40:88], widths[40:88]
+    return centres * scale, widths * scale
+
+
+class TestLatticeRows:
+    # a round that is a lattice run, centres (2k+1) h for k = k0, k0+1, ...
+    # of one half-width (every first round), takes its centre rows by angle
+    # addition from a step table, for tables of at least _LATTICE_TERMS
+    # terms; other rounds and smaller tables take sin/cos of c u
+
+    @pytest.mark.parametrize("layout", ["first_round", "bisected_run"])
     @pytest.mark.parametrize("seq", LARGE_TABLES, ids=lambda s: f"{s.scheme}{s.n}")
     def test_rows_at_the_lattice_centre_within_a_few_ulps(self, seq, layout):
         # each row against 30-digit sin/cos at (2k+1) h exactly: a few ulps
         # of the weight, plus eps |(2k+1) h u| from rounding the phases
         terms = _term_table(seq)
-        scale = 3.0 * (seq.n + 1)
-        _, centres, widths = panel_nodes(1.0, 64, [GRID_LEVELS[layout](k) for k in range(64)],
-                                         scale)
-        centres, widths = centres * scale, widths * scale
-        index = _lattice_index(centres, widths)
-        assert np.all(index >= 0)
-        order = np.lexsort((index, widths))
-        centres, widths, index = centres[order], widths[order], index[order]
+        centres, widths = lattice_run(layout, 3.0 * (seq.n + 1))
+        k0 = _lattice_start(centres, widths)
+        assert k0 == (0 if layout == "first_round" else 40)
+        index = np.arange(k0, k0 + centres.size)
         rows, spare = np.empty((2, centres.size, 2, terms.u.size))
-        steps = {h: _step_table(terms, h) for h in set(widths.tolist())}
-        _centre_rows(centres, widths, index, terms, steps, rows, spare)
-        # rows of the step tables themselves (k < 8) and by angle addition
+        h = float(widths[0])
+        _centre_rows(centres, h, (k0, _step_table(terms, h)), terms, rows, spare)
+        # rows of the step table itself (k < 8) and by angle addition
         added = np.flatnonzero(index >= _LATTICE_STEPS)
         picks = [*np.flatnonzero(index < _LATTICE_STEPS)[:3], *added[::added.size // 6]]
         for i in picks:
             with mpmath.workdps(30):
-                point = (2 * int(index[i]) + 1) * mpmath.mpf(float(widths[i]))
+                point = (2 * int(index[i]) + 1) * mpmath.mpf(h)
                 want = [mpmath.cos_sin(point * mpmath.mpf(float(u))) for u in terms.u]
             bound = np.abs(terms.w) * EPS * (4.0 + float(point) * np.abs(terms.u))
             assert np.all(np.abs(rows[i, 0] - [float(si) for _, si in want] * terms.w) <= bound)
@@ -735,62 +773,96 @@ class TestLatticeRows:
 
     def test_quadrature_centres_are_on_the_lattice(self, monkeypatch):
         # every round that a signal announces, round after round of
-        # bisections included, in z
+        # bisections included, in z: each centre on its lattice, and each
+        # integral's first round a lattice run from k0 = 0
         rounds = []
         set_round = PanelGrid.set_round
 
         def spy(grid, centres, half_widths):
             set_round(grid, centres, half_widths)
-            rounds.append(grid._round)
+            rounds.append((grid, grid._round))
 
         monkeypatch.setattr(PanelGrid, "set_round", spy)
         for t in (10.0, 40.0, 300.0):
             signal(udd(4), knotted_bath(), t)
         assert len(rounds) > 30
-        for centres, widths in rounds:
-            assert np.all(_lattice_index(centres, widths) >= 0)
+        firsts = [i for i, (grid, _) in enumerate(rounds) if i == 0 or rounds[i - 1][0] is not grid]
+        assert len(firsts) == 3
+        for i, (_, (centres, widths)) in enumerate(rounds):
+            for c, h in zip(centres, widths):
+                assert _lattice_start(np.array([c]), np.array([h])) is not None
+            if i in firsts:
+                assert _lattice_start(centres, widths) == 0
 
-    # per layout of 64 initial panels: its levels, and the levels whose
-    # panels keep sin/cos because they share too few base rows to pay for
-    # their width's step table (_LATTICE_SAVED): in the mixed grid, the 13
-    # level-0 panels (every fifth) and the 13 pairs at level 1
-    LAYOUTS = {"first_round": (GRID_LEVELS["first_round"], ()),
-               "two_levels": (lambda k: k // 32, ()),
-               "mixed_levels": (GRID_LEVELS["mixed_levels"], (0, 1))}
+    # per layout of 64 initial panels: its levels, and whether the round is
+    # a lattice run; the two-level round (the halves of the first 32 panels
+    # and the quarters of the others) and the mixed one are not, so they
+    # keep sin/cos
+    LAYOUTS = {"first_round": (GRID_LEVELS["first_round"], True),
+               "two_levels": (lambda k: k // 32, False),
+               "mixed_levels": (GRID_LEVELS["mixed_levels"], False)}
 
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
     @pytest.mark.parametrize("seq", LARGE_TABLES, ids=lambda s: f"{s.scheme}{s.n}")
     def test_quadrature_grids_take_the_lattice_path(self, seq, layout, monkeypatch):
         direct, steps = spy_centre_paths(monkeypatch)
-        level_of, kept = self.LAYOUTS[layout]
+        level_of, run = self.LAYOUTS[layout]
         levels = [level_of(k) for k in range(64)]
         z, grid = panel_round(seq, 1.0, 64, levels, 3.0 * (seq.n + 1))
         assert grid.terms.u.size >= _LATTICE_TERMS
         y_factor_array(seq, z, grid)
         x_factor_array(seq, z, grid)
-        # each table built once, kept by the grid for the second filter
-        tabled = {1 / 128 * 0.5 ** lv * grid.t for lv in set(levels) - set(kept)}
-        assert sorted(steps) == sorted(tabled)
-        assert sum(direct) == 2 * sum(2 ** lv for lv in levels if lv in kept)
+        # the round's table built once, kept by the grid for the second
+        # filter
+        assert steps == ([1 / 128 * grid.t] if run else [])
+        assert sum(direct) == (0 if run else 2 * sum(2**lv for lv in levels))
+
+    def test_chi_builds_one_step_table(self, monkeypatch):
+        # 42 rounds on a bump-shaped table: the first, 955 panels, is a
+        # lattice run and takes the step table; each later round, of 2 to
+        # 30 panels, some of them enough to pay for a step table, is not
+        # one and takes sin/cos of c u
+        direct, steps = spy_centre_paths(monkeypatch)
+        rounds = []
+        set_round = PanelGrid.set_round
+
+        def spy(grid, centres, half_widths):
+            set_round(grid, centres, half_widths)
+            rounds.append(centres.size)
+
+        monkeypatch.setattr(PanelGrid, "set_round", spy)
+        chi(udd(1000), bump_bath(), 3000.0)
+        assert len(rounds) == 42 and rounds[0] == 955
+        assert min(rounds[1:]) == 2 and max(rounds[1:]) == 30
+        assert len(steps) == 1
+        assert direct == rounds[1:]
 
     def test_centres_off_the_lattice_take_sin_cos(self, monkeypatch):
         # knot-aligned panels of 64 widths, where only the first, [0, 2h],
-        # is centred on its lattice, and panels of one width moved by 0.3 of
-        # it, where none is: the others take sin/cos
+        # is centred on its lattice; panels of one width moved by 0.3 of it,
+        # and by 1e-12 of their centres, where none is; and a first round's
+        # centres announced with a second half-width for one panel: no round
+        # is a lattice run, so every centre takes sin/cos
         seq = jittered_custom(1000, 8)
-        terms = _term_table(seq)
         rng = np.random.default_rng(6)
         edges = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, 63)), [1.0]])
-        knotted = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges), 1
-        moved = (np.arange(64) * 2 + 1.3) / 128, np.full(64, 1 / 128), 0
-        direct, _ = spy_centre_paths(monkeypatch)
-        for centres, widths, on in (knotted, moved):
-            centres, widths = centres * 3000.0, widths * 3000.0
-            assert np.flatnonzero(_lattice_index(centres, widths) >= 0).tolist() == [0] * on
+        knotted = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
+        lattice = (np.arange(64) * 2 + 1.0) / 128, np.full(64, 1 / 128)
+        moved = lattice[0] + 0.3 / 128, lattice[1]
+        nudged = lattice[0] * (1 + 1e-12), lattice[1]
+        two_widths = lattice[0], np.where(np.arange(64) == 40, 1 / 256, 1 / 128)
+        assert _lattice_start(lattice[0] * 3000.0, lattice[1] * 3000.0) == 0
+        direct, steps = spy_centre_paths(monkeypatch)
+        for centres, widths in (knotted, moved, nudged, two_widths):
+            assert _lattice_start(centres * 3000.0, widths * 3000.0) is None
+            z = ((centres[:, None] + widths[:, None] * NODES[None, :]) * 3000.0).ravel()
+            grid = PanelGrid(seq, 3000.0)
+            grid.set_round(centres, widths)
             direct.clear()
-            _panel_sums(centres, widths, terms, terms.funcs,
-                        lambda h: _offset_table(terms, h))
-            assert sum(direct) == centres.size - on
+            y_factor_array(seq, z, grid)
+            assert sum(direct) == centres.size
+        assert _lattice_start(knotted[0][:1] * 3000.0, knotted[1][:1] * 3000.0) == 0
+        assert steps == []
 
     def test_closed_form_builds_no_step_tables(self, monkeypatch):
         # equidistant instants never sum their (large) term table
@@ -804,22 +876,25 @@ class TestLatticeRows:
     @pytest.mark.parametrize("seq", [udd(100), jittered_custom(30, 30), jittered_custom(180, 2)],
                              ids=lambda s: f"{s.scheme}{s.n}")
     def test_tables_below_the_gate_take_sin_cos(self, seq, monkeypatch):
-        direct, steps = spy_centre_paths(monkeypatch)
+        # the kernel declines a step table offered for a first round, and
+        # the grid builds none
         terms = _term_table(seq)
         assert terms.u.size < _LATTICE_TERMS
         _, centres, widths = panel_nodes(1.0, 64, [0] * 64, 3.0 * (seq.n + 1))
-        _panel_sums(centres, widths, terms, terms.funcs, lambda h: _offset_table(terms, h))
+        offered = (0, _step_table(terms, float(widths[0])))
+        direct, steps = spy_centre_paths(monkeypatch)
+        _panel_sums(centres, widths, terms, lambda h: _offset_table(terms, h), offered)
         z, grid = panel_round(seq, 1.0, 64, [0] * 64, 3.0 * (seq.n + 1))
         y_factor_array(seq, z, grid)
         assert sum(direct) == 2 * 64 and steps == []
 
-    @pytest.mark.parametrize("panels", [16, 64])
+    @pytest.mark.parametrize("panels", [16, 26, 64])
     @pytest.mark.parametrize("seq", LARGE_TABLES, ids=lambda s: f"{s.scheme}{s.n}")
     def test_first_round_takes_no_more_sin_cos(self, seq, panels, monkeypatch):
         # a first round with a fresh grid, as every integral starts.  64
         # panels: 8 step rows and 7 base rows, where sin/cos of c u take 64
-        # rows.  16 panels would save 7 rows, too few for a step table
-        # (_LATTICE_SAVED), so they keep sin/cos of c u.
+        # rows.  16 and 26 panels would save 7 and 22 rows, too few for a
+        # step table (_LATTICE_SAVED), so they keep sin/cos of c u.
         counted = []
         sin_cos = ddlab.filters._sin_cos
 
@@ -831,7 +906,7 @@ class TestLatticeRows:
         k = _term_table(seq).u.size
         z, grid = panel_round(seq, 1.0, panels, [0] * panels, 3.0 * (seq.n + 1))
         lattice = y_factor_array(seq, z, grid)
-        assert sum(counted) == (panels if panels < 64 else _LATTICE_STEPS + 7) * k
+        assert sum(counted) == {16: 16, 26: 26, 64: _LATTICE_STEPS + 7}[panels] * k
         counted.clear()
         monkeypatch.setattr(ddlab.filters, "_LATTICE_TERMS", k + 1)
         z, grid = panel_round(seq, 1.0, panels, [0] * panels, 3.0 * (seq.n + 1))

@@ -53,11 +53,12 @@ def test_integrand_qualname_tells_chi_from_phase(monkeypatch, evaluate, is_chi):
     assert ("_chi_raw" in qualnames[0]) == is_chi
 
 
-@pytest.mark.parametrize("evaluate", [chi, signal], ids=["chi", "signal"])
+@pytest.mark.parametrize("evaluate", [chi, signal, phase], ids=["chi", "signal", "phase"])
 def test_filter_seam_sees_every_round_in_full(monkeypatch, evaluate):
     # the tracer counts filters.y.nodes at ddlab.filters.y_factor_array; the
     # panel kernel must be reached through it, with the round's whole node
-    # array, and a round large enough for it must take the panel kernel
+    # array, and a round large enough for it must take the panel kernel;
+    # the phase filter reads y, so its rounds pass the same seam
     rounds, seen, panel_calls = [], [], []
 
     def spy_integrate(f, *args, **kwargs):
