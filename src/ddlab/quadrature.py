@@ -2,11 +2,12 @@
 
 The integrand is evaluated in vectorized batches over all panel nodes.  It
 may return k rows on the shared nodes, so that several integrals over one
-interval cost one integrand evaluation per node.  Panels are bisected where
-the embedded error estimate is largest until each row's summed estimate
-meets its relative target (or the machine-precision floor of the rule,
-whichever is larger).  An optional panels hook is told each round's panel
-centres and half-widths before the integrand sees that round's nodes.
+interval cost one integrand evaluation per node.  Each round bisects every
+panel whose embedded error estimate is at least its fair share of a row's
+target, at most _SPLIT_MAX panels per round, until each row's summed
+estimate meets its relative target (or the machine-precision floor of the
+rule, whichever is larger).  An optional panels hook is told each round's
+panel centres and half-widths before the integrand sees that round's nodes.
 """
 
 from __future__ import annotations
@@ -52,6 +53,10 @@ _W7 = np.zeros(15)
 _W7[1:14:2] = np.concatenate([_WG[:3], _WG[::-1][:4]])
 
 _EPS = np.finfo(float).eps
+
+# the most panels one round may split: a round hands f at most
+# 2 * _SPLIT_MAX * 15 nodes, which bounds the memory of f's batch
+_SPLIT_MAX = 4096
 
 
 class QuadratureError(RuntimeError):
@@ -135,9 +140,13 @@ def integrate_adaptive(f, a: float, b: float, spec: QuadratureSpec,
     and half_widths the nominal (b - a) / (2 n0) * 2^-L, which h_p matches
     up to the rounding of the edges.  Each row must meet its own target
     max(rel_tol * |value|, 50 eps * integral of |row|), the second
-    term being the rule's machine floor.  A panel is split when any row
-    that has not yet met its target asks for it, so a converged row drives
-    no splits, but its value is summed over the final panels.
+    term being the rule's machine floor.  A row that has not yet met its
+    target asks to split every panel whose error estimate is at least
+    target / (2 N) over the N panels; a panel is split when any row asks
+    for it, so a converged row drives no splits, but its value is summed
+    over the final panels.  A round splits at most _SPLIT_MAX panels, and
+    none past max_panels: where more ask, those with the largest error
+    against their row's target go first.
 
     Returns (value, error_bound, evaluations): value and error_bound have
     f's row shape (floats for a 1-d f, arrays of k for k rows), and
@@ -168,12 +177,14 @@ def integrate_adaptive(f, a: float, b: float, spec: QuadratureSpec,
                 return np.array(total), np.array(total_err), nevals
             return total[0], total_err[0], nevals
         npanels = est.shape[2]
-        # each open row asks to split every panel holding more than its
-        # share of that row's excess, always at least its single worst one
+        # each open row asks to split every panel whose error is at least
+        # its fair share target / (2 N) of that row's target; the row's
+        # worst panel always does, since its error is at least the mean
+        # total_err / N > target / N
         errs = est[1]
         split = None
         for r in open_rows:
-            asks = errs[r] >= max(targets[r] / (2.0 * npanels), float(errs[r].max()) * 0.5)
+            asks = errs[r] >= targets[r] / (2.0 * npanels)
             split = asks if split is None else split | asks
         nsplit = np.count_nonzero(split)
         # a row with a NaN error estimate (from a NaN or infinite value of
@@ -188,11 +199,11 @@ def integrate_adaptive(f, a: float, b: float, spec: QuadratureSpec,
                 f"error bound {_shown(total_err, '.3e')})",
                 estimate=estimate, error_bound=bound,
             )
-        if nsplit + npanels > spec.max_panels:
+        allowed = min(spec.max_panels - npanels, _SPLIT_MAX)
+        if nsplit > allowed:
             # keep the panels whose error is largest against its open row's target
             scores = np.max([errs[r] / targets[r] for r in open_rows], axis=0)
             order = np.argsort(scores)[::-1]
-            allowed = spec.max_panels - npanels
             split = np.zeros(npanels, dtype=bool)
             split[order[:allowed]] = True
         mids = 0.5 * (lefts[split] + rights[split])

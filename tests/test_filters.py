@@ -725,7 +725,7 @@ def knotted_bath():
 
 def bump_bath():
     # J = 0.25 w^3 exp(-((w - 0.8)/0.05)^2) on 101 knots over [0, 1]: the
-    # first round at t = 3000 is 955 panels, the later ones up to 30
+    # first round at t = 3000 is 955 panels, the later ones up to 68
     w = np.linspace(0.0, 1.0, 101)
     return TabulatedSpectralDensity(w, 0.25 * w**3 * np.exp(-(((w - 0.8) / 0.05) ** 2)))
 
@@ -818,24 +818,27 @@ class TestLatticeRows:
         assert sum(direct) == (0 if run else 2 * sum(2**lv for lv in levels))
 
     def test_chi_builds_one_step_table(self, monkeypatch):
-        # 42 rounds on a bump-shaped table: the first, 955 panels, is a
-        # lattice run and takes the step table; each later round, of 2 to
-        # 30 panels, some of them enough to pay for a step table, is not
-        # one and takes sin/cos of c u
+        # 11 rounds on a bump-shaped table: the first, 955 panels, is a
+        # lattice run and takes the step table; each later round, of 42 to
+        # 68 panels, enough to pay for a step table, is not one and takes
+        # sin/cos of c u, block by block
         direct, steps = spy_centre_paths(monkeypatch)
-        rounds = []
+        rounds, starts = [], []
         set_round = PanelGrid.set_round
 
         def spy(grid, centres, half_widths):
             set_round(grid, centres, half_widths)
             rounds.append(centres.size)
+            starts.append(len(direct))
 
         monkeypatch.setattr(PanelGrid, "set_round", spy)
         chi(udd(1000), bump_bath(), 3000.0)
-        assert len(rounds) == 42 and rounds[0] == 955
-        assert min(rounds[1:]) == 2 and max(rounds[1:]) == 30
+        assert len(rounds) == 11 and rounds[0] == 955
+        assert min(rounds[1:]) == 42 and max(rounds[1:]) == 68
         assert len(steps) == 1
-        assert direct == rounds[1:]
+        # the sin/cos centres of each round, over its blocks
+        per_round = [sum(direct[i:j]) for i, j in zip(starts, starts[1:] + [len(direct)])]
+        assert per_round == [0] + rounds[1:]
 
     def test_centres_off_the_lattice_take_sin_cos(self, monkeypatch):
         # knot-aligned panels of 64 widths, where only the first, [0, 2h],

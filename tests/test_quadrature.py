@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from ddlab.quadrature import NODES, QuadratureError, QuadratureSpec, integrate_adaptive
+from ddlab.quadrature import (
+    _SPLIT_MAX,
+    NODES,
+    QuadratureError,
+    QuadratureSpec,
+    integrate_adaptive,
+)
 
 
 def test_polynomial_machine_accurate():
@@ -44,18 +50,72 @@ def test_panel_budget_exhaustion_carries_estimate():
     assert err.error_bound > 0
 
 
+def split_sizes(f, spec):
+    """The node counts f is handed on [0, 3] from 16 initial panels, and
+    the QuadratureError that ends the run, if any."""
+    sizes = []
+
+    def counted(x):
+        sizes.append(x.size)
+        return f(x)
+
+    try:
+        integrate_adaptive(counted, 0.0, 3.0, spec, initial_panels=16)
+    except QuadratureError as exc:
+        return sizes, exc
+    return sizes, None
+
+
 def test_panel_cap_limits_the_last_split():
-    # the third round would split 4 panels but only 3 fit under the cap
-    spec = QuadratureSpec(rel_tol=1e-12, max_panels=20)
+    # every first-round panel asks to be split, 32 new panels, but only 4
+    # splits fit under the cap
+    def f(x):
+        return np.sin(40.0 * x) * np.exp(x)
+
+    uncapped, _ = split_sizes(f, QuadratureSpec(rel_tol=1e-12, max_panels=2**20))
+    assert uncapped[:2] == [15 * 16, 15 * 32]
+    sizes, exc = split_sizes(f, QuadratureSpec(rel_tol=1e-12, max_panels=20))
+    assert sizes == [15 * 16, 15 * 8]
+    assert "within 20 panels" in str(exc)
+
+
+def test_many_kinks_converge_in_few_rounds():
+    # 95 kinks of |sin(k x)|: every panel holding its share of the error is
+    # split in the same round, so the kinks are refined side by side.  A
+    # kink between a panel's outer node and its edge is invisible to the
+    # rule; none is at k = 300.1 from 96 panels.
+    k, spec = 300.1, QuadratureSpec(rel_tol=1e-10)
     sizes = []
 
     def f(x):
         sizes.append(x.size)
-        return np.sin(40.0 * x) * np.exp(x)
+        return np.abs(np.sin(k * x))
 
-    with pytest.raises(QuadratureError, match="within 20 panels"):
-        integrate_adaptive(f, 0.0, 3.0, spec, initial_panels=16)
-    assert sizes == [15 * 16, 15 * 2, 15 * 6]
+    val, err, _ = integrate_adaptive(f, 0.0, 1.0, spec, initial_panels=math.ceil(k / math.pi))
+    # m whole half-periods of |sin|, then a part
+    m = math.floor(k / math.pi)
+    exact = (2 * m + 1 - math.cos(k - math.pi * m)) / k
+    assert len(sizes) <= 20
+    assert err <= spec.rel_tol * val
+    assert abs(val - exact) <= spec.rel_tol * exact
+
+
+def test_round_size_is_bounded():
+    # 2 _SPLIT_MAX panels with a kink at every centre, weighted by 1 + x:
+    # all of them ask to be split, and each round splits the _SPLIT_MAX
+    # worst, the right half first
+    n0 = 2 * _SPLIT_MAX
+    sizes, centres = [], []
+
+    def f(x):
+        sizes.append(x.size)
+        return (1.0 + x) * np.abs(np.cos(math.pi * n0 * x))
+
+    val, _, _ = integrate_adaptive(f, 0.0, 1.0, QuadratureSpec(), initial_panels=n0,
+                                   panels=lambda c, h: centres.append(c))
+    assert sizes == [2 * _SPLIT_MAX * NODES.size] * 3
+    assert centres[1].min() > 0.5 and centres[2].max() < 0.5
+    assert val == pytest.approx(3.0 / math.pi, rel=1e-12, abs=0.0)
 
 
 def test_tolerance_refinement():
@@ -126,17 +186,14 @@ class TestRows:
     def test_panel_cap_with_rows(self):
         # as test_panel_cap_limits_the_last_split, with a second row that
         # converges in the first round and so asks for no split
-        spec = QuadratureSpec(rel_tol=1e-12, max_panels=20)
-        sizes = []
-
         def f(x):
-            sizes.append(x.size)
             return np.stack([np.sin(40.0 * x) * np.exp(x), np.ones_like(x)])
 
-        with pytest.raises(QuadratureError, match="within 20 panels") as exc_info:
-            integrate_adaptive(f, 0.0, 3.0, spec, initial_panels=16)
-        assert sizes == [15 * 16, 15 * 2, 15 * 6]
-        err = exc_info.value
+        uncapped, _ = split_sizes(f, QuadratureSpec(rel_tol=1e-12, max_panels=2**20))
+        assert uncapped[:2] == [15 * 16, 15 * 32]
+        sizes, err = split_sizes(f, QuadratureSpec(rel_tol=1e-12, max_panels=20))
+        assert sizes == [15 * 16, 15 * 8]
+        assert "within 20 panels" in str(err)
         assert err.estimate.shape == err.error_bound.shape == (2,)
         assert err.estimate[1] == 3.0
         assert math.isfinite(err.estimate[0]) and err.error_bound[0] > 0
