@@ -39,12 +39,11 @@ from .decoherence import (
 )
 from .filters import (
     bessel_approx,
-    equidistant_closed_form,
     x_factor,
     y_abs_sq,
     y_factor,
 )
-from .montecarlo import McEstimate, Trajectory, mc_signal, synthesize, toggled_phase
+from .montecarlo import McEstimate, mc_signal
 from .sequences import PulseSequence, custom, deltas_from_csv, equidistant, udd
 from .special import bessel_j
 
@@ -54,10 +53,10 @@ __all__ = [
     "spectral_density", "thermal_weight", "integrand_weight",
     "PulseSequence", "equidistant", "udd", "custom", "deltas_from_csv",
     "x_factor", "y_factor", "y_abs_sq",
-    "equidistant_closed_form", "bessel_approx", "bessel_j",
+    "bessel_approx", "bessel_j",
     "QuadratureSpec", "QuadratureError", "CoherencePoint", "CoherenceCurve",
     "chi", "phase", "signal", "coherence_curve",
     "StorageResult", "SweepRow", "SweepTable", "storage_time", "min_pulses",
     "compare_schemes", "RangeExhaustedError", "SearchExhaustedError",
-    "Trajectory", "McEstimate", "synthesize", "toggled_phase", "mc_signal",
+    "McEstimate", "mc_signal",
 ]

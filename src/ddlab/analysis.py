@@ -12,7 +12,7 @@ measure.  Pass include_phase=True to use the raw 1 - s_n(t) instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -245,7 +245,6 @@ class SweepTable:
     """Signal sweep over schemes x alphas x temperatures x times."""
 
     rows: tuple
-    metadata: dict = field(default_factory=dict)
 
     def __iter__(self):
         return iter(self.rows)
@@ -281,9 +280,4 @@ def compare_schemes(n: int, alphas, temperatures, t_grid,
                         rows.append(SweepRow(scheme, n, float(alpha), float(temp),
                                              float(t), math.nan, math.nan,
                                              error=f"{type(exc).__name__}: {exc}"))
-    meta = {"quad": {"rel_tol": quad.rel_tol, "max_panels": quad.max_panels},
-            "omega_d": omega_d, "n": n,
-            "alphas": [float(a) for a in alphas],
-            "temperatures": [float(T) for T in temperatures],
-            "t_grid": [float(t) for t in ts]}
-    return SweepTable(rows=tuple(rows), metadata=meta)
+    return SweepTable(rows=tuple(rows))

@@ -120,8 +120,6 @@ __all__ = [
     "y_abs_sq_array",
     "y_abs_sq_and_x_array",
     "PanelGrid",
-    "y_taylor_moments",
-    "equidistant_closed_form",
     "bessel_approx",
 ]
 
@@ -133,8 +131,6 @@ __all__ = [
 # analytic value keeps the switchover deterministic.  The window stops
 # short of z = 2n+2 where the J_{3(n+1)} corrections wake up.
 _BESSEL_WINDOW = 0.95  # in units of z/(2n+2)
-# equidistant_closed_form refuses z this close to a pole of its tangent form
-_POLE_TOL = 1e-12
 # pi = _PI_HI + _PI_LO to about 1e-23, _PI_HI of 26 bits, so M * _PI_HI is
 # exact for integers |M| < 2^27
 _PI_HI = 3.1415926218032837
@@ -714,41 +710,26 @@ def _select_source(seq: PulseSequence, terms: _Terms, z: np.ndarray,
         return direct
     n = seq.n
     if seq.scheme == "udd":
-        # n >= 2 here: udd(0) and udd(1) have equidistant instants
+        # n >= 2 here: udd(0) and udd(1) have equidistant instants; the
+        # Bessel values replace the direct sums where they fall below the
+        # threshold
         threshold = _delegation_threshold(n, z)
         window = np.abs(z) < _BESSEL_WINDOW * (2 * n + 2)
-        return _delegate(direct, window & (direct < 2.0 * threshold), threshold,
-                         lambda c: bessel_approx(n, np.abs(z[c])))
+        candidates = window & (direct < 2.0 * threshold)
+        if np.any(candidates):
+            analytic = bessel_approx(n, np.abs(z[candidates]))
+            use = analytic < threshold[candidates]
+            direct.flat[np.flatnonzero(candidates)[use]] = analytic[use]
+        return direct
     small = np.abs(z) < _SMALL_Z
     if np.any(small):
-        s1, s2, s3 = y_taylor_moments(seq)
+        # |y|^2 = S1^2 z^2 + (S2^2/4 - S1 S3/3) z^4 + O(z^6) from the
+        # moments S_k = sum_j c_j d_j^k of the terms
+        c, d = _y_coefficients(seq)
+        s1, s2, s3 = np.dot(c, d), np.dot(c, d * d), np.dot(c, d * d * d)
         z2 = z[small] ** 2
         direct[small] = z2 * (s1 * s1 + z2 * (s2 * s2 / 4.0 - s1 * s3 / 3.0))
     return direct
-
-
-def _delegate(direct, candidates, threshold, analytic_at):
-    # swap the analytic values at the candidate nodes into the freshly
-    # computed direct sums wherever they fall below the threshold
-    if np.any(candidates):
-        analytic = analytic_at(candidates)
-        use = analytic < threshold[candidates]
-        direct.flat[np.flatnonzero(candidates)[use]] = analytic[use]
-    return direct
-
-
-def y_taylor_moments(seq: PulseSequence):
-    """Moments S_k = sum_j c_j d_j^k of the y-filter terms, k = 1, 2, 3.
-
-    Small-z expansion: |y(z)|^2 = S1^2 z^2 + (S2^2/4 - S1 S3/3) z^4 + O(z^6).
-    S1 = 0 whenever the sequence cancels the filter's first derivative
-    (udd of any order, the lone mid-point echo).
-    """
-    c, d = _y_coefficients(seq)
-    s1 = float(np.dot(c, d))
-    s2 = float(np.dot(c, d * d))
-    s3 = float(np.dot(c, d * d * d))
-    return s1, s2, s3
 
 
 def x_factor(seq: PulseSequence, z: float) -> float:
@@ -764,23 +745,6 @@ def y_factor(seq: PulseSequence, z: float) -> complex:
 def y_abs_sq(seq: PulseSequence, z: float) -> float:
     """|y_n(z)|^2; see y_abs_sq_array for the source selection."""
     return float(y_abs_sq_array(seq, np.atleast_1d(float(z)))[0])
-
-
-def equidistant_closed_form(n: int, z):
-    """|y_n(z)|^2 for n equidistant pulses, by the parity closed form.
-
-    4 tan^2(z/(2n+2)) cos^2(z/2) for n even, 4 tan^2(z/(2n+2)) sin^2(z/2)
-    for n odd, evaluated as the square of _equidistant_half_sum, which is
-    finite everywhere.  Keeps the contract of the tangent form: n >= 1, and
-    z within 1e-12 of a tangent pole (|cos(z/(2n+2))| < 1e-12) raises.
-    """
-    if n < 1:
-        raise ValueError(f"closed form needs n >= 1, got {n}")
-    zs = np.atleast_1d(np.asarray(z, dtype=float))
-    if np.any(np.abs(np.cos(zs / (2 * n + 2))) < _POLE_TOL):
-        raise ValueError(f"z within {_POLE_TOL} of a tangent pole of the n={n} closed form")
-    out = _equidistant_half_sum(n, zs) ** 2
-    return out if np.ndim(z) else float(out[0])
 
 
 def _equidistant_half_sum(n: int, z: np.ndarray) -> np.ndarray:

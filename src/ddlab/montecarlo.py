@@ -11,8 +11,7 @@ and the estimated signal is the sample mean of cos(phase).
 The toggled phase is linear in the mode amplitudes a_k, b_k: it equals
 sum_k a_k u_cos[k] + b_k u_sin[k], where u_cos[k] is the toggled integral of
 cos(w_k t') (u_sin of sin).  mc_signal integrates each mode's response once
-and takes one dot product per trajectory; synthesize / Trajectory /
-toggled_phase are the grid-sampled reference path the tests compare it to.
+and takes one dot product per trajectory.
 
 Seed splitting: trajectory k draws from numpy's default generator seeded
 with the k-th output of a splitmix64 stream whose state is the base seed,
@@ -28,9 +27,8 @@ arithmetic and their SeedSequence(seed_k).generate_state(4, uint64) words
 in one batch with uint32 arithmetic (O'Neill's seed_seq_fe: hashmix and mix
 over a pool of 4 words).  Each call then builds one PCG64 and one Generator,
 sets the PCG64 state from each trajectory's words as PCG64's own seeding
-does, and draws that trajectory's normals into a reused buffer.  synthesize
-sets the state the same way from SeedSequence's words for its one seed.
-The draws are numpy's default generator's, bit for bit: numpy's
+does, and draws that trajectory's normals into a reused buffer.  The
+draws are numpy's default generator's, bit for bit: numpy's
 stream-compatibility policy (NEP 19) fixes SeedSequence's hash and PCG64's
 seeding.  Nothing is shared between calls, so mc_signal stays thread-safe.
 """
@@ -45,8 +43,7 @@ import numpy as np
 from .bath import ClassicalBath
 from .sequences import PulseSequence
 
-__all__ = ["Trajectory", "McEstimate", "trajectory_seed", "synthesize",
-           "toggled_phase", "mc_signal"]
+__all__ = ["McEstimate", "trajectory_seed", "mc_signal"]
 
 _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
@@ -122,31 +119,6 @@ def _trajectory_words(base_seed: int, samples: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    """One noise realization: grid samples plus the generating modes.
-
-    The mode data (omegas, amp_cos, amp_sin) allows exact evaluation at
-    arbitrary instants; toggled_phase evaluates every instant, grid points
-    and pulse breakpoints alike, from the modes.
-    """
-
-    times: np.ndarray
-    values: np.ndarray
-    seed: int
-    mode_count: int
-    omegas: np.ndarray
-    amp_cos: np.ndarray
-    amp_sin: np.ndarray
-
-    def value_at(self, t):
-        """Evaluate f(t) from the modes; t may be a scalar or array."""
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.cos(np.outer(ts, self.omegas)) @ self.amp_cos
-        out += np.sin(np.outer(ts, self.omegas)) @ self.amp_sin
-        return float(out[0]) if np.isscalar(t) or np.ndim(t) == 0 else out
-
-
-@dataclass(frozen=True)
 class McEstimate:
     """Sample mean of cos(phase) with its standard error."""
 
@@ -161,17 +133,6 @@ def _mode_bins(bath: ClassicalBath, mode_count: int):
     omegas = (np.arange(mode_count) + 0.5) * dw
     sigmas = np.sqrt(np.asarray(bath.power_spectrum(omegas), dtype=float) * dw / math.pi)
     return omegas, sigmas
-
-
-def _check_sampling(bath: ClassicalBath, dt: float, mode_count: int):
-    if not 0.0 < dt < math.inf:
-        raise ValueError(f"dt must be finite and > 0, got {dt}")
-    if mode_count < 8:
-        raise ValueError(f"mode_count must be >= 8, got {mode_count}")
-    dt_max = math.pi / (4.0 * bath.omega_max)
-    if dt > dt_max:
-        raise ValueError(
-            f"dt = {dt:g} aliases the spectrum: need dt <= pi/(4 omega_max) = {dt_max:g}")
 
 
 def _draw_amplitudes(gen: np.random.Generator, words, sigmas: np.ndarray,
@@ -202,30 +163,6 @@ def _generator() -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(0))
 
 
-def synthesize(bath: ClassicalBath, t_max: float, dt: float, mode_count: int,
-               seed: int) -> Trajectory:
-    """Draw one Gaussian trajectory on a uniform grid covering [0, t_max].
-
-    dt is shrunk (never widened) so the grid lands exactly on t_max.
-    """
-    if not 0.0 < t_max < math.inf:
-        raise ValueError(f"t_max must be finite and > 0, got {t_max}")
-    _check_sampling(bath, dt, mode_count)
-    n_steps = max(1, math.ceil(t_max / dt))
-    times = np.linspace(0.0, t_max, n_steps + 1)
-    omegas, sigmas = _mode_bins(bath, mode_count)
-    words = np.random.SeedSequence(seed).generate_state(4, np.uint64)
-    amp_cos, amp_sin = _draw_amplitudes(_generator(), words, sigmas,
-                                        np.empty(2 * mode_count))
-    values = np.cos(np.outer(times, omegas)) @ amp_cos
-    values += np.sin(np.outer(times, omegas)) @ amp_sin
-    for arr in (times, values, omegas, amp_cos, amp_sin):
-        arr.setflags(write=False)
-    return Trajectory(times=times, values=values, seed=int(seed),
-                      mode_count=mode_count, omegas=omegas,
-                      amp_cos=amp_cos, amp_sin=amp_sin)
-
-
 def _segment_layout(seq: PulseSequence, t: float, grid_times: np.ndarray):
     """Evaluation instants and signed trapezoid weights for the toggled integral.
 
@@ -253,27 +190,10 @@ def _segment_layout(seq: PulseSequence, t: float, grid_times: np.ndarray):
     return np.concatenate(instants), np.concatenate(weights)
 
 
-def toggled_phase(traj: Trajectory, seq: PulseSequence, t: float) -> float:
-    """Phase int_0^t f(t') c(t') dt' accumulated with the sign history c.
-
-    Grid points are inserted exactly at each pulse instant delta_j * t, so
-    the sign flips carry no O(dt) bias; segment sums are compensated.
-    """
-    if not 0.0 <= t < math.inf:
-        raise ValueError(f"t must be finite and >= 0, got {t}")
-    if t == 0.0:
-        return 0.0
-    if t > traj.times[-1] * (1.0 + 1e-12):
-        raise ValueError(f"t = {t:g} beyond the trajectory span {traj.times[-1]:g}")
-    instants, weights = _segment_layout(seq, t, traj.times)
-    return t * math.fsum(weights * traj.value_at(instants))
-
-
 def _batched_phases(bath: ClassicalBath, seq: PulseSequence, t: float,
                     samples: int, seed: int, dt: float, mode_count: int) -> np.ndarray:
     """Toggled phases of `samples` independent trajectories: each mode's
     toggled response once, then one dot product per trajectory."""
-    _check_sampling(bath, dt, mode_count)
     n_steps = max(1, math.ceil(t / dt))
     grid = np.linspace(0.0, t, n_steps + 1)
     omegas, sigmas = _mode_bins(bath, mode_count)
@@ -294,12 +214,22 @@ def mc_signal(bath: ClassicalBath, seq: PulseSequence, t: float, samples: int,
     """Estimate the signal as mean cos(phase) over independent trajectories.
 
     Deterministic for a given seed: trajectory k is seeded with
-    trajectory_seed(seed, k) and matches synthesize() with that seed.
+    trajectory_seed(seed, k).
     """
     if samples < 100:
         raise ValueError(f"samples must be >= 100, got {samples}")
     if not 0.0 < t < math.inf:
         raise ValueError(f"t must be finite and > 0, got {t}")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and > 0, got {dt}")
+    if not t / dt < math.inf:
+        raise ValueError(f"t / dt must be finite, got t = {t:g}, dt = {dt:g}")
+    if mode_count < 8:
+        raise ValueError(f"mode_count must be >= 8, got {mode_count}")
+    dt_max = math.pi / (4.0 * bath.omega_max)
+    if dt > dt_max:
+        raise ValueError(
+            f"dt = {dt:g} aliases the spectrum: need dt <= pi/(4 omega_max) = {dt_max:g}")
     phases = _batched_phases(bath, seq, t, samples, seed, dt, mode_count)
     cosines = np.cos(phases)
     mean = float(np.mean(cosines))

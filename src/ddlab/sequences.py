@@ -112,7 +112,7 @@ def deltas_from_csv(path) -> PulseSequence:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or header[0].strip() != "delta":
+        if not header or header[0].strip() != "delta":
             raise ValueError(f"{path}: expected header 'delta', got {header}")
         values = [float(row[0]) for row in reader if row]
     return custom(values)

@@ -22,7 +22,8 @@ from ddlab import (
     storage_time,
     udd,
 )
-from ddlab.filters import _split_sums, _term_table, bessel_approx, y_abs_sq_array, y_factor_array
+from ddlab.filters import (_equidistant_half_sum, _split_sums, _term_table, bessel_approx,
+                           y_abs_sq_array, y_factor_array)
 from conftest import STANDARD_GRID, classical_twin
 
 EULER_GAMMA = 0.5772156649015329
@@ -102,7 +103,7 @@ def test_criterion_04_equidistant_closed_forms():
         # instants no longer take: |y|^2 is the half-sum squared
         terms = _term_table(equidistant(n))
         direct = _split_sums(zs, terms)[0] ** 2
-        closed = ddlab.equidistant_closed_form(n, zs)
+        closed = _equidistant_half_sum(n, zs) ** 2
         dev = float(np.max(np.abs(direct - closed) / np.maximum(1.0, closed)))
         assert dev <= 1e-12
         worst = max(worst, dev)

@@ -285,12 +285,6 @@ class TestCompareSchemes:
         for a, b in zip(eq_rows, udd_rows):
             assert a.s == pytest.approx(b.s, abs=1e-12)
 
-    def test_metadata_records_grid(self, quad):
-        table = compare_schemes(2, [0.25], [0.0], [1.0], quad)
-        assert table.metadata["n"] == 2
-        assert table.metadata["alphas"] == [0.25]
-        assert table.metadata["quad"]["rel_tol"] == quad.rel_tol
-
     def test_quadrature_failure_becomes_row_error(self, quad, monkeypatch):
         def failing(seq, bath, t, quad):
             raise QuadratureError("no convergence", estimate=0.0, error_bound=1.0)

@@ -9,8 +9,8 @@ from ddlab import (
     ClassicalBath,
     OhmicBath,
     TabulatedSpectralDensity,
+    bessel_approx,
     bessel_j,
-    equidistant_closed_form,
     integrand_weight,
     spectral_density,
     thermal_weight,
@@ -237,10 +237,10 @@ class TestClassicalBath:
     lambda w: thermal_weight(0.0, w),
     lambda w: integrand_weight(OhmicBath(alpha=0.1, temperature=0.1), w),
     lambda w: integrand_weight(ClassicalBath(lambda x: 2.0 * x, omega_max=3.0), w),
-    lambda w: equidistant_closed_form(3, w),
+    lambda w: bessel_approx(3, w),
     lambda w: bessel_j(1, w),
 ], ids=["spectral_density", "thermal_weight", "thermal_weight_T0", "integrand_weight",
-        "integrand_weight_classical", "equidistant_closed_form", "bessel_j"])
+        "integrand_weight_classical", "bessel_approx", "bessel_j"])
 def test_list_in_gives_the_ndarray_out(fn):
     # scalar in, float out is decided by dimension: a list is an array
     out = fn([1.0, 2.0])

@@ -372,6 +372,14 @@ class TestMcCommand:
         _, rows = parse_csv(out)
         assert abs(float(rows[0]["z_score"])) <= 3.0
 
+    def test_unbounded_step_count_exit_2(self, capsys):
+        # t / dt overflows a float: no trajectory grid, a configuration error
+        code, out, err = run_cli(["mc", "--scheme", "udd", "--n", "2", "--t", "1e308",
+                                  "--quiet"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "t / dt must be finite" in err
+
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_bath_csv_rejected(self, tmp_path, capsys, source):
         # the Monte Carlo path only has the ohmic classical twin
@@ -586,6 +594,15 @@ class TestCustomSequenceInput:
             ["signal", "--scheme", "custom", "--deltas-file", str(path),
              "--points", "2", "--tmin", "1", "--tmax", "2", "--quiet"], capsys)
         assert code == 0
+
+    def test_deltas_csv_blank_first_line_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "seq.csv"
+        path.write_text("\n0.5\n")
+        code, out, err = run_cli(["storage", "--scheme", "custom", "--deltas-file", str(path),
+                                  "--quiet"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "expected header 'delta'" in err
 
     def test_invalid_inline_deltas_exit_2(self, capsys):
         code, _, _ = run_cli(

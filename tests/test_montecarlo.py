@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 import ddlab
-from ddlab import ClassicalBath, Trajectory, mc_signal, synthesize, toggled_phase, udd
+from ddlab import ClassicalBath, mc_signal, udd
 from ddlab.montecarlo import (_batched_phases, _draw_amplitudes, _generator, _mode_bins,
-                              _trajectory_words, trajectory_seed)
+                              _segment_layout, _trajectory_words, trajectory_seed)
 from conftest import classical_twin
 
 
@@ -24,12 +24,38 @@ def zero_bath() -> ClassicalBath:
         omega_max=1.0)
 
 
-def constant_trajectory(value: float, t_max: float = 4.0) -> Trajectory:
-    """f(t) = value via a single zero-frequency cosine mode."""
-    times = np.linspace(0.0, t_max, 17)
-    return Trajectory(times=times, values=np.full_like(times, value), seed=0,
-                      mode_count=1, omegas=np.array([0.0]),
-                      amp_cos=np.array([value]), amp_sin=np.array([0.0]))
+def static_phase(value: float, seq, t: float) -> float:
+    """Toggled phase of constant noise f = value, from _segment_layout's
+    weights (the ones mc_signal integrates with) on a 17-point grid over
+    [0, 4]."""
+    _, weights = _segment_layout(seq, t, np.linspace(0.0, 4.0, 17))
+    return t * math.fsum(weights * value)
+
+
+def reference_modes(bath: ClassicalBath, mode_count: int, seed: int):
+    """Mode frequencies and amplitudes of the trajectory seeded with seed,
+    straight from the spectrum and np.random.default_rng: midpoint bins of
+    width omega_max / mode_count, variances p dw / pi, cosines first."""
+    dw = bath.omega_max / mode_count
+    omegas = (np.arange(mode_count) + 0.5) * dw
+    sigmas = np.sqrt(bath.power_spectrum(omegas) * dw / math.pi)
+    rng = np.random.default_rng(seed)
+    amp_cos = sigmas * rng.standard_normal(mode_count)
+    return omegas, amp_cos, sigmas * rng.standard_normal(mode_count)
+
+
+def reference_phase(omegas, amp_cos, amp_sin, seq, t: float, dt: float) -> float:
+    """int_0^t f(t') c(t') dt' of the noise sum_k a_k cos(w_k t') + b_k
+    sin(w_k t'): a plain trapezoid on each interval between pulses, over its
+    ends and the points of linspace(0, t, ceil(t / dt) + 1) inside it."""
+    grid = np.linspace(0.0, t, max(1, math.ceil(t / dt)) + 1)
+    bounds = (0.0, *(d * t for d in seq.deltas), t)
+    phase = 0.0
+    for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        ts = np.concatenate([[lo], grid[(grid > lo) & (grid < hi)], [hi]])
+        f = np.cos(np.outer(ts, omegas)) @ amp_cos + np.sin(np.outer(ts, omegas)) @ amp_sin
+        phase += (-1) ** i * float(np.sum(0.5 * (f[1:] + f[:-1]) * np.diff(ts)))
+    return phase
 
 
 class TestSeedSplitting:
@@ -124,59 +150,25 @@ class TestSeedBatch:
     def test_short_seed_base(self):
         assert trajectory_seed(self.SHORT_SEED_BASE, 0) == 12345
 
-    def test_synthesize_matches_default_rng(self):
-        bath = flat_bath()
-        _, sigmas = _mode_bins(bath, 64)
-        for seed in (0, 12345, 2**64 - 1, 2**70 + 3):
-            traj = synthesize(bath, 1.0, 0.02, 64, seed)
-            rng = np.random.default_rng(seed)
-            assert np.array_equal(traj.amp_cos, sigmas * rng.standard_normal(64))
-            assert np.array_equal(traj.amp_sin, sigmas * rng.standard_normal(64))
-
-    @pytest.mark.parametrize("seed, error", [(-1, ValueError), (1.5, TypeError)])
-    def test_synthesize_rejects_what_default_rng_rejects(self, seed, error):
-        with pytest.raises(error):
-            np.random.default_rng(seed)
-        with pytest.raises(error):
-            synthesize(flat_bath(), 1.0, 0.02, 16, seed)
-
 
 class TestSynthesize:
+    """The noise synthesis: mode bins, their draws and the sampling checks."""
+
     def test_zero_spectrum_gives_zero_trajectory(self):
-        traj = synthesize(zero_bath(), 1.0, 0.1, 16, 3)
-        assert np.all(traj.values == 0.0)
+        assert not np.any(_batched_phases(zero_bath(), udd(2), 1.0, 100, 3, 0.1, 16))
 
     def test_repeatable_bit_identical(self):
         bath = flat_bath()
-        a = synthesize(bath, 2.0, 0.01, 64, 42)
-        b = synthesize(bath, 2.0, 0.01, 64, 42)
-        assert np.array_equal(a.values, b.values)
-
-    def test_grid_uniform_and_spans_t_max(self):
-        traj = synthesize(flat_bath(), 1.0, 0.03, 16, 5)
-        assert traj.times[0] == 0.0
-        assert traj.times[-1] == 1.0
-        steps = np.diff(traj.times)
-        assert steps.max() - steps.min() < 1e-15
-        assert steps.max() <= 0.03 + 1e-15
-
-    def test_values_match_mode_evaluation(self):
-        traj = synthesize(flat_bath(), 1.0, 0.03, 32, 9)
-        np.testing.assert_allclose(traj.value_at(traj.times), traj.values,
-                                   rtol=1e-12, atol=1e-14)
+        a = _batched_phases(bath, udd(1), 2.0, 100, 42, 0.01, 64)
+        assert np.array_equal(a, _batched_phases(bath, udd(1), 2.0, 100, 42, 0.01, 64))
 
     def test_aliasing_rejected(self):
         with pytest.raises(ValueError, match="alias"):
-            synthesize(flat_bath(omega_max=20.0), 1.0, 0.1, 16, 1)
+            mc_signal(flat_bath(omega_max=20.0), udd(1), 1.0, 100, 1, 0.1, 16)
 
     def test_mode_count_minimum(self):
         with pytest.raises(ValueError):
-            synthesize(flat_bath(), 1.0, 0.01, 4, 1)
-
-    @pytest.mark.parametrize("t_max", [math.inf, math.nan])
-    def test_non_finite_span_rejected(self, t_max):
-        with pytest.raises(ValueError, match="t_max must be finite"):
-            synthesize(flat_bath(), t_max, 0.01, 16, 1)
+            mc_signal(flat_bath(), udd(1), 1.0, 100, 1, 0.01, 4)
 
     def test_variance_matches_spectrum_integral(self):
         # Var f(0) = g(0) = (1/pi) int p over 1e4 independent draws
@@ -193,57 +185,37 @@ class TestSynthesize:
 
 class TestToggledPhase:
     def test_free_evolution_integrates_constant(self):
-        traj = constant_trajectory(2.5)
-        assert toggled_phase(traj, udd(0), 4.0) == pytest.approx(10.0, rel=1e-14, abs=0.0)
+        assert static_phase(2.5, udd(0), 4.0) == pytest.approx(10.0, rel=1e-14, abs=0.0)
 
     def test_echo_cancels_static_noise_exactly(self):
         # exact zero whenever the weight products stay representable
         # (dyadic times on the dyadic grid)
-        traj = constant_trajectory(3.7)
-        assert toggled_phase(traj, udd(1), 4.0) == 0.0
-        assert toggled_phase(traj, udd(1), 1.0) == 0.0
+        assert static_phase(3.7, udd(1), 4.0) == 0.0
+        assert static_phase(3.7, udd(1), 1.0) == 0.0
 
     def test_cpmg_balances_exactly(self):
-        traj = constant_trajectory(-1.1)
-        assert toggled_phase(traj, udd(2), 4.0) == 0.0
-        assert toggled_phase(traj, udd(2), 2.0) == 0.0
+        assert static_phase(-1.1, udd(2), 4.0) == 0.0
+        assert static_phase(-1.1, udd(2), 2.0) == 0.0
 
     def test_balanced_equidistant_triplet(self):
-        traj = constant_trajectory(0.9)
-        assert toggled_phase(traj, ddlab.equidistant(3), 4.0) == 0.0
+        assert static_phase(0.9, ddlab.equidistant(3), 4.0) == 0.0
 
     def test_balanced_sequences_within_ulps_generic_time(self):
         # at non-dyadic times rounding of the weight products leaves a
         # couple of ulps of c0 * t
-        traj = constant_trajectory(1.0)
         for seq in (udd(1), udd(2), udd(3), udd(4), udd(7)):
             for t in (1.3, 2.9, 3.7):
-                phi = toggled_phase(traj, seq, t)
+                phi = static_phase(1.0, seq, t)
                 assert abs(phi) <= 16 * np.finfo(float).eps * t
-
-    def test_zero_time(self):
-        traj = constant_trajectory(1.0)
-        assert toggled_phase(traj, udd(2), 0.0) == 0.0
-
-    def test_beyond_span_rejected(self):
-        traj = constant_trajectory(1.0, t_max=2.0)
-        with pytest.raises(ValueError, match="beyond"):
-            toggled_phase(traj, udd(0), 3.0)
-
-    def test_nan_time_rejected(self):
-        traj = constant_trajectory(1.0, t_max=2.0)
-        with pytest.raises(ValueError, match="t must be finite"):
-            toggled_phase(traj, udd(2), math.nan)
 
     def test_matches_dense_reference_for_real_noise(self):
         # trapezoid with exact pulse breakpoints against a 10x denser grid
         bath = flat_bath(p0=0.5, omega_max=4.0)
         seq = udd(3)
         t = 2.0
-        coarse = synthesize(bath, t, 0.02, 64, 11)
-        fine = synthesize(bath, t, 0.002, 64, 11)
-        assert toggled_phase(coarse, seq, t) == pytest.approx(
-            toggled_phase(fine, seq, t), abs=1e-3)
+        coarse = _batched_phases(bath, seq, t, 1, 11, 0.02, 64)[0]
+        fine = reference_phase(*reference_modes(bath, 64, trajectory_seed(11, 0)), seq, t, 0.002)
+        assert coarse == pytest.approx(fine, abs=1e-3)
 
 
 class TestMcSignal:
@@ -275,9 +247,14 @@ class TestMcSignal:
         for seq, t, dt, modes in ((udd(2), 3.0, 0.05, 128), (udd(3), 5.0, 0.01, 512)):
             phases = _batched_phases(bath, seq, t, 4, 17, dt, modes)
             for k in range(4):
-                traj = synthesize(bath, t, dt, modes, trajectory_seed(17, k))
-                assert phases[k] == pytest.approx(toggled_phase(traj, seq, t),
+                modes_k = reference_modes(bath, modes, trajectory_seed(17, k))
+                assert phases[k] == pytest.approx(reference_phase(*modes_k, seq, t, dt),
                                                   rel=1e-10, abs=1e-12)
+
+    def test_unbounded_step_count_rejected(self):
+        # t / dt overflows: no grid of that many steps can be built
+        with pytest.raises(ValueError, match=r"^t / dt must be finite"):
+            mc_signal(flat_bath(), udd(2), 1e308, 100, 1, 0.01, 16)
 
     def test_batched_peak_memory_bound(self):
         # one response vector per mode and one draw at a time: no

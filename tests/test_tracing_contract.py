@@ -12,7 +12,7 @@ import pytest
 
 import ddlab.filters
 import ddlab.montecarlo
-from ddlab import ClassicalBath, OhmicBath, chi, mc_signal, phase, signal, synthesize, udd
+from ddlab import ClassicalBath, OhmicBath, chi, mc_signal, phase, signal, udd
 from ddlab.quadrature import integrate_adaptive
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -103,5 +103,3 @@ def test_draw_seam_sees_every_trajectory(monkeypatch):
     monkeypatch.setattr("ddlab.montecarlo._draw_amplitudes", spy)
     mc_signal(bath, udd(2), 1.0, 137, 5, 0.05, 32)
     assert len(calls) == 137
-    synthesize(bath, 1.0, 0.05, 32, 5)
-    assert len(calls) == 138
