@@ -11,7 +11,7 @@ and the estimated signal is the sample mean of cos(phase).
 The toggled phase is linear in the mode amplitudes a_k, b_k: it equals
 sum_k a_k u_cos[k] + b_k u_sin[k], where u_cos[k] is the toggled integral of
 cos(w_k t') (u_sin of sin).  mc_signal integrates each mode's response once
-and takes one dot product per trajectory.
+per call, over chunks of instants so that memory stays bounded for long t.
 
 Seed splitting: trajectory k draws from numpy's default generator seeded
 with the k-th output of a splitmix64 stream whose state is the base seed,
@@ -26,16 +26,24 @@ trajectory.  mc_signal instead computes all trajectory seeds with uint64
 arithmetic and their SeedSequence(seed_k).generate_state(4, uint64) words
 in one batch with uint32 arithmetic (O'Neill's seed_seq_fe: hashmix and mix
 over a pool of 4 words).  Each call then builds one PCG64 and one Generator,
-sets the PCG64 state from each trajectory's words as PCG64's own seeding
-does, and draws that trajectory's normals into a reused buffer.  The
-draws are numpy's default generator's, bit for bit: numpy's
-stream-compatibility policy (NEP 19) fixes SeedSequence's hash and PCG64's
-seeding.  Nothing is shared between calls, so mc_signal stays thread-safe.
+and for each trajectory sets the PCG64 state from its words as PCG64's own
+seeding does and draws its standard normals into one row of a reused block
+of _BLOCK trajectories.  The draws are numpy's default generator's, bit for
+bit: numpy's stream-compatibility policy (NEP 19) fixes SeedSequence's hash
+and PCG64's seeding.  The amplitudes are sigma_k times the normals, so a
+trajectory's phase is its row of normals dotted with the sigma-scaled
+responses v = [sigma u_cos, sigma u_sin], formed once per call.  Each
+block is reduced against v in one np.einsum("ij,j->i"), which sums each row
+on its own and calls no BLAS: a phase does not depend on the other rows of
+its block, on how many rows the last block has, or on the BLAS thread count.
+The mode responses are einsum sums as well.  Nothing is shared between
+calls, so mc_signal stays thread-safe.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +65,11 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+# trajectories per block: 64 x 1024 doubles (512 KB) at 512 modes
+_BLOCK = 64
+# elements of one chunk of the (mode x instant) phase matrix
+_RESPONSE_CHUNK = 1 << 20
 
 
 def _mix64(z):
@@ -131,20 +144,25 @@ class McEstimate:
 def _mode_bins(bath: ClassicalBath, mode_count: int):
     dw = bath.omega_max / mode_count
     omegas = (np.arange(mode_count) + 0.5) * dw
-    sigmas = np.sqrt(np.asarray(bath.power_spectrum(omegas), dtype=float) * dw / math.pi)
-    return omegas, sigmas
+    p = np.asarray(bath.power_spectrum(omegas), dtype=float)
+    bad = ~((p >= 0.0) & (p < math.inf))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"power_spectrum must be finite and >= 0 at every mode frequency, "
+                         f"got p({float(omegas[k])!r}) = {float(p[k])!r}")
+    return omegas, np.sqrt(p * dw / math.pi)
 
 
-def _draw_amplitudes(gen: np.random.Generator, words, sigmas: np.ndarray,
-                     buf: np.ndarray):
-    """One trajectory's cosine and sine amplitudes, as np.random.default_rng
-    would draw them from the seed whose generate_state(4, uint64) words are
-    `words`.
+def _draw_amplitudes(gen: np.random.Generator, words, out: np.ndarray) -> None:
+    """Fill out with one trajectory's standard normals, the len(out) // 2 of
+    its cosine amplitudes first, then those of its sine amplitudes, as
+    np.random.default_rng would draw them from the seed whose
+    generate_state(4, uint64) words are `words`.
 
     gen's PCG64 is set to the state its seeding derives from the words:
     inc = (w2:w3 << 1) | 1 and state = step(step(0) + w0:w1), with step the
-    128-bit LCG.  buf (2 * len(sigmas) floats) takes all normals in one call,
-    which is the same stream as a cosine call followed by a sine call.
+    128-bit LCG.  One call fills out, which is the same stream as a cosine
+    call followed by a sine call.
     """
     w0, w1, w2, w3 = words.tolist()
     inc = (((w2 << 64) | w3) << 1 | 1) & _MASK128
@@ -152,9 +170,7 @@ def _draw_amplitudes(gen: np.random.Generator, words, sigmas: np.ndarray,
     gen.bit_generator.state = {"bit_generator": "PCG64",
                                "state": {"state": state, "inc": inc},
                                "has_uint32": 0, "uinteger": 0}
-    gen.standard_normal(out=buf)
-    m = len(sigmas)
-    return sigmas * buf[:m], sigmas * buf[m:]
+    gen.standard_normal(out=out)
 
 
 def _generator() -> np.random.Generator:
@@ -190,23 +206,49 @@ def _segment_layout(seq: PulseSequence, t: float, grid_times: np.ndarray):
     return np.concatenate(instants), np.concatenate(weights)
 
 
+def _mode_responses(omegas: np.ndarray, instants: np.ndarray, weights: np.ndarray):
+    """u_cos[k] = sum_j weights_j cos(omegas_k instants_j), and u_sin of sin.
+
+    The (mode x instant) phase matrix is built over chunks of instants of at
+    most _RESPONSE_CHUNK elements each, so memory stays bounded however long t
+    is; up to _RESPONSE_CHUNK elements the sums are one chunk.
+    """
+    step = max(1, _RESPONSE_CHUNK // len(omegas))
+    u_cos, u_sin = np.zeros(len(omegas)), np.zeros(len(omegas))
+    for lo in range(0, len(instants), step):
+        arg = np.outer(omegas, instants[lo:lo + step])
+        w = weights[lo:lo + step]
+        u_cos += np.einsum("ij,j->i", np.cos(arg), w)
+        u_sin += np.einsum("ij,j->i", np.sin(arg, out=arg), w)
+    return u_cos, u_sin
+
+
 def _batched_phases(bath: ClassicalBath, seq: PulseSequence, t: float,
                     samples: int, seed: int, dt: float, mode_count: int) -> np.ndarray:
-    """Toggled phases of `samples` independent trajectories: each mode's
-    toggled response once, then one dot product per trajectory."""
+    """Toggled phases of `samples` independent trajectories: the sigma-scaled
+    mode responses v once, then blocks of _BLOCK trajectories, each filled
+    row by row by _draw_amplitudes and reduced against v in one einsum."""
     n_steps = max(1, math.ceil(t / dt))
     grid = np.linspace(0.0, t, n_steps + 1)
     omegas, sigmas = _mode_bins(bath, mode_count)
     instants, weights = _segment_layout(seq, t, grid)
-    wcol = t * weights
-    u_cos = np.cos(np.outer(omegas, instants)) @ wcol
-    u_sin = np.sin(np.outer(omegas, instants)) @ wcol
-    gen, buf = _generator(), np.empty(2 * mode_count)
+    v = np.concatenate([sigmas * u for u in _mode_responses(omegas, instants, t * weights)])
+    words = _trajectory_words(seed, samples)
+    gen, block = _generator(), np.empty((_BLOCK, 2 * mode_count))
     phases = np.empty(samples)
-    for k, row in enumerate(_trajectory_words(seed, samples)):
-        ac, asn = _draw_amplitudes(gen, row, sigmas, buf)
-        phases[k] = ac @ u_cos + asn @ u_sin
+    for lo in range(0, samples, _BLOCK):
+        rows = block[:samples - lo]
+        for row, row_words in zip(rows, words[lo:lo + _BLOCK]):
+            _draw_amplitudes(gen, row_words, row)
+        phases[lo:lo + len(rows)] = np.einsum("ij,j->i", rows, v)
     return phases
+
+
+def _integer(name: str, value) -> int:
+    """value as a Python int; a bool is no integer here, as in the CLI's config."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def mc_signal(bath: ClassicalBath, seq: PulseSequence, t: float, samples: int,
@@ -214,8 +256,12 @@ def mc_signal(bath: ClassicalBath, seq: PulseSequence, t: float, samples: int,
     """Estimate the signal as mean cos(phase) over independent trajectories.
 
     Deterministic for a given seed: trajectory k is seeded with
-    trajectory_seed(seed, k).
+    trajectory_seed(seed, k).  samples, seed and mode_count must be
+    integers (Python or numpy); the estimate holds them as Python ints.
     """
+    samples = _integer("samples", samples)
+    seed = _integer("seed", seed)
+    mode_count = _integer("mode_count", mode_count)
     if samples < 100:
         raise ValueError(f"samples must be >= 100, got {samples}")
     if not 0.0 < t < math.inf:
@@ -234,4 +280,4 @@ def mc_signal(bath: ClassicalBath, seq: PulseSequence, t: float, samples: int,
     cosines = np.cos(phases)
     mean = float(np.mean(cosines))
     stderr = float(np.std(cosines, ddof=1) / math.sqrt(samples))
-    return McEstimate(mean=mean, stderr=stderr, samples=samples, seed=int(seed))
+    return McEstimate(mean=mean, stderr=stderr, samples=samples, seed=seed)

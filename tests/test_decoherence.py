@@ -128,6 +128,43 @@ class TestClosedFormOracle:
         assert abs(phase(seq, bath, t, quad) - phi_ref) <= 1e-12 * abs(phi_ref)
 
 
+def chi_udd_closed_form(n: int, alpha: float, t: float) -> float:
+    """chi of udd(n) on the T = 0 ohmic bath with omega_d = 1, from the
+    J_{n+1} term of the filter's Jacobi-Anger series at 30 digits:
+    4 alpha (n+1) [J_{n+1}(X)^2 + 2 sum_{k >= n+2} J_k(X)^2], X = t/2.  The
+    tail is summed until its terms, past k = X, drop below 1e-30 of the sum."""
+    with mpmath.workdps(30):
+        x = mpmath.mpf(t) / 2
+        total = mpmath.besselj(n + 1, x) ** 2
+        k = n + 2
+        while True:
+            term = 2 * mpmath.besselj(k, x) ** 2
+            total += term
+            if k > x and term < mpmath.mpf(10) ** -30 * total:
+                return float(4 * alpha * (n + 1) * total)
+            k += 1
+
+
+class TestUddBesselOracle:
+    """udd on the paper's bath against the Bessel closed form.  The filter
+    terms it omits start at J_{3(n+1)}: they are 5e-14 of chi for udd(10) at
+    t = 11.96, but 4e-9 for udd(2) at t = 1, so small n is left out."""
+
+    @pytest.mark.parametrize("n, t", [(10, 11.96), (100, 150.0), (100, 175.9), (300, 561.97)])
+    def test_chi_matches_closed_form(self, quad, n, t):
+        ref = chi_udd_closed_form(n, 0.25, t)
+        assert abs(chi(udd(n), OhmicBath(alpha=0.25), t, quad) - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.001])
+    @pytest.mark.parametrize("n", [10, 100])
+    def test_storage_bracket_straddles_closed_form_crossing(self, quad, n, alpha):
+        # storage error 1 - exp(-2 chi) reaches epsilon at chi = -ln(1 - epsilon)/2
+        epsilon = 1e-4
+        lo, hi = ddlab.storage_time(udd(n), OhmicBath(alpha=alpha), epsilon, quad).bracket
+        target = -math.log1p(-epsilon) / 2.0
+        assert chi_udd_closed_form(n, alpha, lo) <= target <= chi_udd_closed_form(n, alpha, hi)
+
+
 class TestUddSmallTimes:
     @pytest.mark.parametrize("n", [5, 20, 100])
     def test_chi_nondecreasing_and_first_round(self, quad, monkeypatch, n):

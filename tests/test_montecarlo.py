@@ -7,8 +7,9 @@ import pytest
 
 import ddlab
 from ddlab import ClassicalBath, mc_signal, udd
-from ddlab.montecarlo import (_batched_phases, _draw_amplitudes, _generator, _mode_bins,
-                              _segment_layout, _trajectory_words, trajectory_seed)
+from ddlab.montecarlo import (_BLOCK, _RESPONSE_CHUNK, _batched_phases, _draw_amplitudes,
+                              _generator, _mode_bins, _mode_responses, _segment_layout,
+                              _trajectory_words, trajectory_seed)
 from conftest import classical_twin
 
 
@@ -89,12 +90,15 @@ def base_for(seed: int) -> int:
 
 def reference_draw(base_seed):
     """_draw_amplitudes as np.random.default_rng(trajectory_seed(base_seed, k))
-    draws it, for the k-th call."""
+    draws it, for the k-th call: cosine normals into the first half of out,
+    then sine normals into the second."""
     calls = itertools.count()
 
-    def draw(gen, words, sigmas, buf):
+    def draw(gen, words, out):
         rng = np.random.default_rng(trajectory_seed(base_seed, next(calls)))
-        return sigmas * rng.standard_normal(len(sigmas)), sigmas * rng.standard_normal(len(sigmas))
+        m = len(out) // 2
+        out[:m] = rng.standard_normal(m)
+        out[m:] = rng.standard_normal(m)
     return draw
 
 
@@ -120,19 +124,20 @@ class TestSeedBatch:
                                   np.random.SeedSequence(seed).generate_state(4, np.uint64))
 
     def test_draws_match_default_rng(self):
-        sigmas = np.linspace(0.1, 2.0, 96)
-        gen, buf = _generator(), np.empty(2 * 96)
+        # into rows of a block, as _batched_phases draws
+        gen, block = _generator(), np.empty((8, 2 * 96))
         for k, words in enumerate(_trajectory_words(31, 1000)):
-            amp_cos, amp_sin = _draw_amplitudes(gen, words, sigmas, buf)
+            row = block[k % 8]
+            _draw_amplitudes(gen, words, row)
             rng = np.random.default_rng(trajectory_seed(31, k))
-            assert np.array_equal(amp_cos, sigmas * rng.standard_normal(96))
-            assert np.array_equal(amp_sin, sigmas * rng.standard_normal(96))
+            assert np.array_equal(row[:96], rng.standard_normal(96))
+            assert np.array_equal(row[96:], rng.standard_normal(96))
 
     def test_state_matches_pcg64_seeding(self):
         gen, empty = _generator(), np.empty(0)
         for seed in (0, 1, 2**32, 2**64 - 1, *(trajectory_seed(5, k) for k in range(200))):
             words = np.random.SeedSequence(seed).generate_state(4, np.uint64)
-            _draw_amplitudes(gen, words, empty, empty)
+            _draw_amplitudes(gen, words, empty)
             assert gen.bit_generator.state == np.random.PCG64(seed).state
 
     # a base seed whose first trajectory seed is below 2^32, where
@@ -149,6 +154,43 @@ class TestSeedBatch:
 
     def test_short_seed_base(self):
         assert trajectory_seed(self.SHORT_SEED_BASE, 0) == 12345
+
+
+class TestBlocks:
+    """Trajectories drawn into blocks of _BLOCK rows and reduced per block:
+    no phase depends on the other rows of its block or on their count."""
+
+    @pytest.mark.parametrize("samples", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+    def test_every_sample_count_is_a_prefix(self, samples):
+        bath = classical_twin(0.1, 0.25)
+        args = (bath, udd(3), 2.0)
+        full = _batched_phases(*args, 4 * _BLOCK, 23, 0.02, 128)
+        assert np.array_equal(_batched_phases(*args, samples, 23, 0.02, 128), full[:samples])
+
+    @pytest.mark.parametrize("cap", [_RESPONSE_CHUNK, 7 * 512 + 3])
+    def test_chunked_responses_match_one_chunk(self, cap, monkeypatch):
+        omegas, _ = _mode_bins(classical_twin(0.1, 0.25), 512)
+        t = 50.0
+        instants, weights = _segment_layout(udd(3), t, np.linspace(0.0, t, 5001))
+        assert omegas.size * instants.size > cap
+        monkeypatch.setattr("ddlab.montecarlo._RESPONSE_CHUNK", cap)
+        chunked = _mode_responses(omegas, instants, t * weights)
+        monkeypatch.setattr("ddlab.montecarlo._RESPONSE_CHUNK", omegas.size * instants.size)
+        whole = _mode_responses(omegas, instants, t * weights)
+        for a, b in zip(chunked, whole):
+            assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+
+    def test_long_cell_peak_memory_bound(self):
+        # 2e4 instants at 512 modes: one unchunked phase matrix would take
+        # 82 MB; two chunk matrices of _RESPONSE_CHUNK doubles take 16.8 MB
+        bath = classical_twin(0.1, 0.25)
+        tracemalloc.start()
+        try:
+            _batched_phases(bath, udd(3), 200.0, 100, 7, 0.01, 512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
 
 class TestSynthesize:
@@ -170,6 +212,17 @@ class TestSynthesize:
         with pytest.raises(ValueError):
             mc_signal(flat_bath(), udd(1), 1.0, 100, 1, 0.01, 4)
 
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_bad_spectrum_at_a_mode_frequency_named(self, bad):
+        # ClassicalBath's probe sees omega = j/16 only; the bad window holds
+        # two of the 512 mode frequencies, (153 + 1/2)/512 and (154 + 1/2)/512,
+        # and the error names the first
+        bath = ClassicalBath(
+            power_spectrum=lambda w: np.where(abs(w - 0.30078125) < 1e-3, bad, 0.2 * w),
+            omega_max=1.0)
+        with pytest.raises(ValueError, match=r"got p\(0\.2998046875\) = "):
+            mc_signal(bath, udd(2), 1.0, 100, 1, 0.01, 512)
+
     def test_variance_matches_spectrum_integral(self):
         # Var f(0) = g(0) = (1/pi) int p over 1e4 independent draws
         bath = flat_bath(p0=0.2, omega_max=20.0)
@@ -178,8 +231,8 @@ class TestSynthesize:
         f0 = np.empty(10000)
         gen, buf = _generator(), np.empty(2 * 512)
         for k, words in enumerate(_trajectory_words(99, 10000)):
-            amp_cos, _ = _draw_amplitudes(gen, words, sigmas, buf)
-            f0[k] = amp_cos.sum()
+            _draw_amplitudes(gen, words, buf)
+            f0[k] = (sigmas * buf[:512]).sum()
         assert np.var(f0) == pytest.approx(g0, rel=0.05, abs=0.0)
 
 
@@ -234,6 +287,20 @@ class TestMcSignal:
     def test_sample_floor(self):
         with pytest.raises(ValueError):
             mc_signal(flat_bath(), udd(0), 1.0, 50, 1, 0.02, 64)
+
+    @pytest.mark.parametrize("name, value", [("samples", 100.5), ("seed", 1.5),
+                                             ("mode_count", 8.5), ("seed", True),
+                                             ("samples", "100")])
+    def test_non_integer_counts_and_seeds_rejected(self, name, value):
+        args = {"samples": 100, "seed": 1, "mode_count": 16, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            mc_signal(flat_bath(), udd(1), 1.0, dt=0.02, **args)
+
+    def test_numpy_integers_held_as_python_ints(self):
+        est = mc_signal(flat_bath(), udd(1), 1.0, np.int64(100), np.uint64(5), 0.02,
+                        np.int32(16))
+        assert type(est.samples) is int and type(est.seed) is int
+        assert est == mc_signal(flat_bath(), udd(1), 1.0, 100, 5, 0.02, 16)
 
     @pytest.mark.parametrize("t, dt, name", [(math.inf, 0.02, "t"), (math.nan, 0.02, "t"),
                                              (1.0, math.nan, "dt")])
