@@ -14,7 +14,6 @@ from .analysis import (
     SearchExhaustedError,
     StorageResult,
     SweepRow,
-    SweepTable,
     compare_schemes,
     min_pulses,
     storage_time,
@@ -28,7 +27,6 @@ from .bath import (
     thermal_weight,
 )
 from .decoherence import (
-    CoherenceCurve,
     CoherencePoint,
     QuadratureError,
     QuadratureSpec,
@@ -54,9 +52,9 @@ __all__ = [
     "PulseSequence", "equidistant", "udd", "custom", "deltas_from_csv",
     "x_factor", "y_factor", "y_abs_sq",
     "bessel_approx", "bessel_j",
-    "QuadratureSpec", "QuadratureError", "CoherencePoint", "CoherenceCurve",
+    "QuadratureSpec", "QuadratureError", "CoherencePoint",
     "chi", "phase", "signal", "coherence_curve",
-    "StorageResult", "SweepRow", "SweepTable", "storage_time", "min_pulses",
+    "StorageResult", "SweepRow", "storage_time", "min_pulses",
     "compare_schemes", "RangeExhaustedError", "SearchExhaustedError",
     "McEstimate", "mc_signal",
 ]

@@ -179,16 +179,28 @@ def thermal_weight(temperature: float, omega):
     return out if np.ndim(omega) else float(out)
 
 
+def _checked_spectrum(bath: ClassicalBath, om: np.ndarray) -> np.ndarray:
+    """p(om) as floats, zero above omega_max; a ValueError names the first
+    om <= omega_max where p is negative or not finite, which
+    ClassicalBath's probe can miss."""
+    p = np.where(om <= bath.omega_max, np.asarray(bath.power_spectrum(om), dtype=float), 0.0)
+    bad = ~((p >= 0.0) & (p < math.inf))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"power_spectrum must be finite and >= 0 on [0, omega_max], "
+                         f"got p({float(om.flat[k])!r}) = {float(p.flat[k])!r}")
+    return p
+
+
 def integrand_weight(bath: Bath, omega):
     """The weight the decoherence integrals run against.
 
     Quantum baths give J(omega) * coth(omega/(2T)); classical baths give
-    p(omega)/pi.  A scalar gives a float, an array or list an ndarray.
+    p(omega)/pi, and a ValueError where p is negative or not finite.  A
+    scalar gives a float, an array or list an ndarray.
     """
     if isinstance(bath, ClassicalBath):
-        om = _omega_array(omega)
-        out = np.asarray(bath.power_spectrum(om), dtype=float) / np.pi
-        out = np.where(om <= bath.omega_max, out, 0.0)
+        out = _checked_spectrum(bath, _omega_array(omega)) / np.pi
         return out if np.ndim(omega) else float(out)
     j = spectral_density(bath, omega)
     if bath.temperature == 0.0:

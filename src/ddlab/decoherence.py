@@ -39,7 +39,6 @@ __all__ = [
     "QuadratureSpec",
     "QuadratureError",
     "CoherencePoint",
-    "CoherenceCurve",
     "chi",
     "phase",
     "signal",
@@ -61,28 +60,6 @@ class CoherencePoint:
     signal: float
     quad_error: float = 0.0
     saturated: bool = False
-
-
-@dataclass(frozen=True)
-class CoherenceCurve:
-    """Coherence samples over an ascending time grid."""
-
-    points: tuple
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def __len__(self):
-        return len(self.points)
-
-    def __getitem__(self, i):
-        return self.points[i]
-
-    def times(self) -> np.ndarray:
-        return np.array([p.t for p in self.points])
-
-    def signals(self) -> np.ndarray:
-        return np.array([p.signal for p in self.points])
 
 
 def _check_time(t: float) -> None:
@@ -188,7 +165,7 @@ def signal(seq: PulseSequence, bath: Bath, t: float,
 
 
 def coherence_curve(seq: PulseSequence, bath: Bath, t_grid,
-                    quad: QuadratureSpec = QuadratureSpec()) -> CoherenceCurve:
-    """Evaluate the signal over an ascending, finite, nonnegative time grid."""
+                    quad: QuadratureSpec = QuadratureSpec()) -> tuple[CoherencePoint, ...]:
+    """The signal at each time of an ascending, finite, nonnegative grid."""
     ts = _checked_grid(t_grid)
-    return CoherenceCurve(points=tuple(signal(seq, bath, float(t), quad) for t in ts))
+    return tuple(signal(seq, bath, float(t), quad) for t in ts)

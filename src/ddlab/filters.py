@@ -30,7 +30,7 @@ about a quarter of the transcendental evaluations of the complex sum.
 Other sequences sum the full term set.  x is always read from y's sums,
 so both filters take the same kernel on the same nodes.  The term table
 (phases, weights, mirror check, and whether the instants are equidistant)
-is built once per sequence and cached.
+is built per distinct sequence and cached, the last 64 kept.
 
 Equidistant instants, d_m = m/(n+1), make y a geometric sum, so S has the
 exact closed form of _equidistant_half_sum at every node, poles removed;
@@ -100,9 +100,9 @@ label whose instants are not that generator's.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -177,12 +177,6 @@ _LATTICE_SAVED = 3 * _LATTICE_STEPS
 _LATTICE_TOL = 4 * _EPS
 
 
-# term tables of the last _PLAN_SIZE sequences, by id: id -> (seq, table)
-_PLAN_SIZE = 64
-_PLANS: dict = {}
-_PLANS_LOCK = threading.Lock()
-
-
 def _y_coefficients(seq: PulseSequence):
     """Term weights c_j and instants d_j with y(z) = sum_j c_j e^(iz d_j)."""
     n = seq.n
@@ -221,25 +215,9 @@ class _Terms(NamedTuple):
         return len(self.funcs) == 1
 
 
+@functools.lru_cache(maxsize=64)
 def _term_table(seq: PulseSequence) -> _Terms:
-    """The term table of seq, built once per sequence object.
-
-    The cache holds the last _PLAN_SIZE sequences by identity, so a hit
-    costs no hash of the instants.  It keeps each sequence it holds alive,
-    so no other object can take that sequence's id meanwhile.
-    """
-    with _PLANS_LOCK:
-        hit = _PLANS.get(id(seq))
-        if hit is not None:
-            return hit[1]
-        terms = _build_term_table(seq)
-        if len(_PLANS) >= _PLAN_SIZE:
-            del _PLANS[next(iter(_PLANS))]
-        _PLANS[id(seq)] = (seq, terms)
-        return terms
-
-
-def _build_term_table(seq: PulseSequence) -> _Terms:
+    """The term table of seq, one per distinct sequence, the last 64 kept."""
     c, d = _y_coefficients(seq)
     if not bool(np.all(d + d[::-1] == 1.0)):
         u, w, funcs = d, c, (np.cos, np.sin)
@@ -592,7 +570,8 @@ class PanelGrid:
         self._round = None
         # (k0, step table) of the round, if it takes the lattice path
         self._lattice = None
-        self._tables = {}
+        # the sliced offset table of each half-width, built once
+        self._offset_table = functools.cache(functools.partial(_offset_table, self.terms))
 
     def set_round(self, centres: np.ndarray, half_widths: np.ndarray) -> None:
         """Announce the next round's panels, centres and half-widths in w.
@@ -608,12 +587,6 @@ class PanelGrid:
             # the rows saved: centres less base rows, one per q = k // m
             if k0 is not None and n - ((k0 + n - 1) // m - k0 // m + 1) >= _LATTICE_SAVED:
                 self._lattice = k0, _step_table(terms, float(half_widths[0]))
-
-    def _offset_table(self, half_width: float) -> np.ndarray:
-        table = self._tables.get(half_width)
-        if table is None:
-            table = self._tables[half_width] = _offset_table(self.terms, half_width)
-        return table
 
     def sums(self, z: np.ndarray) -> np.ndarray:
         """The term sums at the nodes z: one row per f in terms.funcs.

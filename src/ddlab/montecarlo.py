@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import ClassicalBath
+from .bath import ClassicalBath, _checked_spectrum
 from .sequences import PulseSequence
 
 __all__ = ["McEstimate", "trajectory_seed", "mc_signal"]
@@ -144,13 +144,7 @@ class McEstimate:
 def _mode_bins(bath: ClassicalBath, mode_count: int):
     dw = bath.omega_max / mode_count
     omegas = (np.arange(mode_count) + 0.5) * dw
-    p = np.asarray(bath.power_spectrum(omegas), dtype=float)
-    bad = ~((p >= 0.0) & (p < math.inf))
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise ValueError(f"power_spectrum must be finite and >= 0 at every mode frequency, "
-                         f"got p({float(omegas[k])!r}) = {float(p[k])!r}")
-    return omegas, np.sqrt(p * dw / math.pi)
+    return omegas, np.sqrt(_checked_spectrum(bath, omegas) * dw / math.pi)
 
 
 def _draw_amplitudes(gen: np.random.Generator, words, out: np.ndarray) -> None:

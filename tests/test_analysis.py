@@ -9,6 +9,7 @@ from ddlab import (
     QuadratureError,
     RangeExhaustedError,
     SearchExhaustedError,
+    SweepRow,
     TabulatedSpectralDensity,
     compare_schemes,
     custom,
@@ -171,6 +172,12 @@ class TestStorageOracle:
         res = storage_time(udd(100), OhmicBath(alpha=0.25), 1e-4, quad)
         assert res.evaluations <= 15
 
+    def test_udd300_within_the_evaluation_ceiling(self, quad):
+        # the documented ceiling, 6 grid evaluations and 20 ITP steps; this
+        # solve takes all of them
+        res = storage_time(udd(300), OhmicBath(alpha=0.25), 1e-4, quad)
+        assert res.evaluations <= 6 + 20
+
     @pytest.mark.parametrize("shape", ["zero_step", "tiny_step", "kink"])
     def test_worst_case_is_one_step_beyond_bisection(self, quad, monkeypatch, shape):
         # errors that defeat interpolation: a jump from 0 or 1e-300 to 1, and
@@ -242,6 +249,19 @@ class TestMinPulses:
         assert len(solves) <= 8
         assert max(solves) <= 16
 
+    def test_each_count_solved_once(self, quad, monkeypatch):
+        # every doubling step asks again for the count before it, and the
+        # parity check for n - 2; the memo solves each count once
+        solves = []
+
+        def counted(seq, *args, **kwargs):
+            solves.append(seq.n)
+            return storage_time(seq, *args, **kwargs)
+
+        monkeypatch.setattr("ddlab.analysis.storage_time", counted)
+        assert min_pulses("equidistant", OhmicBath(alpha=0.25), 1e-4, 1.1, quad) >= 2
+        assert len(solves) >= 4 and len(solves) == len(set(solves))
+
     def test_scheme_validation(self, quad):
         with pytest.raises(ValueError, match="scheme"):
             min_pulses("custom", OhmicBath(alpha=0.1), 1e-4, 1.0, quad)
@@ -260,6 +280,7 @@ class TestMinPulses:
 class TestCompareSchemes:
     def test_layout_and_order(self, quad):
         table = compare_schemes(2, [0.25, 0.1], [0.0], [0.5, 1.0, 2.0], quad)
+        assert type(table) is tuple and all(type(r) is SweepRow for r in table)
         assert len(table) == 2 * 2 * 1 * 3
         schemes = [r.scheme for r in table]
         assert schemes == ["equidistant"] * 6 + ["udd"] * 6

@@ -137,6 +137,19 @@ class TestIntegrandWeight:
         out = integrand_weight(cb, om)
         assert out[1] == 0.0
 
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_classical_bad_spectrum_named(self, bad):
+        # 0.28 lies between the probe's points j/16; above omega_max p is
+        # not read, so a bad value there passes
+        cb = ClassicalBath(lambda w: np.where(abs(w - 0.28125) < 0.025, bad, 0.2 * w),
+                           omega_max=1.0)
+        with pytest.raises(ValueError, match=r"got p\(0\.28\) = "):
+            integrand_weight(cb, [0.1, 0.28, 0.29])
+        with pytest.raises(ValueError, match=r"got p\(0\.28\) = "):
+            integrand_weight(cb, 0.28)
+        above = ClassicalBath(lambda w: np.where(w > 1.0, bad, 0.2 * w), omega_max=1.0)
+        assert integrand_weight(above, [0.5, 1.5]).tolist() == [0.1 / math.pi, 0.0]
+
     @pytest.mark.parametrize("omega", [math.nan, math.inf, [0.5, math.nan]])
     def test_classical_non_finite_omega_rejected(self, omega):
         cb = ClassicalBath(power_spectrum=lambda w: np.ones_like(w), omega_max=2.0)

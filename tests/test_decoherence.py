@@ -7,6 +7,8 @@ from scipy.special import sici
 
 import ddlab
 from ddlab import (
+    ClassicalBath,
+    CoherencePoint,
     OhmicBath,
     QuadratureError,
     QuadratureSpec,
@@ -344,6 +346,17 @@ class TestClassicalPath:
         cc = chi(seq, cb, t, quad)
         assert cc == pytest.approx(cq, rel=1e-10, abs=0.0)
 
+    @pytest.mark.parametrize("bad", [-1.0, math.nan])
+    def test_bad_spectrum_between_the_probe_points_raises(self, quad, bad):
+        # ClassicalBath's probe sees omega = j/16 only, none of them in the
+        # window about 0.28125 = 4.5/16; the quadrature's nodes there see p
+        bath = ClassicalBath(
+            power_spectrum=lambda w: np.where(abs(w - 0.28125) < 0.025, bad, 0.2 * w),
+            omega_max=1.0)
+        for evaluate in (chi, signal):
+            with pytest.raises(ValueError, match=r"got p\(0\.2[5-9]\d*\) = "):
+                evaluate(udd(2), bath, 50.0, quad)
+
 
 class TestTemperature:
     @pytest.mark.parametrize("build,n,t", [(ddlab.udd, 2, 3.0),
@@ -456,12 +469,10 @@ class TestCoherenceCurve:
         pt = curve[0]
         assert (pt.t, pt.phi, pt.chi, pt.signal) == (0.0, 0.0, 0.0, 1.0)
 
-    def test_array_helpers(self, quad):
-        bath = OhmicBath(alpha=0.1)
-        grid = [0.5, 1.0, 2.0]
-        curve = coherence_curve(udd(1), bath, grid, quad)
-        np.testing.assert_array_equal(curve.times(), grid)
-        assert curve.signals().shape == (3,)
+    def test_a_tuple_of_points(self, quad):
+        curve = coherence_curve(udd(1), OhmicBath(alpha=0.1), [0.5, 1.0, 2.0], quad)
+        assert type(curve) is tuple
+        assert all(type(p) is CoherencePoint for p in curve)
 
     def test_free_decay_envelope_monotone(self, quad):
         # chi is monotone in t for free evolution at T = 0

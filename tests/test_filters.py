@@ -26,7 +26,6 @@ from ddlab.filters import (
     _FACTOR_MIN,
     _LATTICE_STEPS,
     _LATTICE_TERMS,
-    _PLAN_SIZE,
     PanelGrid,
     _centre_rows,
     _lattice_start,
@@ -329,6 +328,13 @@ class TestTermTableCache:
         assert _term_table(seq) is _term_table(seq)
         assert PanelGrid(seq, 1.0).terms is _term_table(seq)
 
+    def test_equal_sequences_share_one_table(self):
+        seq = jittered_custom(40, 9)
+        twin = custom(seq.deltas)
+        assert twin is not seq and twin == seq
+        assert _term_table(twin) is _term_table(seq)
+        assert PanelGrid(twin, 1.0).terms is _term_table(seq)
+
     def test_cached_arrays_are_read_only(self):
         for seq in (udd(7), equidistant(6), jittered_custom(5, 7)):
             terms = _term_table(seq)
@@ -337,9 +343,11 @@ class TestTermTableCache:
                     a[0] = 0.0
 
     def test_cache_is_bounded(self):
-        for k in range(2 * _PLAN_SIZE):
+        size = _term_table.cache_info().maxsize
+        assert size == 64
+        for k in range(2 * size):
             _term_table(jittered_custom(3, 100 + k))
-        assert len(ddlab.filters._PLANS) <= _PLAN_SIZE
+        assert _term_table.cache_info().currsize <= size
 
 
 class TestBesselApprox:
@@ -595,6 +603,29 @@ class TestPanelKernel:
         y, x = y_factor_array(seq, z, grid), x_factor_array(seq, z, grid)
         assert panel_calls == [widths.size] * 2
         assert_within_noise_model(seq, y, x, centres * scale, widths * scale, rng)
+
+    def test_each_half_width_builds_one_offset_table(self, monkeypatch):
+        # a mixed-level round of three half-widths, summed for y and x and
+        # then announced again: each width's table is built on first use
+        built = []
+
+        def spy(terms, half_width):
+            built.append(half_width)
+            return _offset_table(terms, half_width)
+
+        monkeypatch.setattr(ddlab.filters, "_offset_table", spy)
+        seq = jittered_custom(60, 5)
+        scale = 4.0 * (seq.n + 2)
+        z, centres, widths = panel_nodes(1.0, 16, [k % 3 for k in range(16)], scale)
+        grid = PanelGrid(seq, scale)
+        panel_calls = spy_panel_sums(monkeypatch)
+        for _ in range(2):
+            grid.set_round(centres, widths)
+            y_factor_array(seq, z, grid)
+            x_factor_array(seq, z, grid)
+        assert panel_calls == [centres.size] * 4
+        assert sorted(built) == sorted(set((widths * scale).tolist()))
+        assert len(built) == 3
 
     def test_x_and_y_take_the_same_kernel(self, monkeypatch):
         # x is read from y's sums: a round whose two rows (cos and sin) pass

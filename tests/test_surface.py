@@ -15,9 +15,9 @@ PUBLIC = [
     "PulseSequence", "equidistant", "udd", "custom", "deltas_from_csv",
     "x_factor", "y_factor", "y_abs_sq",
     "bessel_approx", "bessel_j",
-    "QuadratureSpec", "QuadratureError", "CoherencePoint", "CoherenceCurve",
+    "QuadratureSpec", "QuadratureError", "CoherencePoint",
     "chi", "phase", "signal", "coherence_curve",
-    "StorageResult", "SweepRow", "SweepTable", "storage_time", "min_pulses",
+    "StorageResult", "SweepRow", "storage_time", "min_pulses",
     "compare_schemes", "RangeExhaustedError", "SearchExhaustedError",
     "McEstimate", "mc_signal",
 ]
