@@ -20,28 +20,26 @@ splitmix64 finalizer mix64.  Each trajectory draws its cosine amplitudes
 first, then its sine amplitudes.  This mapping is part of the module
 contract and must not change.
 
-How the contract is served: np.random.default_rng(seed_k) would hash
-seed_k through SeedSequence in Python and seed a fresh PCG64 per
-trajectory.  mc_signal instead computes all trajectory seeds with uint64
-arithmetic and their SeedSequence(seed_k).generate_state(4, uint64) words
-in one batch with uint32 arithmetic (O'Neill's seed_seq_fe: hashmix and mix
-over a pool of 4 words).  Each call then builds one PCG64 and one Generator,
-and for each trajectory sets the PCG64 state from its words as PCG64's own
-seeding does and draws its standard normals into one row of a reused block
-of _BLOCK trajectories.  The draws are numpy's default generator's, bit for
-bit: numpy's stream-compatibility policy (NEP 19) fixes SeedSequence's hash
-and PCG64's seeding.  The amplitudes are sigma_k times the normals, so a
-trajectory's phase is its row of normals dotted with the sigma-scaled
-responses v = [sigma u_cos, sigma u_sin], formed once per call.  Each
-block is reduced against v in one np.einsum("ij,j->i"), which sums each row
-on its own and calls no BLAS: a phase does not depend on the other rows of
-its block, on how many rows the last block has, or on the BLAS thread count.
+How the contract is served: mc_signal computes the trajectory seeds with
+uint64 arithmetic and their SeedSequence(seed_k).generate_state(4, uint64)
+words with uint32 arithmetic (O'Neill's seed_seq_fe: hashmix and mix over a
+pool of 4 words), _SEED_CHUNK trajectories at a time.  Each trajectory draws
+from np.random.Generator(PCG64(s)), with s an ISeedSequence whose
+generate_state returns those words: the draws of default_rng(seed_k) bit for
+bit, as numpy's stream-compatibility policy (NEP 19) fixes SeedSequence's
+hash and PCG64's seeding.  A trajectory's phase is its row of normals dotted
+with the sigma-scaled responses v = [sigma u_cos, sigma u_sin], formed once
+per call.  The normals of _BLOCK trajectories fill one reused block, which
+is reduced against v in one np.einsum("ij,j->i"): that sums each row on its
+own and calls no BLAS, so a phase does not depend on the other rows of its
+block, on how many rows the last block has, or on the BLAS thread count.
 The mode responses are einsum sums as well.  Nothing is shared between
 calls, so mc_signal stays thread-safe.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -55,21 +53,20 @@ __all__ = ["McEstimate", "trajectory_seed", "mc_signal"]
 
 _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
-# numpy.random.SeedSequence's hash constants and pool size, and PCG64's
-# 128-bit LCG multiplier
+# numpy.random.SeedSequence's hash constants and pool size
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 # trajectories per block: 64 x 1024 doubles (512 KB) at 512 modes
 _BLOCK = 64
 # elements of one chunk of the (mode x instant) phase matrix
 _RESPONSE_CHUNK = 1 << 20
+# trajectories per chunk of seed words: about 1.4 MB of hash temporaries
+_SEED_CHUNK = 1 << 13
 
 
 def _mix64(z):
@@ -94,9 +91,9 @@ def _hash_constants(init: int, mult: int):
         init = nxt
 
 
-def _trajectory_words(base_seed: int, samples: int) -> np.ndarray:
+def _trajectory_words(base_seed: int, start: int, stop: int) -> np.ndarray:
     """SeedSequence(trajectory_seed(base_seed, k)).generate_state(4, np.uint64)
-    for k < samples, one row of 4 uint64 words each.
+    for start <= k < stop, as the rows of a C-contiguous array.
 
     The base seed is reduced mod 2^64 first, as trajectory_seed does.  Each
     64-bit seed enters SeedSequence as its two little-endian 32-bit words; a
@@ -104,7 +101,7 @@ def _trajectory_words(base_seed: int, samples: int) -> np.ndarray:
     word 0 gives the same hash.  All hash arithmetic is on uint32 arrays,
     which wrap silently.
     """
-    steps = np.arange(1, samples + 1, dtype=np.uint64) * _GOLDEN
+    steps = np.arange(start + 1, stop + 1, dtype=np.uint64) * _GOLDEN
     seeds = _mix64(steps + (int(base_seed) & _MASK64))
     consts = _hash_constants(_INIT_A, _MULT_A)
 
@@ -117,7 +114,7 @@ def _trajectory_words(base_seed: int, samples: int) -> np.ndarray:
         value = x * _MIX_MULT_L - y * _MIX_MULT_R
         return value ^ (value >> 16)
 
-    zero = np.zeros(samples, dtype=np.uint32)
+    zero = np.zeros(stop - start, dtype=np.uint32)
     entropy = ((seeds & _MASK32).astype(np.uint32), (seeds >> 32).astype(np.uint32), zero, zero)
     pool = [hashmix(word) for word in entropy]
     for src in range(_POOL_SIZE):
@@ -147,30 +144,31 @@ def _mode_bins(bath: ClassicalBath, mode_count: int):
     return omegas, np.sqrt(_checked_spectrum(bath, omegas) * dw / math.pi)
 
 
-def _draw_amplitudes(gen: np.random.Generator, words, out: np.ndarray) -> None:
+@functools.cache
+def _words_seed():
+    """ISeedSequence whose generate_state(4, np.uint64) returns given words,
+    bound on first use: numpy 2 imports numpy.random lazily.  PCG64 reads the
+    words through a raw pointer, so they must be a C-contiguous uint64 array
+    of 4, as a row of _trajectory_words is, and any other request is refused."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class WordsSeed(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or dtype is not np.uint64:
+                raise ValueError(f"cannot serve generate_state({n_words!r}, {dtype!r})")
+            return self.words
+    return WordsSeed
+
+
+def _draw_amplitudes(words, out: np.ndarray) -> None:
     """Fill out with one trajectory's standard normals, the len(out) // 2 of
-    its cosine amplitudes first, then those of its sine amplitudes, as
-    np.random.default_rng would draw them from the seed whose
-    generate_state(4, uint64) words are `words`.
-
-    gen's PCG64 is set to the state its seeding derives from the words:
-    inc = (w2:w3 << 1) | 1 and state = step(step(0) + w0:w1), with step the
-    128-bit LCG.  One call fills out, which is the same stream as a cosine
-    call followed by a sine call.
-    """
-    w0, w1, w2, w3 = words.tolist()
-    inc = (((w2 << 64) | w3) << 1 | 1) & _MASK128
-    state = ((inc + ((w0 << 64) | w1)) * _PCG64_MULT + inc) & _MASK128
-    gen.bit_generator.state = {"bit_generator": "PCG64",
-                               "state": {"state": state, "inc": inc},
-                               "has_uint32": 0, "uinteger": 0}
-    gen.standard_normal(out=out)
-
-
-def _generator() -> np.random.Generator:
-    # the state is overwritten before every draw; the seed only avoids
-    # asking the OS for entropy
-    return np.random.Generator(np.random.PCG64(0))
+    its cosine amplitudes, then those of its sine amplitudes (one stream), as
+    np.random.default_rng draws them from the seed whose
+    generate_state(4, uint64) words are `words`, a row of _trajectory_words."""
+    np.random.Generator(np.random.PCG64(_words_seed()(words))).standard_normal(out=out)
 
 
 def _segment_layout(seq: PulseSequence, t: float, grid_times: np.ndarray):
@@ -220,21 +218,22 @@ def _mode_responses(omegas: np.ndarray, instants: np.ndarray, weights: np.ndarra
 def _batched_phases(bath: ClassicalBath, seq: PulseSequence, t: float,
                     samples: int, seed: int, dt: float, mode_count: int) -> np.ndarray:
     """Toggled phases of `samples` independent trajectories: the sigma-scaled
-    mode responses v once, then blocks of _BLOCK trajectories, each filled
-    row by row by _draw_amplitudes and reduced against v in one einsum."""
+    mode responses v once, then per chunk of _SEED_CHUNK seed words, blocks of
+    _BLOCK rows filled by _draw_amplitudes and reduced against v in one einsum."""
     n_steps = max(1, math.ceil(t / dt))
     grid = np.linspace(0.0, t, n_steps + 1)
     omegas, sigmas = _mode_bins(bath, mode_count)
     instants, weights = _segment_layout(seq, t, grid)
     v = np.concatenate([sigmas * u for u in _mode_responses(omegas, instants, t * weights)])
-    words = _trajectory_words(seed, samples)
-    gen, block = _generator(), np.empty((_BLOCK, 2 * mode_count))
+    block = np.empty((_BLOCK, 2 * mode_count))
     phases = np.empty(samples)
-    for lo in range(0, samples, _BLOCK):
-        rows = block[:samples - lo]
-        for row, row_words in zip(rows, words[lo:lo + _BLOCK]):
-            _draw_amplitudes(gen, row_words, row)
-        phases[lo:lo + len(rows)] = np.einsum("ij,j->i", rows, v)
+    for start in range(0, samples, _SEED_CHUNK):
+        words = _trajectory_words(seed, start, min(start + _SEED_CHUNK, samples))
+        for lo in range(0, len(words), _BLOCK):
+            rows = block[:len(words) - lo]
+            for row, row_words in zip(rows, words[lo:lo + _BLOCK]):
+                _draw_amplitudes(row_words, row)
+            phases[start + lo:start + lo + len(rows)] = np.einsum("ij,j->i", rows, v)
     return phases
 
 

@@ -23,7 +23,9 @@ class PulseSequence:
     scheme records how the sequence was generated.  A generated label
     (equidistant, udd) must match that generator's instants.  The filters
     read the label only for udd, whose Bessel form it picks; the
-    equidistant closed form goes by the instants.
+    equidistant closed form goes by the instants.  The hash is the instants'
+    hash, taken once: the filters' term-table cache hashes a sequence per
+    integral.
     """
 
     deltas: tuple
@@ -44,6 +46,10 @@ class PulseSequence:
             raise ValueError(f"deltas are not the {self.scheme}({len(ds)}) instants; "
                              f"use scheme 'custom'")
         object.__setattr__(self, "deltas", ds)
+        object.__setattr__(self, "_hash", hash(ds))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def n(self) -> int:

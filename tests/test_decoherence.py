@@ -1,3 +1,4 @@
+import functools
 import math
 
 import mpmath
@@ -147,6 +148,16 @@ def chi_udd_closed_form(n: int, alpha: float, t: float) -> float:
             k += 1
 
 
+STORAGE_EPSILON = 1e-4
+
+
+@functools.cache
+def udd_storage(n: int, alpha: float, quad):
+    """storage_time of udd(n) on the T = 0 ohmic bath at STORAGE_EPSILON,
+    solved once for every test that reads it."""
+    return ddlab.storage_time(udd(n), OhmicBath(alpha=alpha), STORAGE_EPSILON, quad)
+
+
 class TestUddBesselOracle:
     """udd on the paper's bath against the Bessel closed form.  The filter
     terms it omits start at J_{3(n+1)}: they are 5e-14 of chi for udd(10) at
@@ -158,13 +169,21 @@ class TestUddBesselOracle:
         assert abs(chi(udd(n), OhmicBath(alpha=0.25), t, quad) - ref) <= 1e-12 * ref
 
     @pytest.mark.parametrize("alpha", [0.25, 0.001])
-    @pytest.mark.parametrize("n", [10, 100])
+    @pytest.mark.parametrize("n", [10, 100, 300, 1000])
     def test_storage_bracket_straddles_closed_form_crossing(self, quad, n, alpha):
         # storage error 1 - exp(-2 chi) reaches epsilon at chi = -ln(1 - epsilon)/2
-        epsilon = 1e-4
-        lo, hi = ddlab.storage_time(udd(n), OhmicBath(alpha=alpha), epsilon, quad).bracket
-        target = -math.log1p(-epsilon) / 2.0
+        lo, hi = udd_storage(n, alpha, quad).bracket
+        target = -math.log1p(-STORAGE_EPSILON) / 2.0
         assert chi_udd_closed_form(n, alpha, lo) <= target <= chi_udd_closed_form(n, alpha, hi)
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.001])
+    def test_storage_time_approaches_the_turning_point_from_below(self, quad, alpha):
+        # the paper's scaling: udd(n)'s storage time nears the turning point
+        # of J_{n+1} at omega_c t = 2n+2 from below as n grows (0.93 and 0.97
+        # of it for n = 300 and 1000 at alpha = 0.25)
+        ratios = [udd_storage(n, alpha, quad).t_store / (2 * n + 2) for n in (10, 100, 300, 1000)]
+        assert all(a < b for a, b in zip(ratios, ratios[1:]))
+        assert ratios[-1] < 1.0
 
 
 class TestUddSmallTimes:

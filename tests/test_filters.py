@@ -335,6 +335,25 @@ class TestTermTableCache:
         assert _term_table(twin) is _term_table(seq)
         assert PanelGrid(twin, 1.0).terms is _term_table(seq)
 
+    def test_a_hit_does_not_read_the_instants(self):
+        # the sequence hashes its instants once, when it is built; a cache
+        # hit neither hashes nor iterates them again
+        class Untouchable(tuple):
+            def __hash__(self):
+                raise AssertionError("instants hashed")
+
+            def __iter__(self):
+                raise AssertionError("instants iterated")
+
+        seq = udd(1000)
+        table, deltas = _term_table(seq), seq.deltas
+        object.__setattr__(seq, "deltas", Untouchable(deltas))
+        try:
+            assert _term_table(seq) is table
+            assert PanelGrid(seq, 1.0).terms is table
+        finally:
+            object.__setattr__(seq, "deltas", deltas)
+
     def test_cached_arrays_are_read_only(self):
         for seq in (udd(7), equidistant(6), jittered_custom(5, 7)):
             terms = _term_table(seq)

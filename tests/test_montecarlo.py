@@ -7,9 +7,9 @@ import pytest
 
 import ddlab
 from ddlab import ClassicalBath, mc_signal, udd
-from ddlab.montecarlo import (_BLOCK, _RESPONSE_CHUNK, _batched_phases, _draw_amplitudes,
-                              _generator, _mode_bins, _mode_responses, _segment_layout,
-                              _trajectory_words, trajectory_seed)
+from ddlab.montecarlo import (_BLOCK, _RESPONSE_CHUNK, _SEED_CHUNK, _batched_phases,
+                              _draw_amplitudes, _mode_bins, _mode_responses, _segment_layout,
+                              _trajectory_words, _words_seed, trajectory_seed)
 from conftest import classical_twin
 
 
@@ -94,7 +94,7 @@ def reference_draw(base_seed):
     then sine normals into the second."""
     calls = itertools.count()
 
-    def draw(gen, words, out):
+    def draw(words, out):
         rng = np.random.default_rng(trajectory_seed(base_seed, next(calls)))
         m = len(out) // 2
         out[:m] = rng.standard_normal(m)
@@ -108,7 +108,7 @@ class TestSeedBatch:
 
     @pytest.mark.parametrize("base", [0, 12345, 2024, -1, 2**64 + 5, 2**64 - 1])
     def test_words_match_seed_sequence(self, base):
-        words = _trajectory_words(base, 1000)
+        words = _trajectory_words(base, 0, 1000)
         expected = [np.random.SeedSequence(trajectory_seed(base, k)).generate_state(4, np.uint64)
                     for k in range(1000)]
         assert words.dtype == np.uint64
@@ -120,25 +120,43 @@ class TestSeedBatch:
         seeds = ([0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
                  + [int(s) for s in rng.integers(0, 2**32, 1000, dtype=np.uint64)])
         for seed in seeds:
-            assert np.array_equal(_trajectory_words(base_for(seed), 1)[0],
+            assert np.array_equal(_trajectory_words(base_for(seed), 0, 1)[0],
                                   np.random.SeedSequence(seed).generate_state(4, np.uint64))
 
     def test_draws_match_default_rng(self):
         # into rows of a block, as _batched_phases draws
-        gen, block = _generator(), np.empty((8, 2 * 96))
-        for k, words in enumerate(_trajectory_words(31, 1000)):
+        block = np.empty((8, 2 * 96))
+        for k, words in enumerate(_trajectory_words(31, 0, 1000)):
             row = block[k % 8]
-            _draw_amplitudes(gen, words, row)
+            _draw_amplitudes(words, row)
             rng = np.random.default_rng(trajectory_seed(31, k))
             assert np.array_equal(row[:96], rng.standard_normal(96))
             assert np.array_equal(row[96:], rng.standard_normal(96))
 
-    def test_state_matches_pcg64_seeding(self):
-        gen, empty = _generator(), np.empty(0)
+    def test_state_matches_pcg64_seeding(self, monkeypatch):
+        # the PCG64 that _draw_amplitudes seeds, caught as it is built
+        pcg64, made, empty = np.random.PCG64, [], np.empty(0)
+
+        def caught(seed):
+            made.append(pcg64(seed))
+            return made[-1]
+
+        monkeypatch.setattr(np.random, "PCG64", caught)
         for seed in (0, 1, 2**32, 2**64 - 1, *(trajectory_seed(5, k) for k in range(200))):
             words = np.random.SeedSequence(seed).generate_state(4, np.uint64)
-            _draw_amplitudes(gen, words, empty)
-            assert gen.bit_generator.state == np.random.PCG64(seed).state
+            _draw_amplitudes(words, empty)
+            assert made.pop().state == pcg64(seed).state
+
+    @pytest.mark.parametrize("n_words, dtype", [(4, np.uint32), (8, np.uint32), (2, np.uint64),
+                                                (8, np.uint64), (4, np.int64)])
+    def test_words_seed_refuses_other_requests(self, n_words, dtype):
+        # PCG64 reads four uint64 words through a raw pointer; no other
+        # request may be answered with them
+        words = _trajectory_words(3, 0, 1)[0]
+        seed = _words_seed()(words)
+        assert seed.generate_state(4, np.uint64) is words
+        with pytest.raises(ValueError, match="cannot serve generate_state"):
+            seed.generate_state(n_words, dtype)
 
     # a base seed whose first trajectory seed is below 2^32, where
     # SeedSequence takes a one-word entropy
@@ -166,6 +184,17 @@ class TestBlocks:
         args = (bath, udd(3), 2.0)
         full = _batched_phases(*args, 4 * _BLOCK, 23, 0.02, 128)
         assert np.array_equal(_batched_phases(*args, samples, 23, 0.02, 128), full[:samples])
+
+    @pytest.mark.parametrize("chunk", [1, _BLOCK, 100])
+    def test_seed_chunks_match_one_chunk(self, chunk, monkeypatch):
+        # chunks of seed words that split blocks, or do not, or are single
+        # trajectories, give the phases of one chunk bit for bit
+        bath = classical_twin(0.1, 0.25)
+        args = (bath, udd(3), 2.0, 3 * _BLOCK + 5, 23, 0.02, 32)
+        assert args[3] <= _SEED_CHUNK
+        whole = _batched_phases(*args)
+        monkeypatch.setattr("ddlab.montecarlo._SEED_CHUNK", chunk)
+        assert np.array_equal(_batched_phases(*args), whole)
 
     @pytest.mark.parametrize("cap", [_RESPONSE_CHUNK, 7 * 512 + 3])
     def test_chunked_responses_match_one_chunk(self, cap, monkeypatch):
@@ -229,9 +258,9 @@ class TestSynthesize:
         g0 = 0.2 * 20.0 / math.pi
         _, sigmas = _mode_bins(bath, 512)
         f0 = np.empty(10000)
-        gen, buf = _generator(), np.empty(2 * 512)
-        for k, words in enumerate(_trajectory_words(99, 10000)):
-            _draw_amplitudes(gen, words, buf)
+        buf = np.empty(2 * 512)
+        for k, words in enumerate(_trajectory_words(99, 0, 10000)):
+            _draw_amplitudes(words, buf)
             f0[k] = (sigmas * buf[:512]).sum()
         assert np.var(f0) == pytest.approx(g0, rel=0.05, abs=0.0)
 
@@ -334,6 +363,19 @@ class TestMcSignal:
         finally:
             tracemalloc.stop()
         assert peak < 8e6
+
+    def test_seed_words_peak_memory_bound(self):
+        # seed words are hashed _SEED_CHUNK trajectories at a time: the
+        # 2e5 phases take 1.6 MB and one chunk's hash about 1.4 MB, where
+        # every trajectory's words at once would peak at 35 MB
+        bath = classical_twin(0.1, 0.25)
+        tracemalloc.start()
+        try:
+            _batched_phases(bath, udd(3), 1.0, 200_000, 7, 0.01, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
 
     def test_white_noise_free_decay(self):
         # flat spectrum with omega_max * t >> 1 decays as exp(-p0 t / 2)

@@ -86,6 +86,19 @@ class TestCustom:
         assert seq.n == len(values)
 
 
+class TestHash:
+    def test_equal_sequences_hash_equal(self):
+        pairs = [(udd(7), udd(7)), (equidistant(4), equidistant(4)), (udd(1000), udd(1000)),
+                 (custom([0.1, 0.6]), custom((0.1, 0.6)))]
+        for a, b in pairs:
+            assert a is not b and a == b and hash(a) == hash(b)
+
+    def test_repr_and_equality_unchanged(self):
+        assert repr(udd(2)) == "PulseSequence(deltas=(0.25, 0.75), scheme='udd')"
+        assert udd(2) != custom((0.25, 0.75))
+        assert len({udd(2), custom((0.25, 0.75)), udd(2)}) == 2
+
+
 class TestCsvLoading:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "seq.csv"

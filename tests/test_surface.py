@@ -2,7 +2,11 @@
 import *` hand out."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -36,3 +40,17 @@ def test_module_exports_resolve_and_are_public(name):
     for attr in module.__all__:
         assert hasattr(module, attr), attr
         assert not attr.startswith("_"), attr
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # numpy 2 imports numpy.random lazily (numpy 1 with numpy itself): the
+    # Monte Carlo layer binds what it needs from it on first use, so that
+    # import ddlab, and every CLI start, does not pay for it
+    src = str(Path(ddlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = ("import sys, numpy; loaded = set(sys.modules); import ddlab; "
+            "print('numpy.random' in set(sys.modules) - loaded)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert proc.stdout.strip() == "False"
