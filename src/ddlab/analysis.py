@@ -244,9 +244,9 @@ def compare_schemes(n: int, alphas, temperatures, t_grid,
 
     Row order is deterministic: scheme (equidistant, udd), then alpha and
     temperature in the order given, then t ascending.  A cell whose
-    signal raises QuadratureError or ValueError records the error in the
-    row's error field rather than aborting the sweep; other exceptions
-    propagate.
+    signal raises QuadratureError records it in the row's error field
+    rather than aborting the sweep.  Baths and grid are checked before the
+    cells, so any other exception, ValueError too, is a fault and propagates.
     """
     ts = _checked_grid(t_grid)
     rows = []
@@ -260,7 +260,7 @@ def compare_schemes(n: int, alphas, temperatures, t_grid,
                         pt = signal(seq, bath, float(t), quad)
                         rows.append(SweepRow(scheme, n, float(alpha), float(temp),
                                              float(t), pt.signal, 1.0 - pt.signal))
-                    except (QuadratureError, ValueError) as exc:
+                    except QuadratureError as exc:
                         rows.append(SweepRow(scheme, n, float(alpha), float(temp),
                                              float(t), math.nan, math.nan,
                                              error=f"{type(exc).__name__}: {exc}"))

@@ -7,12 +7,13 @@ bath correlation time t_C = 1/omega_d.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
+
+from .sequences import _read_rows
 
 __all__ = [
     "OhmicBath",
@@ -88,20 +89,7 @@ class TabulatedSpectralDensity:
     @classmethod
     def from_csv(cls, path, temperature: float = 0.0) -> "TabulatedSpectralDensity":
         """Load from a two-column CSV with header ``omega,J``."""
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header[:2]] != ["omega", "J"]:
-                raise ValueError(f"{path}: expected header 'omega,J', got {header}")
-            rows = []
-            for r in filter(None, reader):
-                if len(r) < 2:
-                    raise ValueError(f"{path}, line {reader.line_num}: "
-                                     f"expected 'omega,J', got {r}")
-                rows.append((float(r[0]), float(r[1])))
-        om = np.array([r[0] for r in rows])
-        jv = np.array([r[1] for r in rows])
-        return cls(om, jv, temperature)
+        return cls(*np.reshape(_read_rows(path, ("omega", "J")), (-1, 2)).T.copy(), temperature)
 
     @property
     def cutoff(self) -> float:

@@ -102,6 +102,8 @@ class RunConfig:
                 raise ValueError(f"{name} must not be empty")
         if self.n < 0:
             raise ValueError(f"n must be >= 0, got {self.n}")
+        if self.epsilon is not None and not (0.0 < self.epsilon < 1.0):
+            raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
         if self.points < 1:
             raise ValueError(f"points must be >= 1, got {self.points}")
         if self.spacing not in ("log", "linear"):
@@ -208,7 +210,7 @@ def cmd_signal(cfg: RunConfig) -> int:
     seq = _sequence(cfg)
     bath = _bath(cfg)
     grid = _time_grid(cfg)
-    _progress(cfg, f"signal: {len(grid)} points, scheme={seq.scheme}, n={seq.n}")
+    _progress(cfg, f"signal: {len(grid)} points, scheme={cfg.scheme}, n={seq.n}")
     curve = coherence_curve(seq, bath, grid, _quad(cfg))
     cols = ["t", "phi", "chi", "s", "one_minus_s", "envelope_error", "saturated"]
     rows = [
@@ -224,11 +226,11 @@ def cmd_storage(cfg: RunConfig) -> int:
     seq = _sequence(cfg)
     bath = _bath(cfg)
     epsilon = _epsilon(cfg)
-    _progress(cfg, f"storage: scheme={seq.scheme}, n={seq.n}, epsilon={epsilon}")
+    _progress(cfg, f"storage: scheme={cfg.scheme}, n={seq.n}, epsilon={epsilon}")
     res = storage_time(seq, bath, epsilon, _quad(cfg), include_phase=cfg.include_phase)
     cols = ["scheme", "n", "alpha", "temperature", "epsilon", "t_store",
             "bracket_lo", "bracket_hi", "evaluations", "floored"]
-    rows = [(seq.scheme, seq.n, _alpha(cfg), cfg.temperature, epsilon,
+    rows = [(cfg.scheme, seq.n, _alpha(cfg), cfg.temperature, epsilon,
              res.t_store, res.bracket[0], res.bracket[1],
              res.evaluations, int(res.floored))]
     _write_output(cfg, "storage", cols, rows)

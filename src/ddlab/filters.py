@@ -29,14 +29,13 @@ so Im y = cos(z/2) S for n even and sin(z/2) S for n odd.  That needs
 about a quarter of the transcendental evaluations of the complex sum.
 Other sequences sum the full term set.  x is always read from y's sums,
 so both filters take the same kernel on the same nodes.  The term table
-(phases, weights, mirror check, and whether the instants are equidistant)
-is built per distinct sequence and cached, the last 64 kept.
+(phases, weights, mirror check, and whether the instants are equidistant
+or optimized) is built per distinct sequence and cached, the last 64 kept.
 
 Equidistant instants, d_m = m/(n+1), make y a geometric sum, so S has the
 exact closed form of _equidistant_half_sum at every node, poles removed;
-those sequences (equidistant(n), and custom or udd ones with the same
-instants: udd(0) and udd(1)) never sum the term table.  The instants
-decide, not the label.
+those sequences (equidistant(n), and udd(0) and udd(1), whose instants
+are the same) never sum the term table.
 
 Two kernels take the row sums, both split error-free, so that no sum
 depends on how the nodes are blocked or on BLAS's thread count.
@@ -86,16 +85,15 @@ at each node, from four:
              every node: the ideal sequence's values, to a few ulps
              relative down to the smallest z;
   direct     the error-free sums above, wherever they resolve the value;
-  Bessel     16 (n+1)^2 J_{n+1}(z/2)^2 for optimized (udd) sequences with
-             n >= 2, exact up to exponentially small corrections for
-             z/(2n+2) < 1, below the direct sum's noise floor down to the
-             smallest z, so it gives the ideal sequence's values;
+  Bessel     16 (n+1)^2 J_{n+1}(z/2)^2 for the udd(n) instants, n >= 2,
+             exact up to exponentially small corrections for z/(2n+2) < 1,
+             below the direct sum's noise floor down to the smallest z, so
+             it gives the ideal sequence's values;
   Taylor     z^2 (S1^2 + z^2 (S2^2/4 - S1 S3/3)) from the moments
-             S_k = sum_j c_j d_j^k, at |z| < 1e-5 for custom sequences
-             with other instants.
+             S_k = sum_j c_j d_j^k, at |z| < 1e-5 for all other instants.
 
-The udd label picks the Bessel form, and PulseSequence rejects a generated
-label whose instants are not that generator's.
+The term table picks among them by the instants alone: udd(n) and a
+custom sequence with its instants are one sequence.
 """
 
 from __future__ import annotations
@@ -108,7 +106,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .quadrature import NODES
-from .sequences import PulseSequence, _equidistant_instants
+from .sequences import PulseSequence, _equidistant_instants, _udd_instants
 from .special import bessel_j
 
 __all__ = [
@@ -127,9 +125,9 @@ __all__ = [
 # z factor from rounding of the phase products; TestNoiseBound in
 # tests/test_filters.py checks the bound against mpmath), so |y|^2 below the
 # threshold where that noise exceeds 1e-11 relative is taken from the
-# Bessel approximation for udd instead.  Thresholding on the noise-free
-# analytic value keeps the switchover deterministic.  The window stops
-# short of z = 2n+2 where the J_{3(n+1)} corrections wake up.
+# Bessel approximation for the udd(n) instants instead.  Thresholding on
+# the noise-free analytic value keeps the switchover deterministic.  The
+# window stops short of z = 2n+2 where the J_{3(n+1)} corrections wake up.
 _BESSEL_WINDOW = 0.95  # in units of z/(2n+2)
 # pi = _PI_HI + _PI_LO to about 1e-23, _PI_HI of 26 bits, so M * _PI_HI is
 # exact for integers |M| < 2^27
@@ -204,6 +202,8 @@ class _Terms(NamedTuple):
     funcs: tuple
     # the instants are equidistant: S comes from _equidistant_half_sum
     closed: bool
+    # the instants are udd(n)'s for n >= 2: small |y|^2 from bessel_approx
+    bessel: bool
     # the panel kernel's slicing: max|w| rounded up to a power of two, and
     # the count and width of the slices (_slicing)
     scale: float
@@ -236,6 +236,7 @@ def _term_table(seq: PulseSequence) -> _Terms:
     scale = 2.0 ** math.ceil(math.log2(np.max(np.abs(w))))
     u.flags.writeable = w.flags.writeable = False
     return _Terms(u, w, sigma, funcs, seq.deltas == _equidistant_instants(seq.n),
+                  seq.n >= 2 and seq.deltas == _udd_instants(seq.n),
                   scale, *_slicing(len(u), scale, seq.n))
 
 
@@ -653,9 +654,10 @@ def y_abs_sq_array(seq: PulseSequence, z: np.ndarray, grid=None) -> np.ndarray:
     np.abs(y_factor_array(seq, z)) ** 2, which is exact at every node for
     equidistant instants; for other sequences the direct sum, except where
     the value sits below the double-precision cancellation floor: there the
-    Bessel form (udd, n >= 2) takes over down to the smallest z, giving the
-    ideal sequence's values, and custom sequences take the moment expansion
-    at |z| < _SMALL_Z.  grid is passed on to y_factor_array.
+    Bessel form (the udd(n) instants, n >= 2) takes over down to the
+    smallest z, giving the ideal sequence's values, and other instants take
+    the moment expansion at |z| < _SMALL_Z.  grid is passed on to
+    y_factor_array.
     """
     z = np.asarray(z, dtype=float)
     terms = _table_of(seq, grid)
@@ -682,10 +684,9 @@ def _select_source(seq: PulseSequence, terms: _Terms, z: np.ndarray,
     if terms.closed:
         return direct
     n = seq.n
-    if seq.scheme == "udd":
-        # n >= 2 here: udd(0) and udd(1) have equidistant instants; the
-        # Bessel values replace the direct sums where they fall below the
-        # threshold
+    if terms.bessel:
+        # the Bessel values replace the direct sums where they fall below
+        # the threshold
         threshold = _delegation_threshold(n, z)
         window = np.abs(z) < _BESSEL_WINDOW * (2 * n + 2)
         candidates = window & (direct < 2.0 * threshold)
@@ -757,7 +758,7 @@ def _equidistant_half_sum(n: int, z: np.ndarray) -> np.ndarray:
 
 
 def bessel_approx(n: int, z):
-    """Small-z form 16 (n+1)^2 J_{n+1}(z/2)^2 for the optimized sequence.
+    """Small-z form 16 (n+1)^2 J_{n+1}(z/2)^2 for the optimized instants.
 
     Intended for z/(2n+2) < 1; outside that window the caller owns the
     approximation error.

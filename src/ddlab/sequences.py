@@ -19,21 +19,15 @@ __all__ = ["PulseSequence", "equidistant", "udd", "custom", "deltas_from_csv"]
 class PulseSequence:
     """Immutable, validated pulse sequence.
 
-    deltas are strictly increasing instants in the open interval (0, 1);
-    scheme records how the sequence was generated.  A generated label
-    (equidistant, udd) must match that generator's instants.  The filters
-    read the label only for udd, whose Bessel form it picks; the
-    equidistant closed form goes by the instants.  The hash is the instants'
-    hash, taken once: the filters' term-table cache hashes a sequence per
-    integral.
+    deltas are strictly increasing instants in the open interval (0, 1),
+    and they are all a sequence is: custom(udd(n).deltas) == udd(n).  The
+    hash is the instants' hash, taken once: the filters' term-table cache
+    hashes a sequence per integral.
     """
 
     deltas: tuple
-    scheme: str = "custom"
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
         ds = tuple(float(d) for d in self.deltas)
         for i, d in enumerate(ds):
             if not (0.0 < d < 1.0):
@@ -42,9 +36,6 @@ class PulseSequence:
                 raise ValueError(
                     f"delta[{i}] = {d} not strictly greater than delta[{i-1}] = {ds[i-1]}"
                 )
-        if self.scheme in _INSTANTS and ds != _INSTANTS[self.scheme](len(ds)):
-            raise ValueError(f"deltas are not the {self.scheme}({len(ds)}) instants; "
-                             f"use scheme 'custom'")
         object.__setattr__(self, "deltas", ds)
         object.__setattr__(self, "_hash", hash(ds))
 
@@ -87,7 +78,7 @@ def equidistant(n: int) -> PulseSequence:
     """n equally spaced pulses, delta_m = m/(n+1)."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    return PulseSequence(_equidistant_instants(n), scheme="equidistant")
+    return PulseSequence(_equidistant_instants(n))
 
 
 def udd(n: int) -> PulseSequence:
@@ -98,27 +89,44 @@ def udd(n: int) -> PulseSequence:
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    return PulseSequence(_udd_instants(n), scheme="udd")
+    return PulseSequence(_udd_instants(n))
 
 
-# name -> instants and name -> generator of the generated schemes, in row
-# order; SCHEMES adds the user-supplied one
-_INSTANTS = {"equidistant": _equidistant_instants, "udd": _udd_instants}
+# generators by scheme name, in row order; SCHEMES adds the user-supplied one
 _GENERATORS = {"equidistant": equidistant, "udd": udd}
 SCHEMES = (*_GENERATORS, "custom")
 
 
 def custom(deltas) -> PulseSequence:
     """Validated user-supplied sequence.  Malformed input is rejected, not repaired."""
-    return PulseSequence(tuple(deltas), scheme="custom")
+    return PulseSequence(tuple(deltas))
 
 
 def deltas_from_csv(path) -> PulseSequence:
     """Load a custom sequence from a one-column CSV with header ``delta``."""
+    return custom(d for (d,) in _read_rows(path, ("delta",)))
+
+
+def _read_rows(path, header: tuple) -> list:
+    """The rows of the CSV at path, each a tuple of floats.
+
+    The first line must name the header's cells in order, whitespace around
+    a cell aside, and every later non-blank line must hold one number per
+    header cell.  Errors name the path and, past the header, the line.
+    """
+    names = ",".join(header)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0].strip() != "delta":
-            raise ValueError(f"{path}: expected header 'delta', got {header}")
-        values = [float(row[0]) for row in reader if row]
-    return custom(values)
+        first = next(reader, None)
+        if first is None or [h.strip() for h in first] != list(header):
+            raise ValueError(f"{path}: expected header {names!r}, got {first}")
+        rows = []
+        for row in filter(None, reader):
+            where = f"{path}, line {reader.line_num}"
+            if len(row) != len(header):
+                raise ValueError(f"{where}: expected {names!r}, got {row}")
+            try:
+                rows.append(tuple(float(x) for x in row))
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+    return rows

@@ -318,12 +318,15 @@ class TestCompareSchemes:
             assert math.isnan(row.s) and math.isnan(row.one_minus_s)
 
     def test_programming_error_propagates(self, quad, monkeypatch):
-        def broken(seq, bath, t, quad):
-            raise TypeError("bad call")
+        # only QuadratureError becomes a row error: a cell with validated
+        # inputs has no cause for a ValueError, so one is a fault
+        for error in (TypeError, ValueError):
+            def broken(seq, bath, t, quad):
+                raise error("bad call")
 
-        monkeypatch.setattr(ddlab.analysis, "signal", broken)
-        with pytest.raises(TypeError, match="bad call"):
-            compare_schemes(2, [0.25], [0.0], [1.0], quad)
+            monkeypatch.setattr(ddlab.analysis, "signal", broken)
+            with pytest.raises(error, match="bad call"):
+                compare_schemes(2, [0.25], [0.0], [1.0], quad)
 
     def test_grid_validation(self, quad):
         with pytest.raises(ValueError):

@@ -217,6 +217,17 @@ class TestTabulatedSpectralDensity:
         with pytest.raises(ValueError, match="line 3"):
             TabulatedSpectralDensity.from_csv(path)
 
+    @pytest.mark.parametrize("text, where", [
+        ("omega,J,extra\n0.0,0.0,1\n1.0,0.2,1\n", ": expected header 'omega,J'"),
+        ("omega,J\n0.0,0.0,5\n1.0,0.2\n", ", line 2: expected 'omega,J'"),
+        ("omega,J\n0.0,0.0\nabc,0.2\n", ", line 3: could not convert string to float: 'abc'")])
+    def test_csv_malformed_names_path_and_line(self, tmp_path, text, where):
+        path = tmp_path / "bath.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as exc_info:
+            TabulatedSpectralDensity.from_csv(path)
+        assert str(exc_info.value).startswith(f"{path}{where}")
+
     def test_csv_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("w,J\n0.0,0.0\n1.0,0.2\n")

@@ -12,6 +12,7 @@ import pytest
 
 import ddlab
 import ddlab.analysis
+import ddlab.cli
 from ddlab.cli import RunConfig, main
 
 
@@ -116,8 +117,8 @@ class TestStorageCommand:
         assert "range" in err.lower()
 
     def test_mirror_symmetric_custom_matches_udd(self, capsys):
-        # chi of this sequence is rounding noise at the scan floor t = 1e-3,
-        # where the quadrature cannot converge; the solver must not go there
+        # the instants are udd(2)'s, so the row is udd(2)'s but for the
+        # scheme the command named
         args = ["storage", "--alpha", "0.2", "--epsilon", "1e-4", "--quiet"]
         code, out, _ = run_cli(args + ["--scheme", "custom", "--deltas", "0.25,0.75"], capsys)
         assert code == 0
@@ -128,6 +129,18 @@ class TestStorageCommand:
         assert row["scheme"] == "custom"
         row["scheme"] = "udd"
         assert row == udd_row
+
+    def test_custom_udd3_instants_solve_as_udd3(self, capsys):
+        # the udd(3) instants under scheme custom take udd(3)'s Bessel form:
+        # the direct sums sit at their rounding floor at the scan's small t
+        args = ["storage", "--alpha", "0.25", "--epsilon", "1e-4", "--quiet"]
+        code, out, _ = run_cli(args + ["--scheme", "custom", "--deltas",
+                                       "0.14644660940672624,0.5,0.8535533905932737"], capsys)
+        assert code == 0
+        _, (row,) = parse_csv(out)
+        assert row["t_store"] == "2.184858352783554"
+        _, (udd_row,) = parse_csv(run_cli(args + ["--scheme", "udd", "--n", "3"], capsys)[1])
+        assert {**row, "scheme": "udd"} == udd_row
 
     def test_mirror_symmetric_custom_from_file(self, tmp_path, capsys, quad):
         path = tmp_path / "seq.csv"
@@ -257,6 +270,18 @@ class TestCompareCommand:
             assert r["t"] == ""
             assert r["error"].startswith("RangeExhaustedError: storage error stayed below")
         assert [r["alpha"] for r in rows if r["kind"] == "ratio"] == ["0.25"]
+
+    @pytest.mark.parametrize("epsilon", ["2", "0", "-1e-4", "1"])
+    def test_bad_epsilon_exit_2_before_any_cell(self, capsys, monkeypatch, epsilon):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("compare_schemes called")
+
+        monkeypatch.setattr(ddlab.cli, "compare_schemes", unreachable)
+        code, out, err = run_cli(["compare", "--n", "100", f"--epsilon={epsilon}",
+                                  "--points", "50", "--quiet"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "epsilon must be in (0, 1)" in err
 
     def test_every_cell_failing_exit_3(self, capsys, monkeypatch):
         def failing(seq, bath, t, quad):
@@ -609,6 +634,27 @@ class TestCustomSequenceInput:
             ["signal", "--scheme", "custom", "--deltas", "0.5,0.5",
              "--points", "2", "--tmin", "1", "--tmax", "2", "--quiet"], capsys)
         assert code == 2
+
+    def test_deltas_csv_two_cell_row_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "seq.csv"
+        path.write_text("delta\n0.3,0.4\n0.5\n")
+        code, out, err = run_cli(["storage", "--scheme", "custom", "--deltas-file", str(path),
+                                  "--quiet"], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"{path}, line 2: expected 'delta'" in err
+
+    @pytest.mark.parametrize("text, where", [
+        ("omega,J,extra\n0.0,0.0,1\n1.0,0.2,1\n", "expected header 'omega,J'"),
+        ("omega,J\n0.0,0.0\n1.0,0.2,9\n", "line 3: expected 'omega,J'"),
+        ("omega,J\n0.0,0.0\n1.0,abc\n", "line 3: could not convert string to float: 'abc'")])
+    def test_bath_csv_malformed_exit_2(self, tmp_path, capsys, text, where):
+        path = tmp_path / "bath.csv"
+        path.write_text(text)
+        code, out, err = run_cli(["storage", "--bath-csv", str(path), "--quiet"], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"{path}" in err and where in err
 
     def test_bath_csv_short_row_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bath.csv"

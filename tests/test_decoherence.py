@@ -19,6 +19,7 @@ from ddlab import (
     equidistant,
     phase,
     signal,
+    storage_time,
     udd,
 )
 from ddlab.quadrature import integrate_adaptive
@@ -90,8 +91,9 @@ def custom_case(deltas):
     return custom(deltas), [lambda d=d: mpmath.mpf(d) for d in deltas]
 
 
-# the udd and equidistant labels select the ideal sequences' analytic forms,
-# so their oracle takes the ideal instants; custom takes its float instants.
+# the udd and equidistant instants select the ideal sequences' analytic
+# forms, so their oracle takes the ideal instants; custom takes its float
+# instants.
 # The jittered custom(10) is not mirror symmetric, so it takes the full term
 # set where the other custom sequences take the half-sums.
 CLOSED_FORM_CASES = {
@@ -206,6 +208,26 @@ class TestUddSmallTimes:
         assert evaluations == [16 * 15] * 12
 
 
+class TestUddTwin:
+    # a sequence is its instants: custom(udd(n).deltas) is udd(n), shares
+    # its term table and takes its Bessel form
+    @pytest.mark.parametrize("n", [2, 3, 10, 100, 1000])
+    def test_custom_udd_instants_are_udd_bit_for_bit(self, quad, n):
+        seq, twin = udd(n), custom(list(udd(n).deltas))
+        assert twin == seq and hash(twin) == hash(seq)
+        bath = OhmicBath(alpha=0.25)
+        for t in (1e-3, 0.1, 1.0):
+            for f in (chi, phase, signal):
+                assert f(twin, bath, t, quad) == f(seq, bath, t, quad)
+        assert storage_time(twin, bath, 1e-4, quad) == storage_time(seq, bath, 1e-4, quad)
+
+    def test_cpmg_instants_take_the_bessel_form(self, quad):
+        # (0.25, 0.75) has S1 = 0, so its direct sums sit at their rounding
+        # floor at small t; as udd(2)'s instants it takes the Bessel form
+        bath = OhmicBath(alpha=0.25)
+        assert chi(custom((0.25, 0.75)), bath, 1e-3, quad) == chi(udd(2), bath, 1e-3, quad)
+
+
 class TestFreeEvolutionOracle:
     def test_chi_at_unit_time(self, quad):
         bath = OhmicBath(alpha=0.1)
@@ -304,7 +326,7 @@ class TestSignalJointQuadrature:
     @pytest.mark.parametrize("seq", [udd(0), udd(5), equidistant(7),
                                      custom((0.2, 0.5, 0.8)),
                                      custom((0.11, 0.3, 0.42, 0.7, 0.93))],
-                             ids=lambda s: f"{s.scheme}{s.n}")
+                             ids=["udd0", "udd5", "equidistant7", "custom3", "custom5"])
     @pytest.mark.parametrize("temp", [0.0, 0.2])
     @pytest.mark.parametrize("t", [0.05, 1.0, 30.0, 500.0])
     def test_rows_match_chi_and_phase(self, quad, seq, temp, t):
@@ -424,12 +446,12 @@ class TestQuadratureBehaviour:
             assert abs(c1 - c2) <= 10 * q1.rel_tol * max(c1, 1e-30)
 
     def test_zero_first_moment_chi_is_bounded_work(self, quad, monkeypatch):
-        # instants with S1 = 0 make chi ~ t^6: 2e-23 at t = 1e-3, where the
-        # integrand sits near its rounding floor over many panels.  Rounds
-        # that split every panel over its share keep the work bounded (18
-        # rounds, 838 890 nodes).  The value is 7.2e-10 off the closed
-        # form, short of the 1e-10 target: the quadrature's error floor
-        # here is still open.
+        # instants with S1 = 0 that are not udd(3)'s make chi ~ t^4: 1.5e-16
+        # at t = 1e-3, where the integrand sits near its rounding floor
+        # over many panels.  Rounds that split every panel over its share
+        # keep the work bounded (22 rounds, 973 230 nodes).  The value is
+        # 3.0e-10 off the closed form, short of the 1e-10 target: the
+        # quadrature's error floor here is still open.
         rounds, nodes = [], []
 
         def counting(f, *args, **kwargs):
@@ -442,7 +464,7 @@ class TestQuadratureBehaviour:
             return out
 
         monkeypatch.setattr(ddlab.decoherence, "integrate_adaptive", counting)
-        seq, instants = custom_case((0.25, 0.75))
+        seq, instants = custom_case((0.2, 0.5, 0.8))
         value = chi(seq, OhmicBath(alpha=0.25), 1e-3, quad)
         exact = float(converged_closed_forms(instants, 0.25, 1e-3)[0])
         assert len(rounds) <= 25 and sum(nodes) <= 1_000_000

@@ -108,6 +108,8 @@ def pole_neighbourhood(n):
 
 NOISE_CASES = [build(n) for n in (0, 1, 2, 3, 10, 100, 1000) for build in (udd, equidistant)]
 NOISE_CASES += [jittered_custom(30, 30), mirrored_custom(10, 31)]
+NOISE_IDS = [f"{build.__name__}{n}" for n in (0, 1, 2, 3, 10, 100, 1000)
+             for build in (udd, equidistant)] + ["custom30", "custom21"]
 
 
 class TestXFactor:
@@ -175,7 +177,7 @@ class TestYAbsSq:
 
 class TestJointFilters:
     @pytest.mark.parametrize("seq", NOISE_CASES + [custom((0.25, 0.375, 0.625))],
-                             ids=lambda s: f"{s.scheme}{s.n}")
+                             ids=NOISE_IDS + ["custom3"])
     def test_equal_the_single_filters_bit_for_bit(self, seq):
         # small z reaches the Bessel, parity and Taylor sources, large z the
         # direct sum
@@ -440,7 +442,7 @@ class TestNoiseBound:
     # the noise model behind filters._delegation_threshold: the direct sums
     # stay within 4 eps (1+z) sqrt(n+2) of the exact sums over the same
     # float instants, symmetric half-sums and full term sets alike
-    @pytest.mark.parametrize("seq", NOISE_CASES, ids=lambda s: f"{s.scheme}{s.n}")
+    @pytest.mark.parametrize("seq", NOISE_CASES, ids=NOISE_IDS)
     def test_direct_sums_within_noise_model(self, seq):
         z = np.geomspace(1e-3, 4 * (seq.n + 2), 16)
         exact = [exact_filters(seq, float(zk)) for zk in z]
@@ -451,7 +453,7 @@ class TestNoiseBound:
 
 class TestBlockedKernel:
     @pytest.mark.parametrize("generated", [udd(2), udd(9), equidistant(8)],
-                             ids=lambda s: f"{s.scheme}{s.n}")
+                             ids=["udd2", "udd9", "equidistant8"])
     def test_symmetric_custom_matches_generated(self, generated):
         # the kernel reads the instants, not the scheme name
         z = np.geomspace(1e-3, 50.0, 400)
@@ -460,7 +462,7 @@ class TestBlockedKernel:
         assert np.array_equal(x_factor_array(twin, z), x_factor_array(generated, z))
 
     @pytest.mark.parametrize("seq", [udd(1000), equidistant(499), jittered_custom(300, 3)],
-                             ids=lambda s: f"{s.scheme}{s.n}")
+                             ids=["udd1000", "equidistant499", "custom300"])
     def test_blocks_match_single_nodes(self, seq):
         # enough nodes for at least four blocks on either path
         nodes = 4 * _BLOCK_ELEMENTS // (seq.n // 2 + 1) + 3
@@ -470,7 +472,7 @@ class TestBlockedKernel:
         assert np.array_equal(x, [x_factor_array(seq, z[k:k + 1])[0] for k in range(nodes)])
 
     @pytest.mark.parametrize("seq", [udd(7), equidistant(6), jittered_custom(5, 1)],
-                             ids=lambda s: f"{s.scheme}{s.n}")
+                             ids=["udd7", "equidistant6", "custom5"])
     def test_two_dimensional_nodes_keep_shape(self, seq):
         z = np.geomspace(1e-3, 30.0, 60).reshape(6, 10)
         for f in (y_factor_array, x_factor_array, y_abs_sq_array):
@@ -568,7 +570,8 @@ class TestSlicing:
     @pytest.mark.parametrize("seq", [udd(0), udd(1), udd(2), udd(7), udd(100),
                                      jittered_custom(30, 30), mirrored_custom(10, 31),
                                      jittered_custom(1000, 8)],
-                             ids=lambda s: f"{s.scheme}{s.n}")
+                             ids=["udd0", "udd1", "udd2", "udd7", "udd100",
+                                  "custom30", "custom21", "custom1000"])
     def test_term_tables_take_the_checked_slicing(self, seq):
         terms = _term_table(seq)
         k, scale = self.tables(seq.n)[terms.mirror]
@@ -582,7 +585,7 @@ class TestPanelKernel:
     # was rounded; against 40-digit sums at exactly that point it keeps the
     # noise model of the direct sums
     @pytest.mark.parametrize("layout", sorted(GRID_LEVELS))
-    @pytest.mark.parametrize("seq", NOISE_CASES, ids=lambda s: f"{s.scheme}{s.n}")
+    @pytest.mark.parametrize("seq", NOISE_CASES, ids=NOISE_IDS)
     def test_sums_within_noise_model_at_centre_plus_offset(self, seq, layout, monkeypatch):
         rng = np.random.default_rng(seq.n)
         # enough panels that the round takes the panel kernel rather than
@@ -660,7 +663,8 @@ class TestPanelKernel:
         assert np.array_equal(x, 0.5 * (np.sin(z) - y.imag))
 
     @pytest.mark.parametrize("seq", [udd(1000), equidistant(99), jittered_custom(300, 3),
-                                     udd(0)], ids=lambda s: f"{s.scheme}{s.n}")
+                                     udd(0)],
+                             ids=["udd1000", "equidistant99", "custom300", "udd0"])
     def test_rows_independent_of_batching(self, seq):
         # a mixed-level round, and a first round as a lattice run: each
         # part of the run starts at its own k0 (tables below _LATTICE_TERMS
@@ -681,7 +685,7 @@ class TestPanelKernel:
                 assert np.array_equal(whole, np.concatenate(parts, axis=1))
 
     @pytest.mark.parametrize("seq", [udd(2), udd(100), jittered_custom(1000, 8)],
-                             ids=lambda s: f"{s.scheme}{s.n}")
+                             ids=["udd2", "udd100", "custom1000"])
     def test_sums_independent_of_term_order(self, seq):
         # the slice products are exact, so permuting the terms (u, w and the
         # rows of the offset tables with them), on a mixed-level round and
@@ -706,7 +710,7 @@ class TestPanelKernel:
                 assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("seq", [udd(100), equidistant(60), jittered_custom(60, 5)],
-                             ids=lambda s: f"{s.scheme}{s.n}")
+                             ids=["udd100", "equidistant60", "custom60"])
     def test_joint_filters_equal_the_single_ones_on_a_grid(self, seq):
         z, grid = panel_round(seq, 1.0, 64, [k % 3 for k in range(64)], 3.0 * (seq.n + 1))
         y_sq, x = y_abs_sq_and_x_array(seq, z, grid)
@@ -759,6 +763,7 @@ def spy_centre_paths(monkeypatch):
 
 
 LARGE_TABLES = [udd(1000), jittered_custom(1000, 8)]
+LARGE_IDS = ["udd1000", "custom1000"]
 
 
 def knotted_bath():
@@ -793,7 +798,7 @@ class TestLatticeRows:
     # terms; other rounds and smaller tables take sin/cos of c u
 
     @pytest.mark.parametrize("layout", ["first_round", "bisected_run"])
-    @pytest.mark.parametrize("seq", LARGE_TABLES, ids=lambda s: f"{s.scheme}{s.n}")
+    @pytest.mark.parametrize("seq", LARGE_TABLES, ids=LARGE_IDS)
     def test_rows_at_the_lattice_centre_within_a_few_ulps(self, seq, layout):
         # each row against 30-digit sin/cos at (2k+1) h exactly: a few ulps
         # of the weight, plus eps |(2k+1) h u| from rounding the phases
@@ -848,7 +853,7 @@ class TestLatticeRows:
                "mixed_levels": (GRID_LEVELS["mixed_levels"], False)}
 
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
-    @pytest.mark.parametrize("seq", LARGE_TABLES, ids=lambda s: f"{s.scheme}{s.n}")
+    @pytest.mark.parametrize("seq", LARGE_TABLES, ids=LARGE_IDS)
     def test_quadrature_grids_take_the_lattice_path(self, seq, layout, monkeypatch):
         direct, steps = spy_centre_paths(monkeypatch)
         level_of, run = self.LAYOUTS[layout]
@@ -922,7 +927,7 @@ class TestLatticeRows:
         assert steps == []
 
     @pytest.mark.parametrize("seq", [udd(100), jittered_custom(30, 30), jittered_custom(180, 2)],
-                             ids=lambda s: f"{s.scheme}{s.n}")
+                             ids=["udd100", "custom30", "custom180"])
     def test_tables_below_the_gate_take_sin_cos(self, seq, monkeypatch):
         # the kernel declines a step table offered for a first round, and
         # the grid builds none
@@ -937,7 +942,7 @@ class TestLatticeRows:
         assert sum(direct) == 2 * 64 and steps == []
 
     @pytest.mark.parametrize("panels", [16, 26, 64])
-    @pytest.mark.parametrize("seq", LARGE_TABLES, ids=lambda s: f"{s.scheme}{s.n}")
+    @pytest.mark.parametrize("seq", LARGE_TABLES, ids=LARGE_IDS)
     def test_first_round_takes_no_more_sin_cos(self, seq, panels, monkeypatch):
         # a first round with a fresh grid, as every integral starts.  64
         # panels: 8 step rows and 7 base rows, where sin/cos of c u take 64

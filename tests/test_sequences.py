@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,7 +15,6 @@ class TestEquidistant:
         seq = equidistant(0)
         assert seq.deltas == ()
         assert seq.n == 0
-        assert seq.scheme == "equidistant"
 
     def test_hahn_midpoint(self):
         assert equidistant(1).deltas == (0.5,)
@@ -44,8 +46,10 @@ class TestUdd:
     def test_differs_from_equidistant(self, n):
         assert udd(n).deltas != equidistant(n).deltas
 
-    def test_scheme_tag(self):
-        assert udd(4).scheme == "udd"
+    @pytest.mark.parametrize("n", [2, 3, 10, 100, 1000])
+    def test_custom_with_udd_instants_is_udd(self, n):
+        twin = custom(list(udd(n).deltas))
+        assert twin == udd(n) and hash(twin) == hash(udd(n))
 
 
 @pytest.mark.parametrize("build", [equidistant, udd])
@@ -64,7 +68,6 @@ class TestCustom:
     def test_valid(self):
         seq = custom([0.1, 0.9])
         assert seq.n == 2
-        assert seq.scheme == "custom"
 
     def test_duplicate_names_index(self):
         with pytest.raises(ValueError, match=r"delta\[1\]"):
@@ -93,10 +96,11 @@ class TestHash:
         for a, b in pairs:
             assert a is not b and a == b and hash(a) == hash(b)
 
-    def test_repr_and_equality_unchanged(self):
-        assert repr(udd(2)) == "PulseSequence(deltas=(0.25, 0.75), scheme='udd')"
-        assert udd(2) != custom((0.25, 0.75))
-        assert len({udd(2), custom((0.25, 0.75)), udd(2)}) == 2
+    def test_repr_and_equality_go_by_the_instants(self):
+        assert repr(udd(2)) == "PulseSequence(deltas=(0.25, 0.75))"
+        assert udd(2) == custom((0.25, 0.75)) and udd(1) == equidistant(1)
+        assert udd(2) != equidistant(2)
+        assert len({udd(2), custom((0.25, 0.75)), udd(2)}) == 1
 
 
 class TestCsvLoading:
@@ -105,7 +109,6 @@ class TestCsvLoading:
         path.write_text("delta\n0.1\n0.5\n0.9\n")
         seq = deltas_from_csv(path)
         assert seq.deltas == (0.1, 0.5, 0.9)
-        assert seq.scheme == "custom"
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "seq.csv"
@@ -119,16 +122,30 @@ class TestCsvLoading:
         with pytest.raises(ValueError):
             deltas_from_csv(path)
 
+    def test_extra_cell_names_the_line(self, tmp_path):
+        # the row is an error, not its first cell: this is no (0.3, 0.5) file
+        path = tmp_path / "seq.csv"
+        path.write_text("delta\n0.3,0.4\n0.5\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}, line 2: "):
+            deltas_from_csv(path)
 
-def test_pulse_sequence_rejects_unknown_scheme():
-    with pytest.raises(ValueError, match="scheme"):
-        PulseSequence(deltas=(0.5,), scheme="cpmg")
+    def test_extra_header_cell_rejected(self, tmp_path):
+        path = tmp_path / "seq.csv"
+        path.write_text("delta,extra\n0.3,0.4\n")
+        with pytest.raises(ValueError, match="expected header 'delta'"):
+            deltas_from_csv(path)
+
+    def test_non_numeric_cell_names_the_line(self, tmp_path):
+        path = tmp_path / "seq.csv"
+        path.write_text("delta\n0.3\n\nabc\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}, line 4: .*'abc'"):
+            deltas_from_csv(path)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "seq.csv"
+        path.write_text(" delta \n0.3\n\n0.5\n\n")
+        assert deltas_from_csv(path) == custom((0.3, 0.5))
 
 
-def test_pulse_sequence_rejects_mislabelled_instants():
-    # the label selects the analytic filter form, so it must match the instants
-    for scheme in ("udd", "equidistant"):
-        with pytest.raises(ValueError, match=rf"not the {scheme}\(2\) instants"):
-            PulseSequence(deltas=(0.3, 0.6), scheme=scheme)
-    assert PulseSequence(deltas=udd(5).deltas, scheme="udd") == udd(5)
-    assert PulseSequence(deltas=equidistant(2).deltas, scheme="equidistant") == equidistant(2)
+def test_pulse_sequence_has_one_field():
+    assert [f.name for f in dataclasses.fields(PulseSequence)] == ["deltas"]
