@@ -48,6 +48,16 @@ EXIT_CONFIG = 2
 EXIT_QUADRATURE = 3
 EXIT_RANGE = 4
 
+# ceilings on mc's work, checked before any draw.  Memory is about 24 B per
+# trajectory (the phases, their cosines and np.std's temporaries) plus one
+# block of 64 x 2 mode_count doubles per drawing thread, and time is about
+# 15.7 us per trajectory per core at 512 modes, rising in step with the
+# mode count.  10^7 samples then hold about 240 MB and take about 160 s per
+# core at 512 modes; 2^14 modes take 16.8 MB of block per thread (134 MB at
+# the 8-thread ceiling) and about 0.5 ms per trajectory per core.
+_MAX_SAMPLES = 10**7
+_MAX_MODE_COUNT = 1 << 14
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -114,6 +124,10 @@ class RunConfig:
             raise ValueError("log spacing needs tmin > 0")
         if self.tmax < self.tmin:
             raise ValueError(f"tmax {self.tmax} below tmin {self.tmin}")
+        if self.samples > _MAX_SAMPLES:
+            raise ValueError(f"samples must be <= {_MAX_SAMPLES}, got {self.samples}")
+        if self.mode_count > _MAX_MODE_COUNT:
+            raise ValueError(f"mode_count must be <= {_MAX_MODE_COUNT}, got {self.mode_count}")
 
 
 def _conforms(value, hint) -> bool:

@@ -23,7 +23,7 @@ contract and must not change.
 How the contract is served: mc_signal computes the trajectory seeds with
 uint64 arithmetic and their SeedSequence(seed_k).generate_state(4, uint64)
 words with uint32 arithmetic (O'Neill's seed_seq_fe: hashmix and mix over a
-pool of 4 words), _SEED_CHUNK trajectories at a time.  Each trajectory draws
+pool of 4 words), a chunk of trajectories at a time.  Each trajectory draws
 from np.random.Generator(PCG64(s)), with s an ISeedSequence whose
 generate_state returns those words: the draws of default_rng(seed_k) bit for
 bit, as numpy's stream-compatibility policy (NEP 19) fixes SeedSequence's
@@ -33,8 +33,18 @@ per call.  The normals of _BLOCK trajectories fill one reused block, which
 is reduced against v in one np.einsum("ij,j->i"): that sums each row on its
 own and calls no BLAS, so a phase does not depend on the other rows of its
 block, on how many rows the last block has, or on the BLAS thread count.
-The mode responses are einsum sums as well.  Nothing is shared between
-calls, so mc_signal stays thread-safe.
+The mode responses are einsum sums as well.
+
+Worker split: the trajectories are cut into one contiguous run of whole
+blocks per worker, as many workers as the process may use CPUs (at most
+_MAX_WORKERS, at most one per block).  The calling thread draws the first
+run and plain threads the others; numpy's normals release the GIL, so the
+runs draw at once.  Each run hashes its own seed words, fills its own block
+and writes its own slice of the phases, so the phases are those of one
+thread, bit for bit, whatever the CPU count.  An error or interrupt in any
+run stops every run at its next block, and the caller joins every thread
+before it raises the first error.  Nothing is shared between calls, so
+mc_signal stays thread-safe.
 """
 
 from __future__ import annotations
@@ -42,6 +52,8 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,8 +77,12 @@ _POOL_SIZE = 4
 _BLOCK = 64
 # elements of one chunk of the (mode x instant) phase matrix
 _RESPONSE_CHUNK = 1 << 20
-# trajectories per chunk of seed words: about 1.4 MB of hash temporaries
+# trajectories per chunk of seed words, shared among the workers: about
+# 1.4 MB of hash temporaries in flight whatever the worker count
 _SEED_CHUNK = 1 << 13
+# threads that draw at once: about 1.3 us of a trajectory's 14.7 us (512
+# modes) holds the GIL, so beyond about 8 threads they queue for it
+_MAX_WORKERS = 8
 
 
 def _mix64(z):
@@ -215,25 +231,71 @@ def _mode_responses(omegas: np.ndarray, instants: np.ndarray, weights: np.ndarra
     return u_cos, u_sin
 
 
+def _workers() -> int:
+    """Threads that draw trajectories: the CPUs this process may run on, at
+    most _MAX_WORKERS."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, _MAX_WORKERS)
+
+
 def _batched_phases(bath: ClassicalBath, seq: PulseSequence, t: float,
                     samples: int, seed: int, dt: float, mode_count: int) -> np.ndarray:
     """Toggled phases of `samples` independent trajectories: the sigma-scaled
-    mode responses v once, then per chunk of _SEED_CHUNK seed words, blocks of
-    _BLOCK rows filled by _draw_amplitudes and reduced against v in one einsum."""
+    mode responses v once, then, in each worker's run of whole blocks, per
+    chunk of seed words, blocks of _BLOCK rows filled by _draw_amplitudes and
+    reduced against v in one einsum."""
     n_steps = max(1, math.ceil(t / dt))
     grid = np.linspace(0.0, t, n_steps + 1)
     omegas, sigmas = _mode_bins(bath, mode_count)
     instants, weights = _segment_layout(seq, t, grid)
     v = np.concatenate([sigmas * u for u in _mode_responses(omegas, instants, t * weights)])
-    block = np.empty((_BLOCK, 2 * mode_count))
     phases = np.empty(samples)
-    for start in range(0, samples, _SEED_CHUNK):
-        words = _trajectory_words(seed, start, min(start + _SEED_CHUNK, samples))
-        for lo in range(0, len(words), _BLOCK):
-            rows = block[:len(words) - lo]
-            for row, row_words in zip(rows, words[lo:lo + _BLOCK]):
-                _draw_amplitudes(row_words, row)
-            phases[start + lo:start + lo + len(rows)] = np.einsum("ij,j->i", rows, v)
+    n_blocks = -(-samples // _BLOCK)
+    workers = min(_workers(), n_blocks)
+    edges = [min(samples, n_blocks * i // workers * _BLOCK) for i in range(workers + 1)]
+    chunk = max(1, _SEED_CHUNK // workers)
+    stop = threading.Event()
+    errors = []
+
+    def run(lo: int, hi: int, block: np.ndarray) -> None:
+        try:
+            for start in range(lo, hi, chunk):
+                words = _trajectory_words(seed, start, min(start + chunk, hi))
+                for k in range(0, len(words), _BLOCK):
+                    if stop.is_set():
+                        return
+                    rows = block[:len(words) - k]
+                    for row, row_words in zip(rows, words[k:k + _BLOCK]):
+                        _draw_amplitudes(row_words, row)
+                    phases[start + k:start + k + len(rows)] = np.einsum("ij,j->i", rows, v)
+        except BaseException as exc:
+            errors.append(exc)
+            stop.set()
+
+    # blocks come from the calling thread's heap, the seed class is bound
+    # before any helper needs it
+    runs = [(lo, hi, np.empty((_BLOCK, 2 * mode_count))) for lo, hi in zip(edges, edges[1:])]
+    _words_seed()
+    helpers = [threading.Thread(target=run, args=r) for r in runs[1:]]
+    try:
+        for helper in helpers:
+            helper.start()
+        run(*runs[0])
+    except BaseException as exc:  # a thread that cannot start, or an interrupt
+        errors.append(exc)
+        stop.set()
+    for helper in helpers:
+        while helper.is_alive():
+            try:
+                helper.join()
+            except BaseException as exc:  # an interrupt while waiting
+                errors.append(exc)
+                stop.set()
+    if errors:
+        raise errors[0]
     return phases
 
 

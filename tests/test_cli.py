@@ -405,6 +405,23 @@ class TestMcCommand:
         assert out == ""
         assert "t / dt must be finite" in err
 
+    @pytest.mark.parametrize("flag, value, name", [("--samples", "10000001", "samples"),
+                                                   ("--mode-count", "16385", "mode_count")])
+    def test_work_ceilings_exit_2_before_any_draw(self, capsys, monkeypatch, flag, value, name):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("mc_signal called")
+
+        monkeypatch.setattr(ddlab.cli, "mc_signal", unreachable)
+        code, out, err = run_cli(["mc", "--scheme", "udd", "--n", "2", "--t", "1", flag, value,
+                                  "--quiet"], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"{name} must be <= {int(value) - 1}" in err
+
+    def test_work_ceilings_themselves_allowed(self):
+        cfg = RunConfig(samples=10**7, mode_count=1 << 14)
+        assert (cfg.samples, cfg.mode_count) == (10**7, 1 << 14)
+
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_bath_csv_rejected(self, tmp_path, capsys, source):
         # the Monte Carlo path only has the ohmic classical twin

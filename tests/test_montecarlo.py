@@ -1,5 +1,6 @@
-import itertools
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -7,9 +8,9 @@ import pytest
 
 import ddlab
 from ddlab import ClassicalBath, mc_signal, udd
-from ddlab.montecarlo import (_BLOCK, _RESPONSE_CHUNK, _SEED_CHUNK, _batched_phases,
-                              _draw_amplitudes, _mode_bins, _mode_responses, _segment_layout,
-                              _trajectory_words, _words_seed, trajectory_seed)
+from ddlab.montecarlo import (_BLOCK, _MAX_WORKERS, _RESPONSE_CHUNK, _SEED_CHUNK,
+                              _batched_phases, _draw_amplitudes, _mode_bins, _mode_responses,
+                              _segment_layout, _trajectory_words, _words_seed, trajectory_seed)
 from conftest import classical_twin
 
 
@@ -88,14 +89,19 @@ def base_for(seed: int) -> int:
     return (unmix64(seed) - 0x9E3779B97F4A7C15) % 2**64
 
 
-def reference_draw(base_seed):
+def force_workers(monkeypatch, workers: int) -> None:
+    monkeypatch.setattr("ddlab.montecarlo._workers", lambda: workers)
+
+
+def reference_draw(base_seed, samples: int):
     """_draw_amplitudes as np.random.default_rng(trajectory_seed(base_seed, k))
-    draws it, for the k-th call: cosine normals into the first half of out,
-    then sine normals into the second."""
-    calls = itertools.count()
+    draws it, for the trajectory k < samples whose words it is given, in any
+    order of calls: cosine normals into the first half of out, then sine
+    normals into the second."""
+    index = {words.tobytes(): k for k, words in enumerate(_trajectory_words(base_seed, 0, samples))}
 
     def draw(words, out):
-        rng = np.random.default_rng(trajectory_seed(base_seed, next(calls)))
+        rng = np.random.default_rng(trajectory_seed(base_seed, index[words.tobytes()]))
         m = len(out) // 2
         out[:m] = rng.standard_normal(m)
         out[m:] = rng.standard_normal(m)
@@ -167,7 +173,7 @@ class TestSeedBatch:
         bath = classical_twin(0.1, 0.25)
         args = (bath, udd(3), 2.0, 300, base, 0.02, 128)
         phases = _batched_phases(*args)
-        monkeypatch.setattr("ddlab.montecarlo._draw_amplitudes", reference_draw(base))
+        monkeypatch.setattr("ddlab.montecarlo._draw_amplitudes", reference_draw(base, 300))
         assert np.array_equal(phases, _batched_phases(*args))
 
     def test_short_seed_base(self):
@@ -188,13 +194,17 @@ class TestBlocks:
     @pytest.mark.parametrize("chunk", [1, _BLOCK, 100])
     def test_seed_chunks_match_one_chunk(self, chunk, monkeypatch):
         # chunks of seed words that split blocks, or do not, or are single
-        # trajectories, give the phases of one chunk bit for bit
+        # trajectories, give the phases of one chunk and one worker bit for
+        # bit, however many workers share the chunk
         bath = classical_twin(0.1, 0.25)
         args = (bath, udd(3), 2.0, 3 * _BLOCK + 5, 23, 0.02, 32)
         assert args[3] <= _SEED_CHUNK
+        force_workers(monkeypatch, 1)
         whole = _batched_phases(*args)
         monkeypatch.setattr("ddlab.montecarlo._SEED_CHUNK", chunk)
-        assert np.array_equal(_batched_phases(*args), whole)
+        for workers in (1, 2, 3, _MAX_WORKERS):
+            force_workers(monkeypatch, workers)
+            assert np.array_equal(_batched_phases(*args), whole)
 
     @pytest.mark.parametrize("cap", [_RESPONSE_CHUNK, 7 * 512 + 3])
     def test_chunked_responses_match_one_chunk(self, cap, monkeypatch):
@@ -220,6 +230,64 @@ class TestBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 20e6
+
+
+class TestWorkers:
+    """Trajectories split into one run of whole blocks per thread: no phase
+    depends on the split, and an error in any run stops every run."""
+
+    @pytest.mark.parametrize("samples", [100, 129, 8193, 20001])
+    def test_partition_is_invisible(self, samples, monkeypatch):
+        # more threads than cores, switching often: a lost or misplaced
+        # write of a run would show as a changed phase
+        bath = classical_twin(0.1, 0.25)
+        args = (bath, udd(3), 2.0, samples, 23, 0.02, 16)
+        force_workers(monkeypatch, 1)
+        whole = _batched_phases(*args)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for workers in (2, 3, _MAX_WORKERS):
+                force_workers(monkeypatch, workers)
+                assert np.array_equal(_batched_phases(*args), whole)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @staticmethod
+    def failing_draw(fail_words, exc):
+        """_draw_amplitudes that raises exc at the trajectory with the given
+        words, and counts its calls."""
+        calls = []
+
+        def draw(words, out):
+            calls.append(1)
+            if np.array_equal(words, fail_words):
+                raise exc
+            _draw_amplitudes(words, out)
+        return draw, calls
+
+    def test_helper_error_reaches_the_caller(self, monkeypatch):
+        # three runs of 1, 2 and 2 blocks of 64: trajectory 250 is in the
+        # last helper's run
+        force_workers(monkeypatch, 3)
+        draw, _ = self.failing_draw(_trajectory_words(5, 250, 251)[0], ZeroDivisionError("x"))
+        monkeypatch.setattr("ddlab.montecarlo._draw_amplitudes", draw)
+        threads = threading.active_count()
+        with pytest.raises(ZeroDivisionError):
+            mc_signal(flat_bath(), udd(2), 1.0, 300, 5, 0.02, 16)
+        assert threading.active_count() == threads
+
+    def test_interrupt_in_the_caller_stops_the_helpers(self, monkeypatch):
+        # the caller's run is interrupted at its first trajectory; the
+        # helper stops at its next block, far short of its 10^4 trajectories
+        force_workers(monkeypatch, 2)
+        draw, calls = self.failing_draw(_trajectory_words(5, 0, 1)[0], KeyboardInterrupt())
+        monkeypatch.setattr("ddlab.montecarlo._draw_amplitudes", draw)
+        threads = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            mc_signal(flat_bath(), udd(2), 1.0, 20000, 5, 0.02, 16)
+        assert threading.active_count() == threads
+        assert len(calls) < 10000
 
 
 class TestSynthesize:
@@ -352,9 +420,11 @@ class TestMcSignal:
         with pytest.raises(ValueError, match=r"^t / dt must be finite"):
             mc_signal(flat_bath(), udd(2), 1e308, 100, 1, 0.01, 16)
 
-    def test_batched_peak_memory_bound(self):
-        # one response vector per mode and one draw at a time: no
-        # samples x modes matrix (that alone would take 82 MB here)
+    def test_batched_peak_memory_bound(self, monkeypatch):
+        # one response vector per mode and one block per worker, at the
+        # worker ceiling: no samples x modes matrix (that alone would take
+        # 82 MB here)
+        force_workers(monkeypatch, _MAX_WORKERS)
         bath = classical_twin(0.1, 0.25)
         tracemalloc.start()
         try:
@@ -364,10 +434,12 @@ class TestMcSignal:
             tracemalloc.stop()
         assert peak < 8e6
 
-    def test_seed_words_peak_memory_bound(self):
-        # seed words are hashed _SEED_CHUNK trajectories at a time: the
-        # 2e5 phases take 1.6 MB and one chunk's hash about 1.4 MB, where
-        # every trajectory's words at once would peak at 35 MB
+    def test_seed_words_peak_memory_bound(self, monkeypatch):
+        # seed words are hashed _SEED_CHUNK trajectories at a time, shared
+        # among the workers (here at their ceiling): the 2e5 phases take
+        # 1.6 MB and one chunk's hash about 1.4 MB, where every trajectory's
+        # words at once would peak at 35 MB
+        force_workers(monkeypatch, _MAX_WORKERS)
         bath = classical_twin(0.1, 0.25)
         tracemalloc.start()
         try:
@@ -391,6 +463,21 @@ class TestMcSignal:
         mean = float(np.mean(np.cos(phases)))
         stderr = float(np.std(np.cos(phases), ddof=1) / 100.0)
         assert abs(mean - math.exp(-float(np.mean(phases**2)) / 2.0)) <= 3.0 * stderr
+
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    @pytest.mark.parametrize("t", [0.5, 2.0, 5.0])
+    def test_model_mean_matches_chi(self, n, t, quad):
+        # the toggled phase is Gaussian with variance |v|^2, so the mode
+        # bins and the trapezoid have the exact mean exp(-|v|^2 / 2): within
+        # 1e-5 of exp(-2 chi) (5.5e-6 at udd(1), t = 5), far below what the
+        # 3 sigma sampling checks can see
+        bath, seq, dt = classical_twin(0.1, 0.25), udd(n), 0.01
+        omegas, sigmas = _mode_bins(bath, 512)
+        grid = np.linspace(0.0, t, math.ceil(t / dt) + 1)
+        instants, weights = _segment_layout(seq, t, grid)
+        v = np.concatenate([sigmas * u for u in _mode_responses(omegas, instants, t * weights)])
+        target = math.exp(-2.0 * ddlab.chi(seq, bath, t, quad))
+        assert math.exp(-float(v @ v) / 2.0) == pytest.approx(target, rel=1e-5, abs=0.0)
 
     def test_oracle_agreement_single_cell(self, quad):
         bath = classical_twin(0.1, 0.25)

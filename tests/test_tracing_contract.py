@@ -91,7 +91,9 @@ def test_filter_seam_sees_every_round_in_full(monkeypatch, evaluate):
 def test_draw_seam_sees_every_trajectory(monkeypatch):
     # the tracer counts montecarlo.trajectories at
     # ddlab.montecarlo._draw_amplitudes: every trajectory must reach it
-    # through the module attribute, once
+    # through the module attribute, once, from whichever of the three
+    # drawing threads runs it
+    monkeypatch.setattr("ddlab.montecarlo._workers", lambda: 3)
     bath = ClassicalBath(power_spectrum=lambda w: 0.2 + 0.0 * w, omega_max=4.0)
     calls = []
     draw = ddlab.montecarlo._draw_amplitudes
