@@ -38,7 +38,7 @@ from .bath import (
     thermal_weight,
 )
 from .decoherence import QuadratureError, QuadratureSpec, chi, coherence_curve
-from .montecarlo import mc_signal
+from .montecarlo import _MAX_STEPS, mc_signal
 from .sequences import _GENERATORS, SCHEMES, custom, deltas_from_csv
 
 __all__ = ["RunConfig", "main"]
@@ -48,13 +48,16 @@ EXIT_CONFIG = 2
 EXIT_QUADRATURE = 3
 EXIT_RANGE = 4
 
-# ceilings on mc's work, checked before any draw.  Memory is about 24 B per
-# trajectory (the phases, their cosines and np.std's temporaries) plus one
-# block of 64 x 2 mode_count doubles per drawing thread, and time is about
-# 15.7 us per trajectory per core at 512 modes, rising in step with the
-# mode count.  10^7 samples then hold about 240 MB and take about 160 s per
-# core at 512 modes; 2^14 modes take 16.8 MB of block per thread (134 MB at
-# the 8-thread ceiling) and about 0.5 ms per trajectory per core.
+# ceilings on mc's work, checked before any draw.  Memory is about 16 B per
+# trajectory (the phases, whose cosines are taken in place, and np.std's
+# temporary) plus one block of 64 x 2 mode_count doubles per drawing thread,
+# and time is about 14.3 us per trajectory per core at 512 modes, rising in
+# step with the mode count.  10^7 samples then hold about 160 MB and take
+# about 145 s per core at 512 modes; 2^14 modes take 16.8 MB of block per
+# thread (134 MB at the 8-thread ceiling) and about 0.5 ms per trajectory per
+# core.  The step count t / dt is bounded by montecarlo._MAX_STEPS = 2^20,
+# where the mode responses peak at about 50 MB and take about 10 ns per mode
+# and step: 5 s at the default 256 modes, 11 s at 512 and about 6 min at 2^14.
 _MAX_SAMPLES = 10**7
 _MAX_MODE_COUNT = 1 << 14
 
@@ -128,6 +131,9 @@ class RunConfig:
             raise ValueError(f"samples must be <= {_MAX_SAMPLES}, got {self.samples}")
         if self.mode_count > _MAX_MODE_COUNT:
             raise ValueError(f"mode_count must be <= {_MAX_MODE_COUNT}, got {self.mode_count}")
+        if self.dt > 0 and self.t / self.dt > _MAX_STEPS:
+            raise ValueError(f"t / dt must be finite and <= {_MAX_STEPS}, "
+                             f"got t = {self.t:g}, dt = {self.dt:g}")
 
 
 def _conforms(value, hint) -> bool:

@@ -21,34 +21,42 @@ first, then its sine amplitudes.  This mapping is part of the module
 contract and must not change.
 
 How the contract is served: mc_signal computes the trajectory seeds with
-uint64 arithmetic and their SeedSequence(seed_k).generate_state(4, uint64)
+uint64 arithmetic, their SeedSequence(seed_k).generate_state(4, uint64)
 words with uint32 arithmetic (O'Neill's seed_seq_fe: hashmix and mix over a
-pool of 4 words), a chunk of trajectories at a time.  Each trajectory draws
-from np.random.Generator(PCG64(s)), with s an ISeedSequence whose
-generate_state returns those words: the draws of default_rng(seed_k) bit for
-bit, as numpy's stream-compatibility policy (NEP 19) fixes SeedSequence's
-hash and PCG64's seeding.  A trajectory's phase is its row of normals dotted
-with the sigma-scaled responses v = [sigma u_cos, sigma u_sin], formed once
-per call.  The normals of _BLOCK trajectories fill one reused block, which
-is reduced against v in one np.einsum("ij,j->i"): that sums each row on its
-own and calls no BLAS, so a phase does not depend on the other rows of its
-block, on how many rows the last block has, or on the BLAS thread count.
-The mode responses are einsum sums as well.
+pool of 4 words), and the PCG64 state those words seed with 128-bit
+arithmetic on pairs of uint64 words, a chunk of trajectories at a time.
+Each drawing thread owns one np.random.Generator(PCG64) and, before each
+trajectory, writes that trajectory's state and increment into the bit
+generator's memory (found through its ctypes.state_address, in the word
+order that one check per process reads off a PCG64 that numpy seeded
+itself), so no Python object is built per trajectory.  The draws are those
+of default_rng(seed_k) bit for bit, as numpy's stream-compatibility policy
+(NEP 19) fixes SeedSequence's hash and PCG64's seeding.  A trajectory's
+phase is its row of normals dotted with the sigma-scaled responses
+v = [sigma u_cos, sigma u_sin], formed once per call.  The normals of _BLOCK
+trajectories fill one reused block, which is reduced against v in one
+np.einsum("ij,j->i"): that sums each row on its own and calls no BLAS, so a
+phase does not depend on the other rows of its block, on how many rows the
+last block has, or on the BLAS thread count.  The mode responses are einsum
+sums as well.  The phase being Gaussian with variance |v|^2, the
+discretized model's exact mean exp(-|v|^2 / 2) comes with the estimate.
 
 Worker split: the trajectories are cut into one contiguous run of whole
 blocks per worker, as many workers as the process may use CPUs (at most
 _MAX_WORKERS, at most one per block).  The calling thread draws the first
 run and plain threads the others; numpy's normals release the GIL, so the
-runs draw at once.  Each run hashes its own seed words, fills its own block
-and writes its own slice of the phases, so the phases are those of one
-thread, bit for bit, whatever the CPU count.  An error or interrupt in any
-run stops every run at its next block, and the caller joins every thread
-before it raises the first error.  Nothing is shared between calls, so
-mc_signal stays thread-safe.
+runs draw at once.  Each run hashes its own seed words into states, draws
+from its own generator into its own block and writes its own slice of the
+phases, so the phases are those of one thread, bit for bit, whatever the
+CPU count.  Blocks and generators are built by the calling thread.  An
+error or interrupt in any run stops every run at its next block, and the
+caller joins every thread before it raises the first error.  Nothing is
+shared between calls, so mc_signal stays thread-safe.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 import numbers
@@ -80,8 +88,12 @@ _RESPONSE_CHUNK = 1 << 20
 # trajectories per chunk of seed words, shared among the workers: about
 # 1.4 MB of hash temporaries in flight whatever the worker count
 _SEED_CHUNK = 1 << 13
-# threads that draw at once: about 1.3 us of a trajectory's 14.7 us (512
-# modes) holds the GIL, so beyond about 8 threads they queue for it
+# steps of the toggled-phase grid, ceil(t / dt): at the ceiling the mode
+# responses peak at about 50 MB (the grid, the layout's instants and weights
+# and their pieces) and take about 10 ns per mode and step
+_MAX_STEPS = 1 << 20
+# threads that draw at once: about 1.1 us of a trajectory's 14.3 us (512
+# modes) holds the GIL, so beyond about 13 threads they queue for it
 _MAX_WORKERS = 8
 
 
@@ -146,12 +158,16 @@ def _trajectory_words(base_seed: int, start: int, stop: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Sample mean of cos(phase) with its standard error."""
+    """Sample mean of cos(phase) with its standard error, and the exact mean
+    of the discretized model that the samples are drawn from."""
 
     mean: float
     stderr: float
     samples: int
     seed: int
+    # exp(-|v|^2 / 2), v the sigma-scaled mode responses: the toggled phase
+    # is Gaussian with variance |v|^2
+    model_mean: float
 
 
 def _mode_bins(bath: ClassicalBath, mode_count: int):
@@ -160,31 +176,99 @@ def _mode_bins(bath: ClassicalBath, mode_count: int):
     return omegas, np.sqrt(_checked_spectrum(bath, omegas) * dw / math.pi)
 
 
+# PCG64's 128-bit multiplier (PCG_DEFAULT_MULTIPLIER_128 of numpy's pcg64.h)
+# as its high and low words, and the masks and shifts of the 128-bit
+# arithmetic, all np.uint64 so that no Python int meets a uint64 array
+# (numpy < 2 promotes such a mix by value)
+_MULT_HI, _MULT_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
+_LOW32 = np.uint64(_MASK32)
+_ONE, _THIRTY_TWO, _SIXTY_THREE = np.uint64(1), np.uint64(32), np.uint64(63)
+
+# where PCG64's state words lie in memory: the order of (state low, state
+# high, inc low, inc high) in numpy's pcg64.h, low word first with native
+# 128-bit integers on a little-endian machine, high word first with the
+# emulated {high, low} struct and on a big-endian machine
+_LAYOUTS = ((0, 1, 2, 3), (1, 0, 3, 2))
+
+
+def _state_view(bit_generator) -> np.ndarray:
+    """A writable uint64[4] view of a PCG64's 128-bit state and increment.
+
+    ctypes.state_address is the address of numpy's pcg64_state struct, whose
+    first member points to them.  Both addresses must lie inside the bit
+    generator object, where numpy keeps both structs; RuntimeError if not.
+    """
+    start = id(bit_generator)
+    end = start + type(bit_generator).__basicsize__
+    struct = bit_generator.ctypes.state_address
+    address = ctypes.c_void_p.from_address(struct).value if start <= struct <= end - 8 else None
+    if address is None or not start <= address <= end - 32:
+        raise RuntimeError("PCG64's state does not lie inside the bit generator object")
+    memory = (ctypes.c_uint64 * 4).from_address(address)
+    memory.owner = bit_generator  # the view keeps the memory it shows alive
+    return np.ctypeslib.as_array(memory)
+
+
+def _layout_of(image, state: int, inc: int) -> tuple:
+    """The one of _LAYOUTS in which the memory words `image` hold the 128-bit
+    state and inc; RuntimeError for any other layout."""
+    parts = (state & _MASK64, state >> 64, inc & _MASK64, inc >> 64)
+    for layout in _LAYOUTS:
+        if [parts[j] for j in layout] == [int(word) for word in image]:
+            return layout
+    raise RuntimeError(f"unknown PCG64 state layout {[hex(int(w)) for w in image]}")
+
+
 @functools.cache
-def _words_seed():
-    """ISeedSequence whose generate_state(4, np.uint64) returns given words,
-    bound on first use: numpy 2 imports numpy.random lazily.  PCG64 reads the
-    words through a raw pointer, so they must be a C-contiguous uint64 array
-    of 4, as a row of _trajectory_words is, and any other request is refused."""
-    from numpy.random.bit_generator import ISeedSequence
-
-    class WordsSeed(ISeedSequence):
-        def __init__(self, words):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != 4 or dtype is not np.uint64:
-                raise ValueError(f"cannot serve generate_state({n_words!r}, {dtype!r})")
-            return self.words
-    return WordsSeed
+def _word_order() -> tuple:
+    """The layout of PCG64's state words in this process, read once from a
+    PCG64 that numpy has seeded itself (from a seed whose four state words
+    all differ)."""
+    bit_generator = np.random.PCG64(np.random.SeedSequence(_GOLDEN))
+    state = bit_generator.state["state"]
+    return _layout_of(_state_view(bit_generator), state["state"], state["inc"])
 
 
-def _draw_amplitudes(words, out: np.ndarray) -> None:
+def _trajectory_states(words: np.ndarray) -> np.ndarray:
+    """PCG64's seeded state for each row (w0, w1, w2, w3) of
+    _trajectory_words, as numpy's pcg64_set_seed computes it: with
+    s = w0||w1 and inc = (w2||w3) << 1 | 1 (high word first),
+    state = (s + inc) M + inc mod 2^128.  Each row holds the state and inc in
+    the memory order of _word_order(), ready to be written into a view from
+    _generator()."""
+    w0, w1, w2, w3 = words.T
+    inc_lo = (w3 << _ONE) | _ONE
+    inc_hi = (w2 << _ONE) | (w3 >> _SIXTY_THREE)
+    lo = w1 + inc_lo
+    hi = w0 + inc_hi + (lo < inc_lo)
+    # (hi, lo) M mod 2^128: the high word takes the carry of lo x M_lo,
+    # summed from its 32-bit partial products
+    a0, a1 = lo & _LOW32, lo >> _THIRTY_TWO
+    m0, m1 = _MULT_LO & _LOW32, _MULT_LO >> _THIRTY_TWO
+    p00, p01, p10, p11 = a0 * m0, a0 * m1, a1 * m0, a1 * m1
+    mid = (p00 >> _THIRTY_TWO) + (p01 & _LOW32) + (p10 & _LOW32)
+    carry = p11 + (p01 >> _THIRTY_TWO) + (p10 >> _THIRTY_TWO) + (mid >> _THIRTY_TWO)
+    hi = carry + lo * _MULT_HI + hi * _MULT_LO
+    lo = lo * _MULT_LO + inc_lo
+    parts = (lo, hi + inc_hi + (lo < inc_lo), inc_lo, inc_hi)
+    return np.stack([parts[j] for j in _word_order()], axis=1)
+
+
+def _generator():
+    """A Generator over PCG64 and the view of its state words, into which
+    _draw_amplitudes writes each trajectory's row of _trajectory_states."""
+    gen = np.random.Generator(np.random.PCG64(0))
+    return gen, _state_view(gen.bit_generator)
+
+
+def _draw_amplitudes(gen, state: np.ndarray, row_state: np.ndarray, out: np.ndarray) -> None:
     """Fill out with one trajectory's standard normals, the len(out) // 2 of
     its cosine amplitudes, then those of its sine amplitudes (one stream), as
-    np.random.default_rng draws them from the seed whose
-    generate_state(4, uint64) words are `words`, a row of _trajectory_words."""
-    np.random.Generator(np.random.PCG64(_words_seed()(words))).standard_normal(out=out)
+    np.random.default_rng draws them: row_state, the trajectory's row of
+    _trajectory_states, is written into `state`, the state view of gen (both
+    from _generator()), and gen draws."""
+    state[:] = row_state
+    gen.standard_normal(out=out)
 
 
 def _segment_layout(seq: PulseSequence, t: float, grid_times: np.ndarray):
@@ -241,17 +325,22 @@ def _workers() -> int:
     return min(cpus, _MAX_WORKERS)
 
 
-def _batched_phases(bath: ClassicalBath, seq: PulseSequence, t: float,
-                    samples: int, seed: int, dt: float, mode_count: int) -> np.ndarray:
-    """Toggled phases of `samples` independent trajectories: the sigma-scaled
-    mode responses v once, then, in each worker's run of whole blocks, per
-    chunk of seed words, blocks of _BLOCK rows filled by _draw_amplitudes and
-    reduced against v in one einsum."""
+def _scaled_responses(bath: ClassicalBath, seq: PulseSequence, t: float, dt: float,
+                      mode_count: int) -> np.ndarray:
+    """v = [sigma u_cos, sigma u_sin]: a trajectory's toggled phase is its
+    row of standard normals dotted with v, on a grid of ceil(t / dt) steps."""
     n_steps = max(1, math.ceil(t / dt))
     grid = np.linspace(0.0, t, n_steps + 1)
     omegas, sigmas = _mode_bins(bath, mode_count)
     instants, weights = _segment_layout(seq, t, grid)
-    v = np.concatenate([sigmas * u for u in _mode_responses(omegas, instants, t * weights)])
+    return np.concatenate([sigmas * u for u in _mode_responses(omegas, instants, t * weights)])
+
+
+def _batched_phases(v: np.ndarray, samples: int, seed: int) -> np.ndarray:
+    """Toggled phases of `samples` independent trajectories with the scaled
+    responses v: in each worker's run of whole blocks, per chunk of seeded
+    states, blocks of _BLOCK rows filled by _draw_amplitudes from the run's
+    one generator and reduced against v in one einsum."""
     phases = np.empty(samples)
     n_blocks = -(-samples // _BLOCK)
     workers = min(_workers(), n_blocks)
@@ -260,25 +349,26 @@ def _batched_phases(bath: ClassicalBath, seq: PulseSequence, t: float,
     stop = threading.Event()
     errors = []
 
-    def run(lo: int, hi: int, block: np.ndarray) -> None:
+    def run(lo: int, hi: int, block: np.ndarray, gen, state: np.ndarray) -> None:
         try:
             for start in range(lo, hi, chunk):
-                words = _trajectory_words(seed, start, min(start + chunk, hi))
-                for k in range(0, len(words), _BLOCK):
+                states = _trajectory_states(_trajectory_words(seed, start, min(start + chunk, hi)))
+                for k in range(0, len(states), _BLOCK):
                     if stop.is_set():
                         return
-                    rows = block[:len(words) - k]
-                    for row, row_words in zip(rows, words[k:k + _BLOCK]):
-                        _draw_amplitudes(row_words, row)
+                    rows = block[:len(states) - k]
+                    for row, row_state in zip(rows, states[k:k + _BLOCK]):
+                        _draw_amplitudes(gen, state, row_state, row)
                     phases[start + k:start + k + len(rows)] = np.einsum("ij,j->i", rows, v)
         except BaseException as exc:
             errors.append(exc)
             stop.set()
 
-    # blocks come from the calling thread's heap, the seed class is bound
-    # before any helper needs it
-    runs = [(lo, hi, np.empty((_BLOCK, 2 * mode_count))) for lo, hi in zip(edges, edges[1:])]
-    _words_seed()
+    # blocks and generators come from the calling thread, which also checks
+    # the state layout before any helper needs it
+    _word_order()
+    runs = [(lo, hi, np.empty((_BLOCK, len(v))), *_generator())
+            for lo, hi in zip(edges, edges[1:])]
     helpers = [threading.Thread(target=run, args=r) for r in runs[1:]]
     try:
         for helper in helpers:
@@ -323,16 +413,19 @@ def mc_signal(bath: ClassicalBath, seq: PulseSequence, t: float, samples: int,
         raise ValueError(f"t must be finite and > 0, got {t}")
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be finite and > 0, got {dt}")
-    if not t / dt < math.inf:
-        raise ValueError(f"t / dt must be finite, got t = {t:g}, dt = {dt:g}")
+    if not t / dt <= _MAX_STEPS:
+        raise ValueError(f"t / dt must be finite and <= {_MAX_STEPS}, got t = {t:g}, dt = {dt:g}")
     if mode_count < 8:
         raise ValueError(f"mode_count must be >= 8, got {mode_count}")
     dt_max = math.pi / (4.0 * bath.omega_max)
     if dt > dt_max:
         raise ValueError(
             f"dt = {dt:g} aliases the spectrum: need dt <= pi/(4 omega_max) = {dt_max:g}")
-    phases = _batched_phases(bath, seq, t, samples, seed, dt, mode_count)
-    cosines = np.cos(phases)
+    v = _scaled_responses(bath, seq, t, dt, mode_count)
+    cosines = _batched_phases(v, samples, seed)
+    np.cos(cosines, out=cosines)
     mean = float(np.mean(cosines))
     stderr = float(np.std(cosines, ddof=1) / math.sqrt(samples))
-    return McEstimate(mean=mean, stderr=stderr, samples=samples, seed=seed)
+    model_mean = math.exp(-float(np.einsum("i,i->", v, v)) / 2.0)
+    return McEstimate(mean=mean, stderr=stderr, samples=samples, seed=seed,
+                      model_mean=model_mean)

@@ -422,6 +422,34 @@ class TestMcCommand:
         cfg = RunConfig(samples=10**7, mode_count=1 << 14)
         assert (cfg.samples, cfg.mode_count) == (10**7, 1 << 14)
 
+    def test_step_ceiling_exit_2_before_any_draw(self, capsys, monkeypatch):
+        # 10^14 steps would ask for hundreds of TiB of grid
+        def unreachable(*args, **kwargs):
+            raise AssertionError("mc_signal called")
+
+        monkeypatch.setattr(ddlab.cli, "mc_signal", unreachable)
+        code, out, err = run_cli(["mc", "--scheme", "udd", "--n", "2", "--t", "1e12", "--dt",
+                                  "0.01", "--samples", "100", "--quiet"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "t / dt must be finite and <= 1048576" in err
+
+    def test_step_ceiling_itself_allowed(self):
+        # t / dt = 2^20 exactly; one dt more is refused
+        assert RunConfig(t=float(1 << 19), dt=0.5).t == float(1 << 19)
+        with pytest.raises(ValueError, match=r"t / dt must be finite and <= 1048576"):
+            RunConfig(t=(1 << 19) + 0.5, dt=0.5)
+
+    def test_output_fields_unchanged(self, capsys):
+        # McEstimate also carries the model mean; mc prints the same
+        # explicit fields as before
+        code, out, _ = run_cli(["mc", "--scheme", "udd", "--n", "1", "--t", "1.0",
+                                "--samples", "200", "--format", "json", "--quiet"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert list(doc["rows"][0]) == ["t", "mean", "stderr", "samples", "seed", "analytic",
+                                        "z_score"]
+
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_bath_csv_rejected(self, tmp_path, capsys, source):
         # the Monte Carlo path only has the ohmic classical twin

@@ -1,17 +1,26 @@
+import gc
 import math
 import sys
 import threading
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 
 import ddlab
 from ddlab import ClassicalBath, mc_signal, udd
-from ddlab.montecarlo import (_BLOCK, _MAX_WORKERS, _RESPONSE_CHUNK, _SEED_CHUNK,
-                              _batched_phases, _draw_amplitudes, _mode_bins, _mode_responses,
-                              _segment_layout, _trajectory_words, _words_seed, trajectory_seed)
+from ddlab.montecarlo import (_BLOCK, _LAYOUTS, _MAX_WORKERS, _RESPONSE_CHUNK, _SEED_CHUNK,
+                              _batched_phases, _draw_amplitudes, _generator, _layout_of,
+                              _mode_bins, _mode_responses, _scaled_responses, _segment_layout,
+                              _state_view, _trajectory_states, _trajectory_words, _word_order,
+                              trajectory_seed)
 from conftest import classical_twin
+
+
+def phases_of(bath, seq, t: float, samples: int, seed: int, dt: float, mode_count: int):
+    """_batched_phases of the cell's scaled responses, as mc_signal draws them."""
+    return _batched_phases(_scaled_responses(bath, seq, t, dt, mode_count), samples, seed)
 
 
 def flat_bath(p0: float = 0.2, omega_max: float = 20.0) -> ClassicalBath:
@@ -95,17 +104,43 @@ def force_workers(monkeypatch, workers: int) -> None:
 
 def reference_draw(base_seed, samples: int):
     """_draw_amplitudes as np.random.default_rng(trajectory_seed(base_seed, k))
-    draws it, for the trajectory k < samples whose words it is given, in any
-    order of calls: cosine normals into the first half of out, then sine
-    normals into the second."""
-    index = {words.tobytes(): k for k, words in enumerate(_trajectory_words(base_seed, 0, samples))}
+    draws it, for the trajectory k < samples whose seeded state it is given,
+    in any order of calls: cosine normals into the first half of out, then
+    sine normals into the second."""
+    states = _trajectory_states(_trajectory_words(base_seed, 0, samples))
+    index = {row.tobytes(): k for k, row in enumerate(states)}
 
-    def draw(words, out):
-        rng = np.random.default_rng(trajectory_seed(base_seed, index[words.tobytes()]))
+    def draw(gen, state, row_state, out):
+        rng = np.random.default_rng(trajectory_seed(base_seed, index[row_state.tobytes()]))
         m = len(out) // 2
         out[:m] = rng.standard_normal(m)
         out[m:] = rng.standard_normal(m)
     return draw
+
+
+def states_of(words) -> list:
+    """_trajectory_states of rows of words, as plain Python ints in the order
+    (state low, state high, inc low, inc high), whatever the memory layout
+    (each layout is its own inverse)."""
+    return [[int(row[j]) for j in _word_order()] for row in _trajectory_states(words)]
+
+
+def pcg64_words(state: dict) -> list:
+    """numpy's PCG64 state dict as (state low, state high, inc low, inc high)."""
+    s, inc = state["state"]["state"], state["state"]["inc"]
+    return [s & (2**64 - 1), s >> 64, inc & (2**64 - 1), inc >> 64]
+
+
+class FixedWords(np.random.bit_generator.ISeedSequence):
+    """A seed whose generate_state(4, np.uint64) gives the chosen words, so
+    that numpy's PCG64 seeds itself from them."""
+
+    def __init__(self, words):
+        self.words = np.array(words, dtype=np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        assert (n_words, dtype) == (4, np.uint64)
+        return self.words
 
 
 class TestSeedBatch:
@@ -130,39 +165,103 @@ class TestSeedBatch:
                                   np.random.SeedSequence(seed).generate_state(4, np.uint64))
 
     def test_draws_match_default_rng(self):
-        # into rows of a block, as _batched_phases draws
+        # into rows of a block from one reused generator, as _batched_phases
+        # draws
         block = np.empty((8, 2 * 96))
-        for k, words in enumerate(_trajectory_words(31, 0, 1000)):
+        gen, state = _generator()
+        for k, row_state in enumerate(_trajectory_states(_trajectory_words(31, 0, 1000))):
             row = block[k % 8]
-            _draw_amplitudes(words, row)
+            _draw_amplitudes(gen, state, row_state, row)
             rng = np.random.default_rng(trajectory_seed(31, k))
             assert np.array_equal(row[:96], rng.standard_normal(96))
             assert np.array_equal(row[96:], rng.standard_normal(96))
 
-    def test_state_matches_pcg64_seeding(self, monkeypatch):
-        # the PCG64 that _draw_amplitudes seeds, caught as it is built
-        pcg64, made, empty = np.random.PCG64, [], np.empty(0)
+    @pytest.mark.parametrize("base", [0, 12345, -1, 2**64 - 1, 2**64 + 5])
+    def test_states_match_pcg64_seeding(self, base):
+        states = states_of(_trajectory_words(base, 0, 500))
+        for k, row in enumerate(states):
+            assert row == pcg64_words(np.random.PCG64(trajectory_seed(base, k)).state)
 
-        def caught(seed):
-            made.append(pcg64(seed))
-            return made[-1]
+    ONES = 2**64 - 1
+    CHOSEN_WORDS = [
+        [ONES] * 4,             # every word all ones: s + inc and every sum carry
+        [0, 0, 2**63, 0],       # top bit of w2 leaves inc
+        [0, 0, 0, 2**63],       # top bit of w3 moves into inc's high word
+        [0, ONES, 0, 0],        # s + inc carries from the low word
+        [ONES, ONES, 0, 0],     # s + inc overflows 2^128
+        [0, 0, 0, 0],
+        [1, 2, 3, 4],
+    ]
 
-        monkeypatch.setattr(np.random, "PCG64", caught)
-        for seed in (0, 1, 2**32, 2**64 - 1, *(trajectory_seed(5, k) for k in range(200))):
-            words = np.random.SeedSequence(seed).generate_state(4, np.uint64)
-            _draw_amplitudes(words, empty)
-            assert made.pop().state == pcg64(seed).state
+    def test_states_of_chosen_words(self):
+        # numpy seeds a PCG64 from the same four words
+        rng = np.random.default_rng(7)
+        words = self.CHOSEN_WORDS + rng.integers(0, 2**64, (500, 4), dtype=np.uint64).tolist()
+        states = states_of(np.array(words, dtype=np.uint64))
+        for row, w in zip(states, words):
+            assert row == pcg64_words(np.random.PCG64(FixedWords(w)).state)
 
-    @pytest.mark.parametrize("n_words, dtype", [(4, np.uint32), (8, np.uint32), (2, np.uint64),
-                                                (8, np.uint64), (4, np.int64)])
-    def test_words_seed_refuses_other_requests(self, n_words, dtype):
-        # PCG64 reads four uint64 words through a raw pointer; no other
-        # request may be answered with them
-        words = _trajectory_words(3, 0, 1)[0]
-        seed = _words_seed()(words)
-        assert seed.generate_state(4, np.uint64) is words
-        with pytest.raises(ValueError, match="cannot serve generate_state"):
-            seed.generate_state(n_words, dtype)
+    def test_state_matches_pcg64_seeding(self):
+        # the whole state of the reused generator after the write, has_uint32
+        # included, against numpy's own seeding
+        seeds = (0, 1, 2**32, 2**64 - 1, *(trajectory_seed(5, k) for k in range(200)))
+        words = np.array([np.random.SeedSequence(s).generate_state(4, np.uint64) for s in seeds])
+        gen, state = _generator()
+        for seed, row_state in zip(seeds, _trajectory_states(words)):
+            _draw_amplitudes(gen, state, row_state, np.empty(0))
+            assert gen.bit_generator.state == np.random.PCG64(seed).state
+
+    def test_reused_generator_keeps_nothing(self):
+        # a trajectory drawn after others of any length draws as a fresh
+        # default_rng: the ziggurat takes a varying count of words per normal
+        states = _trajectory_states(_trajectory_words(11, 0, 4))
+        gen, state = _generator()
+        for j, k, size in ((0, 1, 7), (2, 1, 1000), (3, 0, 1), (1, 1, 33)):
+            _draw_amplitudes(gen, state, states[j], np.empty(size))
+            out = np.empty(64)
+            _draw_amplitudes(gen, state, states[k], out)
+            assert np.array_equal(out, np.random.default_rng(trajectory_seed(11, k))
+                                  .standard_normal(64))
+
+
+class TestStateLayout:
+    """The word order of PCG64's state in memory, checked once per process."""
+
+    STATE, INC = 0x0123456789ABCDEF_FEDCBA9876543210, 0x1111111122222222_3333333344444445
+    LOW_FIRST = [0xFEDCBA9876543210, 0x0123456789ABCDEF, 0x3333333344444445, 0x1111111122222222]
+    HIGH_FIRST = [0x0123456789ABCDEF, 0xFEDCBA9876543210, 0x1111111122222222, 0x3333333344444445]
+
+    def test_both_orders_are_read(self):
+        image = np.array(self.LOW_FIRST, dtype=np.uint64)
+        assert _layout_of(image, self.STATE, self.INC) == (0, 1, 2, 3)
+        image = np.array(self.HIGH_FIRST, dtype=np.uint64)
+        assert _layout_of(image, self.STATE, self.INC) == (1, 0, 3, 2)
+
+    @pytest.mark.parametrize("order", [(2, 3, 0, 1), (1, 0, 2, 3), (0, 1, 3, 2), (3, 2, 1, 0)])
+    def test_any_other_order_raises(self, order):
+        image = np.array([self.LOW_FIRST[j] for j in order], dtype=np.uint64)
+        with pytest.raises(RuntimeError, match="unknown PCG64 state layout"):
+            _layout_of(image, self.STATE, self.INC)
+
+    def test_this_process_reads_a_known_layout(self):
+        assert _word_order() in _LAYOUTS
+        bit_generator = np.random.PCG64(12345)
+        refs = sys.getrefcount(bit_generator)
+        view = _state_view(bit_generator)
+        assert view.dtype == np.uint64 and view.shape == (4,) and view.flags.writeable
+        assert [int(view[j]) for j in _word_order()] == pcg64_words(bit_generator.state)
+        # the view holds the bit generator whose memory it shows
+        assert sys.getrefcount(bit_generator) == refs + 1
+        del view
+        gc.collect()
+        assert sys.getrefcount(bit_generator) == refs
+
+    def test_state_outside_the_object_refused(self):
+        # a state struct outside the object given is not read through
+        fake = types.SimpleNamespace(ctypes=np.random.PCG64(1).ctypes)
+        with pytest.raises(RuntimeError, match="does not lie inside"):
+            _state_view(fake)
+
 
     # a base seed whose first trajectory seed is below 2^32, where
     # SeedSequence takes a one-word entropy
@@ -172,9 +271,9 @@ class TestSeedBatch:
     def test_batched_phases_match_the_default_rng_loop(self, base, monkeypatch):
         bath = classical_twin(0.1, 0.25)
         args = (bath, udd(3), 2.0, 300, base, 0.02, 128)
-        phases = _batched_phases(*args)
+        phases = phases_of(*args)
         monkeypatch.setattr("ddlab.montecarlo._draw_amplitudes", reference_draw(base, 300))
-        assert np.array_equal(phases, _batched_phases(*args))
+        assert np.array_equal(phases, phases_of(*args))
 
     def test_short_seed_base(self):
         assert trajectory_seed(self.SHORT_SEED_BASE, 0) == 12345
@@ -188,8 +287,8 @@ class TestBlocks:
     def test_every_sample_count_is_a_prefix(self, samples):
         bath = classical_twin(0.1, 0.25)
         args = (bath, udd(3), 2.0)
-        full = _batched_phases(*args, 4 * _BLOCK, 23, 0.02, 128)
-        assert np.array_equal(_batched_phases(*args, samples, 23, 0.02, 128), full[:samples])
+        full = phases_of(*args, 4 * _BLOCK, 23, 0.02, 128)
+        assert np.array_equal(phases_of(*args, samples, 23, 0.02, 128), full[:samples])
 
     @pytest.mark.parametrize("chunk", [1, _BLOCK, 100])
     def test_seed_chunks_match_one_chunk(self, chunk, monkeypatch):
@@ -200,11 +299,11 @@ class TestBlocks:
         args = (bath, udd(3), 2.0, 3 * _BLOCK + 5, 23, 0.02, 32)
         assert args[3] <= _SEED_CHUNK
         force_workers(monkeypatch, 1)
-        whole = _batched_phases(*args)
+        whole = phases_of(*args)
         monkeypatch.setattr("ddlab.montecarlo._SEED_CHUNK", chunk)
         for workers in (1, 2, 3, _MAX_WORKERS):
             force_workers(monkeypatch, workers)
-            assert np.array_equal(_batched_phases(*args), whole)
+            assert np.array_equal(phases_of(*args), whole)
 
     @pytest.mark.parametrize("cap", [_RESPONSE_CHUNK, 7 * 512 + 3])
     def test_chunked_responses_match_one_chunk(self, cap, monkeypatch):
@@ -225,7 +324,7 @@ class TestBlocks:
         bath = classical_twin(0.1, 0.25)
         tracemalloc.start()
         try:
-            _batched_phases(bath, udd(3), 200.0, 100, 7, 0.01, 512)
+            phases_of(bath, udd(3), 200.0, 100, 7, 0.01, 512)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -243,34 +342,35 @@ class TestWorkers:
         bath = classical_twin(0.1, 0.25)
         args = (bath, udd(3), 2.0, samples, 23, 0.02, 16)
         force_workers(monkeypatch, 1)
-        whole = _batched_phases(*args)
+        whole = phases_of(*args)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             for workers in (2, 3, _MAX_WORKERS):
                 force_workers(monkeypatch, workers)
-                assert np.array_equal(_batched_phases(*args), whole)
+                assert np.array_equal(phases_of(*args), whole)
         finally:
             sys.setswitchinterval(interval)
 
     @staticmethod
-    def failing_draw(fail_words, exc):
-        """_draw_amplitudes that raises exc at the trajectory with the given
-        words, and counts its calls."""
+    def failing_draw(base: int, index: int, exc):
+        """_draw_amplitudes that raises exc at trajectory index of base seed
+        base, and counts its calls."""
+        fail_state = _trajectory_states(_trajectory_words(base, index, index + 1))[0]
         calls = []
 
-        def draw(words, out):
+        def draw(gen, state, row_state, out):
             calls.append(1)
-            if np.array_equal(words, fail_words):
+            if np.array_equal(row_state, fail_state):
                 raise exc
-            _draw_amplitudes(words, out)
+            _draw_amplitudes(gen, state, row_state, out)
         return draw, calls
 
     def test_helper_error_reaches_the_caller(self, monkeypatch):
         # three runs of 1, 2 and 2 blocks of 64: trajectory 250 is in the
         # last helper's run
         force_workers(monkeypatch, 3)
-        draw, _ = self.failing_draw(_trajectory_words(5, 250, 251)[0], ZeroDivisionError("x"))
+        draw, _ = self.failing_draw(5, 250, ZeroDivisionError("x"))
         monkeypatch.setattr("ddlab.montecarlo._draw_amplitudes", draw)
         threads = threading.active_count()
         with pytest.raises(ZeroDivisionError):
@@ -281,7 +381,7 @@ class TestWorkers:
         # the caller's run is interrupted at its first trajectory; the
         # helper stops at its next block, far short of its 10^4 trajectories
         force_workers(monkeypatch, 2)
-        draw, calls = self.failing_draw(_trajectory_words(5, 0, 1)[0], KeyboardInterrupt())
+        draw, calls = self.failing_draw(5, 0, KeyboardInterrupt())
         monkeypatch.setattr("ddlab.montecarlo._draw_amplitudes", draw)
         threads = threading.active_count()
         with pytest.raises(KeyboardInterrupt):
@@ -294,12 +394,12 @@ class TestSynthesize:
     """The noise synthesis: mode bins, their draws and the sampling checks."""
 
     def test_zero_spectrum_gives_zero_trajectory(self):
-        assert not np.any(_batched_phases(zero_bath(), udd(2), 1.0, 100, 3, 0.1, 16))
+        assert not np.any(phases_of(zero_bath(), udd(2), 1.0, 100, 3, 0.1, 16))
 
     def test_repeatable_bit_identical(self):
         bath = flat_bath()
-        a = _batched_phases(bath, udd(1), 2.0, 100, 42, 0.01, 64)
-        assert np.array_equal(a, _batched_phases(bath, udd(1), 2.0, 100, 42, 0.01, 64))
+        a = phases_of(bath, udd(1), 2.0, 100, 42, 0.01, 64)
+        assert np.array_equal(a, phases_of(bath, udd(1), 2.0, 100, 42, 0.01, 64))
 
     def test_aliasing_rejected(self):
         with pytest.raises(ValueError, match="alias"):
@@ -327,8 +427,9 @@ class TestSynthesize:
         _, sigmas = _mode_bins(bath, 512)
         f0 = np.empty(10000)
         buf = np.empty(2 * 512)
-        for k, words in enumerate(_trajectory_words(99, 0, 10000)):
-            _draw_amplitudes(words, buf)
+        gen, state = _generator()
+        for k, row_state in enumerate(_trajectory_states(_trajectory_words(99, 0, 10000))):
+            _draw_amplitudes(gen, state, row_state, buf)
             f0[k] = (sigmas * buf[:512]).sum()
         assert np.var(f0) == pytest.approx(g0, rel=0.05, abs=0.0)
 
@@ -363,7 +464,7 @@ class TestToggledPhase:
         bath = flat_bath(p0=0.5, omega_max=4.0)
         seq = udd(3)
         t = 2.0
-        coarse = _batched_phases(bath, seq, t, 1, 11, 0.02, 64)[0]
+        coarse = phases_of(bath, seq, t, 1, 11, 0.02, 64)[0]
         fine = reference_phase(*reference_modes(bath, 64, trajectory_seed(11, 0)), seq, t, 0.002)
         assert coarse == pytest.approx(fine, abs=1e-3)
 
@@ -374,6 +475,7 @@ class TestMcSignal:
         assert est.mean == 1.0
         assert est.stderr == 0.0
         assert est.samples == 200
+        assert est.model_mean == 1.0
 
     def test_deterministic(self):
         bath = flat_bath()
@@ -409,7 +511,7 @@ class TestMcSignal:
         bath = classical_twin(0.1, 0.25)
         # a small cell and the production-size one (512 modes, dt 0.01)
         for seq, t, dt, modes in ((udd(2), 3.0, 0.05, 128), (udd(3), 5.0, 0.01, 512)):
-            phases = _batched_phases(bath, seq, t, 4, 17, dt, modes)
+            phases = phases_of(bath, seq, t, 4, 17, dt, modes)
             for k in range(4):
                 modes_k = reference_modes(bath, modes, trajectory_seed(17, k))
                 assert phases[k] == pytest.approx(reference_phase(*modes_k, seq, t, dt),
@@ -420,6 +522,15 @@ class TestMcSignal:
         with pytest.raises(ValueError, match=r"^t / dt must be finite"):
             mc_signal(flat_bath(), udd(2), 1e308, 100, 1, 0.01, 16)
 
+    def test_step_count_beyond_the_ceiling_rejected(self, monkeypatch):
+        # 10^14 steps: refused before any grid is built
+        def unreachable(*args):
+            raise AssertionError("responses built")
+
+        monkeypatch.setattr("ddlab.montecarlo._scaled_responses", unreachable)
+        with pytest.raises(ValueError, match=r"^t / dt must be finite and <= 1048576"):
+            mc_signal(flat_bath(), udd(2), 1e12, 100, 1, 0.01, 16)
+
     def test_batched_peak_memory_bound(self, monkeypatch):
         # one response vector per mode and one block per worker, at the
         # worker ceiling: no samples x modes matrix (that alone would take
@@ -428,7 +539,7 @@ class TestMcSignal:
         bath = classical_twin(0.1, 0.25)
         tracemalloc.start()
         try:
-            _batched_phases(bath, udd(3), 5.0, 10000, 7, 0.01, 512)
+            phases_of(bath, udd(3), 5.0, 10000, 7, 0.01, 512)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -443,11 +554,24 @@ class TestMcSignal:
         bath = classical_twin(0.1, 0.25)
         tracemalloc.start()
         try:
-            _batched_phases(bath, udd(3), 1.0, 200_000, 7, 0.01, 8)
+            phases_of(bath, udd(3), 1.0, 200_000, 7, 0.01, 8)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 6e6
+
+    def test_estimate_peak_memory_bound(self, monkeypatch):
+        # the cosines are taken in place of the phases: one samples-long
+        # array fewer than cos(phases) took (4.8 MB at the parent)
+        force_workers(monkeypatch, _MAX_WORKERS)
+        bath = classical_twin(0.1, 0.25)
+        tracemalloc.start()
+        try:
+            mc_signal(bath, udd(3), 1.0, 200_000, 7, 0.01, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
     def test_white_noise_free_decay(self):
         # flat spectrum with omega_max * t >> 1 decays as exp(-p0 t / 2)
@@ -459,7 +583,7 @@ class TestMcSignal:
     def test_gaussian_identity(self):
         # <cos phi> against exp(-<phi^2>/2) from the same sample
         bath = classical_twin(0.1, 0.25)
-        phases = _batched_phases(bath, udd(1), 2.0, 10000, 7, 0.01, 512)
+        phases = phases_of(bath, udd(1), 2.0, 10000, 7, 0.01, 512)
         mean = float(np.mean(np.cos(phases)))
         stderr = float(np.std(np.cos(phases), ddof=1) / 100.0)
         assert abs(mean - math.exp(-float(np.mean(phases**2)) / 2.0)) <= 3.0 * stderr
@@ -471,13 +595,10 @@ class TestMcSignal:
         # bins and the trapezoid have the exact mean exp(-|v|^2 / 2): within
         # 1e-5 of exp(-2 chi) (5.5e-6 at udd(1), t = 5), far below what the
         # 3 sigma sampling checks can see
-        bath, seq, dt = classical_twin(0.1, 0.25), udd(n), 0.01
-        omegas, sigmas = _mode_bins(bath, 512)
-        grid = np.linspace(0.0, t, math.ceil(t / dt) + 1)
-        instants, weights = _segment_layout(seq, t, grid)
-        v = np.concatenate([sigmas * u for u in _mode_responses(omegas, instants, t * weights)])
+        bath, seq = classical_twin(0.1, 0.25), udd(n)
+        est = mc_signal(bath, seq, t, 100, 7, 0.01, 512)
         target = math.exp(-2.0 * ddlab.chi(seq, bath, t, quad))
-        assert math.exp(-float(v @ v) / 2.0) == pytest.approx(target, rel=1e-5, abs=0.0)
+        assert est.model_mean == pytest.approx(target, rel=1e-5, abs=0.0)
 
     def test_oracle_agreement_single_cell(self, quad):
         bath = classical_twin(0.1, 0.25)
