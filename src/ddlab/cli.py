@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -38,8 +39,8 @@ from .bath import (
     thermal_weight,
 )
 from .decoherence import QuadratureError, QuadratureSpec, chi, coherence_curve
-from .montecarlo import _MAX_STEPS, mc_signal
-from .sequences import _GENERATORS, SCHEMES, custom, deltas_from_csv
+from .montecarlo import check_mc_settings, mc_signal
+from .sequences import _GENERATORS, custom, deltas_from_csv
 
 __all__ = ["RunConfig", "main"]
 
@@ -48,23 +49,18 @@ EXIT_CONFIG = 2
 EXIT_QUADRATURE = 3
 EXIT_RANGE = 4
 
-# ceilings on mc's work, checked before any draw.  Memory is about 16 B per
-# trajectory (the phases, whose cosines are taken in place, and np.std's
-# temporary) plus one block of 64 x 2 mode_count doubles per drawing thread,
-# and time is about 14.3 us per trajectory per core at 512 modes, rising in
-# step with the mode count.  10^7 samples then hold about 160 MB and take
-# about 145 s per core at 512 modes; 2^14 modes take 16.8 MB of block per
-# thread (134 MB at the 8-thread ceiling) and about 0.5 ms per trajectory per
-# core.  The step count t / dt is bounded by montecarlo._MAX_STEPS = 2^20,
-# where the mode responses peak at about 50 MB and take about 10 ns per mode
-# and step: 5 s at the default 256 modes, 11 s at 512 and about 6 min at 2^14.
-_MAX_SAMPLES = 10**7
-_MAX_MODE_COUNT = 1 << 14
+# the values a setting may take, checked by RunConfig and offered by --help
+_CHOICES = {"scheme": ("udd", "equidistant", "custom"), "spacing": ("log", "linear"),
+            "format": ("csv", "json")}
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved settings for one CLI run (flags and config file merged)."""
+    """Resolved settings for one CLI run (flags and config file merged).
+
+    Each setting is the flag --kebab-name of the subcommands that _COMMANDS
+    gives it to, converted by its type hint (_flag_kwargs).
+    """
 
     scheme: str = "udd"
     n: int = 0
@@ -95,15 +91,14 @@ class RunConfig:
     quiet: bool = False
 
     def __post_init__(self):
-        hints = typing.get_type_hints(type(self))
         for f in fields(self):
             value = getattr(self, f.name)
-            if not _conforms(value, hints[f.name]):
+            if not _conforms(value, _HINTS[f.name]):
                 raise TypeError(f"{f.name} must be {f.type}, got {value!r}")
             for x in value if isinstance(value, tuple) else (value,):
                 if isinstance(x, float) and not math.isfinite(x):
                     raise ValueError(f"{f.name} must be finite, got {value}")
-        if self.scheme not in SCHEMES:
+        if self.scheme not in _CHOICES["scheme"]:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         for name in ("deltas", "deltas_file"):
             if getattr(self, name) is not None and self.scheme != "custom":
@@ -119,21 +114,18 @@ class RunConfig:
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
         if self.points < 1:
             raise ValueError(f"points must be >= 1, got {self.points}")
-        if self.spacing not in ("log", "linear"):
-            raise ValueError(f"spacing must be log or linear, got {self.spacing!r}")
-        if self.format not in ("csv", "json"):
-            raise ValueError(f"format must be csv or json, got {self.format!r}")
+        for name in ("spacing", "format"):
+            value = getattr(self, name)
+            if value not in _CHOICES[name]:
+                raise ValueError(f"{name} must be {' or '.join(_CHOICES[name])}, got {value!r}")
         if self.spacing == "log" and self.tmin <= 0:
             raise ValueError("log spacing needs tmin > 0")
         if self.tmax < self.tmin:
             raise ValueError(f"tmax {self.tmax} below tmin {self.tmin}")
-        if self.samples > _MAX_SAMPLES:
-            raise ValueError(f"samples must be <= {_MAX_SAMPLES}, got {self.samples}")
-        if self.mode_count > _MAX_MODE_COUNT:
-            raise ValueError(f"mode_count must be <= {_MAX_MODE_COUNT}, got {self.mode_count}")
-        if self.dt > 0 and self.t / self.dt > _MAX_STEPS:
-            raise ValueError(f"t / dt must be finite and <= {_MAX_STEPS}, "
-                             f"got t = {self.t:g}, dt = {self.dt:g}")
+
+
+# the settings' type hints, read once per process
+_HINTS = typing.get_type_hints(RunConfig)
 
 
 def _conforms(value, hint) -> bool:
@@ -204,12 +196,8 @@ def _progress(cfg: RunConfig, message: str):
 def _write_output(cfg: RunConfig, command: str, columns, rows) -> None:
     """Emit rows as CSV (config in a # header) or a single JSON object."""
     if cfg.format == "json":
-        payload = {
-            "version": __version__,
-            "command": command,
-            "config": asdict(cfg),
-            "rows": [dict(zip(columns, row)) for row in rows],
-        }
+        payload = {"version": __version__, "command": command, "config": asdict(cfg),
+                   "rows": [dict(zip(columns, row)) for row in rows]}
         text = json.dumps(payload, indent=2) + "\n"
     else:
         buf = io.StringIO()
@@ -325,9 +313,11 @@ def cmd_mc(cfg: RunConfig) -> int:
                          "temperature; bath_csv is not supported")
     seq = _sequence(cfg)
     cbath = _classical_bath(cfg)
+    # the settings, then the analytic reference, before any trajectory is drawn
+    check_mc_settings(cbath, cfg.t, cfg.samples, cfg.seed, cfg.dt, cfg.mode_count)
+    analytic = math.exp(-2.0 * chi(seq, cbath, cfg.t, _quad(cfg)))
     _progress(cfg, f"mc: {cfg.samples} trajectories at t={cfg.t}")
     est = mc_signal(cbath, seq, cfg.t, cfg.samples, cfg.seed, cfg.dt, cfg.mode_count)
-    analytic = math.exp(-2.0 * chi(seq, cbath, cfg.t, _quad(cfg)))
     z = (est.mean - analytic) / est.stderr if est.stderr > 0 else 0.0
     cols = ["t", "mean", "stderr", "samples", "seed", "analytic", "z_score"]
     rows = [(cfg.t, est.mean, est.stderr, est.samples, est.seed,
@@ -340,84 +330,64 @@ def _parse_floats(text: str) -> tuple:
     return tuple(float(x) for x in text.split(",") if x.strip() != "")
 
 
+# per subcommand: its handler, its --help line and the settings it takes,
+# in --help order; compare sweeps its own alphas and temperatures, so it
+# takes no single alpha or temperature
+_COMMON = ("scheme", "n", "alpha", "temperature", "omega_d", "deltas", "deltas_file",
+           "bath_csv", "rel_tol", "max_panels", "format", "out", "quiet")
+_GRID = ("tmin", "tmax", "points", "spacing")
+_STORAGE = ("epsilon", "include_phase")
+_COMMANDS = {
+    "signal": (cmd_signal, "signal curve over a time grid", (*_COMMON, *_GRID)),
+    "storage": (cmd_storage, "first time the storage error hits epsilon",
+                (*_COMMON, *_STORAGE)),
+    "min-pulses": (cmd_min_pulses, "smallest pulse count reaching a storage time",
+                   (*_COMMON, *_STORAGE, "t_target")),
+    "compare": (cmd_compare, "equidistant vs optimized sweep table",
+                (*(s for s in _COMMON if s not in ("alpha", "temperature")), *_GRID, *_STORAGE,
+                 "alphas", "temperatures")),
+    "mc": (cmd_mc, "Monte Carlo cross-check of the classical signal",
+           (*_COMMON, "t", "samples", "dt", "mode_count", "seed")),
+}
+_HELP = {
+    "deltas": "comma-separated custom pulse instants in (0,1)",
+    "deltas_file": "one-column CSV with header 'delta'",
+    "bath_csv": "two-column CSV 'omega,J' for a tabulated spectral density",
+    "out": "output path, '-' for stdout",
+    "quiet": "suppress progress output on stderr",
+    "epsilon": "storage-error threshold (storage and min-pulses use 1e-4 without it); "
+               "makes compare also emit storage rows and the udd/equidistant ratio column",
+    "include_phase": "use 1 - s(t) with the cos(2 phi) factor instead of the decay envelope",
+}
+
+
+def _flag_kwargs(name: str) -> dict:
+    """add_argument's keywords for a setting: its help, and the conversion
+    its type hint asks for (X | None as X, a bool a bare flag, a tuple
+    comma-separated floats) with its choices."""
+    hint = _HINTS[name]
+    if typing.get_origin(hint) is not tuple and typing.get_args(hint):
+        hint = typing.get_args(hint)[0]  # X | None
+    if hint is bool:
+        return {"help": _HELP.get(name), "action": "store_const", "const": True}
+    return {"help": _HELP.get(name), "choices": _CHOICES.get(name),
+            "type": _parse_floats if typing.get_origin(hint) is tuple else hint}
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args leaves the parser as it was
     parser = argparse.ArgumentParser(
-        prog="ddlab",
-        description="Coherence of a dephasing qubit under pi-pulse sequences.",
-    )
+        prog="ddlab", description="Coherence of a dephasing qubit under pi-pulse sequences.")
     parser.add_argument("--version", action="version", version=f"ddlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, one_bath=True):
-        # compare sweeps its own alphas and temperatures, so it takes no
-        # single --alpha or --temperature
+    for command, (_, help_line, settings) in _COMMANDS.items():
+        # compare takes no abbreviations, since --alpha and --temperature
+        # would otherwise pass as --alphas and --temperatures
+        p = sub.add_parser(command, help=help_line, allow_abbrev=command != "compare")
         p.add_argument("--config", help="JSON file mirroring the flags; flags override")
-        p.add_argument("--scheme", choices=["udd", "equidistant", "custom"])
-        p.add_argument("--n", type=int)
-        if one_bath:
-            p.add_argument("--alpha", type=float)
-            p.add_argument("--temperature", type=float)
-        p.add_argument("--omega-d", dest="omega_d", type=float)
-        p.add_argument("--deltas", type=_parse_floats,
-                       help="comma-separated custom pulse instants in (0,1)")
-        p.add_argument("--deltas-file", dest="deltas_file",
-                       help="one-column CSV with header 'delta'")
-        p.add_argument("--bath-csv", dest="bath_csv",
-                       help="two-column CSV 'omega,J' for a tabulated spectral density")
-        p.add_argument("--rel-tol", dest="rel_tol", type=float)
-        p.add_argument("--max-panels", dest="max_panels", type=int)
-        p.add_argument("--format", choices=["csv", "json"])
-        p.add_argument("--out", help="output path, '-' for stdout")
-        p.add_argument("--quiet", action="store_const", const=True,
-                       help="suppress progress output on stderr")
-
-    def add_grid(p):
-        p.add_argument("--tmin", type=float)
-        p.add_argument("--tmax", type=float)
-        p.add_argument("--points", type=int)
-        p.add_argument("--spacing", choices=["log", "linear"])
-
-    def add_storage(p):
-        p.add_argument("--epsilon", type=float,
-                       help="storage-error threshold (storage and min-pulses use 1e-4 "
-                            "without it); makes compare also emit storage rows and "
-                            "the udd/equidistant ratio column")
-        p.add_argument("--include-phase", dest="include_phase",
-                       action="store_const", const=True,
-                       help="use 1 - s(t) with the cos(2 phi) factor instead of "
-                            "the decay envelope")
-
-    p_signal = sub.add_parser("signal", help="signal curve over a time grid")
-    add_common(p_signal)
-    add_grid(p_signal)
-
-    p_storage = sub.add_parser("storage", help="first time the storage error hits epsilon")
-    add_common(p_storage)
-    add_storage(p_storage)
-
-    p_min = sub.add_parser("min-pulses", help="smallest pulse count reaching a storage time")
-    add_common(p_min)
-    add_storage(p_min)
-    p_min.add_argument("--t-target", dest="t_target", type=float)
-
-    # without abbreviations, since --alpha and --temperature would
-    # otherwise pass as --alphas and --temperatures
-    p_cmp = sub.add_parser("compare", help="equidistant vs optimized sweep table",
-                           allow_abbrev=False)
-    add_common(p_cmp, one_bath=False)
-    add_grid(p_cmp)
-    add_storage(p_cmp)
-    p_cmp.add_argument("--alphas", type=_parse_floats)
-    p_cmp.add_argument("--temperatures", type=_parse_floats)
-
-    p_mc = sub.add_parser("mc", help="Monte Carlo cross-check of the classical signal")
-    add_common(p_mc)
-    p_mc.add_argument("--t", type=float)
-    p_mc.add_argument("--samples", type=int)
-    p_mc.add_argument("--dt", type=float)
-    p_mc.add_argument("--mode-count", dest="mode_count", type=int)
-    p_mc.add_argument("--seed", type=int)
-
+        for name in settings:
+            p.add_argument("--" + name.replace("_", "-"), **_flag_kwargs(name))
     return parser
 
 
@@ -429,8 +399,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             file_cfg = json.load(fh)
         if not isinstance(file_cfg, dict):
             raise ValueError(f"{args.config}: config must be a JSON object")
-        known = {f.name for f in fields(RunConfig)}
-        unknown = set(file_cfg) - known
+        unknown = set(file_cfg) - set(_HINTS)
         if unknown:
             raise ValueError(f"{args.config}: unknown config keys {sorted(unknown)}")
         merged.update({key: tuple(value) if isinstance(value, list) else value
@@ -448,10 +417,8 @@ def main(argv=None) -> int:
     except (ValueError, TypeError, OSError) as exc:
         print(f"ddlab: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    commands = {"signal": cmd_signal, "storage": cmd_storage, "min-pulses": cmd_min_pulses,
-                "compare": cmd_compare, "mc": cmd_mc}
     try:
-        return commands[args.command](cfg)
+        return _COMMANDS[args.command][0](cfg)
     except (ValueError, OSError) as exc:
         print(f"ddlab: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

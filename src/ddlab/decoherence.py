@@ -30,8 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import Bath, ClassicalBath, integrand_weight, spectral_density, thermal_weight
-from .filters import PanelGrid, x_factor_array, y_abs_sq_and_x_array, y_abs_sq_array
+from .bath import (Bath, ClassicalBath, TabulatedSpectralDensity, integrand_weight,
+                   spectral_density, thermal_weight)
+from .filters import (_EPS, PanelGrid, _y_coefficients, x_factor_array,
+                      y_abs_sq_and_x_array, y_abs_sq_array)
 from .quadrature import QuadratureError, QuadratureSpec, integrate_adaptive
 from .sequences import PulseSequence
 
@@ -79,6 +81,31 @@ def _checked_grid(t_grid) -> np.ndarray:
     return ts
 
 
+def _check_zero_frequency(seq: PulseSequence, bath: Bath, phi: bool) -> None:
+    """ValueError, before any quadrature, where an integrand diverges at w = 0.
+
+    A table holds J(0) = values[0] > 0 down to w = 0, where |y_n(wt)|^2 ~
+    (S1 wt)^2 and x_n(wt) ~ x'(0) wt, with S1 = sum_j c_j d_j the first
+    moment of y's terms and x'(0) = ((-1)^n - S1) / 2.  chi's integrand then
+    goes like 1/w at T > 0 (coth ~ 2T/w) unless S1 vanishes, up to the
+    rounding of the instants.  phi's (phi true) goes like 1/w at any T:
+    x'(0) is (-1)^n times the share of [0, 1] on which the toggled sign is
+    (-1)^n, the last interval (d_n, 1] among it, so it never vanishes.
+    """
+    if not isinstance(bath, TabulatedSpectralDensity) or bath.values[0] == 0.0:
+        return
+    c, d = _y_coefficients(seq)
+    s1 = math.fsum(c * d)  # each c_j d_j is exact, the sum rounded once
+    at = f"J(0) = {bath.values[0]:g} > 0 at T = {bath.temperature:g}"
+    if bath.temperature > 0 and abs(s1) > _EPS * math.fsum(np.abs(c * d)):
+        raise ValueError(f"{at}: the chi integrand diverges like 1/omega at omega = 0 "
+                         f"unless S1 = sum_j c_j d_j vanishes, got S1 = {s1:.6g}")
+    if phi:
+        raise ValueError(f"{at}: the phase integrand diverges like 1/omega at omega = 0 "
+                         f"unless x'(0) = ((-1)^n - S1)/2 vanishes, "
+                         f"got x'(0) = {((-1) ** seq.n - s1) / 2:.6g}")
+
+
 def _initial_panels(t: float, omega_cut: float) -> int:
     # the filter factors oscillate on scale pi/t in omega (term frequencies
     # in |y|^2 are bounded by t); two panels per period, floor of 16
@@ -101,6 +128,7 @@ def _chi_raw(seq: PulseSequence, bath: Bath, t: float, quad: QuadratureSpec):
     _check_time(t)
     if t == 0.0:
         return 0.0, 0.0
+    _check_zero_frequency(seq, bath, phi=False)
 
     grid = PanelGrid(seq, t)
 
@@ -124,6 +152,7 @@ def phase(seq: PulseSequence, bath: Bath, t: float,
     _check_time(t)
     if isinstance(bath, ClassicalBath) or t == 0.0:
         return 0.0
+    _check_zero_frequency(seq, bath, phi=True)
 
     grid = PanelGrid(seq, t)
 
@@ -146,6 +175,7 @@ def signal(seq: PulseSequence, bath: Bath, t: float,
         phi = 0.0
         chi_val, err = _chi_raw(seq, bath, t, quad)
     else:
+        _check_zero_frequency(seq, bath, phi=True)
         grid = PanelGrid(seq, t)
 
         def f(w):

@@ -69,7 +69,7 @@ import numpy as np
 from .bath import ClassicalBath, _checked_spectrum
 from .sequences import PulseSequence
 
-__all__ = ["McEstimate", "trajectory_seed", "mc_signal"]
+__all__ = ["McEstimate", "trajectory_seed", "check_mc_settings", "mc_signal"]
 
 _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
@@ -88,9 +88,19 @@ _RESPONSE_CHUNK = 1 << 20
 # trajectories per chunk of seed words, shared among the workers: about
 # 1.4 MB of hash temporaries in flight whatever the worker count
 _SEED_CHUNK = 1 << 13
-# steps of the toggled-phase grid, ceil(t / dt): at the ceiling the mode
-# responses peak at about 50 MB (the grid, the layout's instants and weights
-# and their pieces) and take about 10 ns per mode and step
+# ceilings on mc_signal's work, checked before any response or draw.  Memory
+# is about 16 B per trajectory (the phases, whose cosines are taken in place,
+# and np.std's temporary) plus one block of _BLOCK x 2 mode_count doubles per
+# drawing thread, and time is about 14.3 us per trajectory per core at 512
+# modes, rising in step with the mode count.  10^7 samples then hold about
+# 160 MB and take about 145 s per core at 512 modes; 2^14 modes take 16.8 MB
+# of block per thread (134 MB at _MAX_WORKERS threads) and about 0.5 ms per
+# trajectory per core.  At 2^20 steps of the toggled-phase grid, ceil(t / dt),
+# the mode responses peak at about 50 MB (the grid, the layout's instants and
+# weights and their pieces) and take about 10 ns per mode and step: 5 s at
+# the default 256 modes, 11 s at 512 and about 6 min at 2^14.
+_MAX_SAMPLES = 10**7
+_MAX_MODE_COUNT = 1 << 14
 _MAX_STEPS = 1 << 20
 # threads that draw at once: about 1.1 us of a trajectory's 14.3 us (512
 # modes) holds the GIL, so beyond about 13 threads they queue for it
@@ -396,19 +406,19 @@ def _integer(name: str, value) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def mc_signal(bath: ClassicalBath, seq: PulseSequence, t: float, samples: int,
-              seed: int, dt: float, mode_count: int) -> McEstimate:
-    """Estimate the signal as mean cos(phase) over independent trajectories.
-
-    Deterministic for a given seed: trajectory k is seeded with
-    trajectory_seed(seed, k).  samples, seed and mode_count must be
-    integers (Python or numpy); the estimate holds them as Python ints.
-    """
+def check_mc_settings(bath: ClassicalBath, t: float, samples: int, seed: int, dt: float,
+                      mode_count: int) -> tuple:
+    """(samples, seed, mode_count) as Python ints; ValueError unless every
+    setting of mc_signal lies within its floors and its work ceilings
+    (samples <= 10^7, mode_count <= 2^14, t / dt <= 2^20).  mc_signal
+    checks them so; a caller can check them before other work of its own."""
     samples = _integer("samples", samples)
     seed = _integer("seed", seed)
     mode_count = _integer("mode_count", mode_count)
     if samples < 100:
         raise ValueError(f"samples must be >= 100, got {samples}")
+    if samples > _MAX_SAMPLES:
+        raise ValueError(f"samples must be <= {_MAX_SAMPLES}, got {samples}")
     if not 0.0 < t < math.inf:
         raise ValueError(f"t must be finite and > 0, got {t}")
     if not 0.0 < dt < math.inf:
@@ -417,10 +427,25 @@ def mc_signal(bath: ClassicalBath, seq: PulseSequence, t: float, samples: int,
         raise ValueError(f"t / dt must be finite and <= {_MAX_STEPS}, got t = {t:g}, dt = {dt:g}")
     if mode_count < 8:
         raise ValueError(f"mode_count must be >= 8, got {mode_count}")
+    if mode_count > _MAX_MODE_COUNT:
+        raise ValueError(f"mode_count must be <= {_MAX_MODE_COUNT}, got {mode_count}")
     dt_max = math.pi / (4.0 * bath.omega_max)
     if dt > dt_max:
         raise ValueError(
             f"dt = {dt:g} aliases the spectrum: need dt <= pi/(4 omega_max) = {dt_max:g}")
+    return samples, seed, mode_count
+
+
+def mc_signal(bath: ClassicalBath, seq: PulseSequence, t: float, samples: int,
+              seed: int, dt: float, mode_count: int) -> McEstimate:
+    """Estimate the signal as mean cos(phase) over independent trajectories.
+
+    Deterministic for a given seed: trajectory k is seeded with
+    trajectory_seed(seed, k).  samples, seed and mode_count must be
+    integers (Python or numpy); the estimate holds them as Python ints.
+    The settings are checked by check_mc_settings before any work.
+    """
+    samples, seed, mode_count = check_mc_settings(bath, t, samples, seed, dt, mode_count)
     v = _scaled_responses(bath, seq, t, dt, mode_count)
     cosines = _batched_phases(v, samples, seed)
     np.cos(cosines, out=cosines)

@@ -92,9 +92,8 @@ def udd(n: int) -> PulseSequence:
     return PulseSequence(_udd_instants(n))
 
 
-# generators by scheme name, in row order; SCHEMES adds the user-supplied one
+# generators by scheme name, in row order
 _GENERATORS = {"equidistant": equidistant, "udd": udd}
-SCHEMES = (*_GENERATORS, "custom")
 
 
 def custom(deltas) -> PulseSequence:

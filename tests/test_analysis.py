@@ -266,6 +266,23 @@ class TestMinPulses:
         with pytest.raises(ValueError, match="scheme"):
             min_pulses("custom", OhmicBath(alpha=0.1), 1e-4, 1.0, quad)
 
+    @pytest.mark.parametrize("epsilon", [0.0, 1.0, math.nan])
+    def test_epsilon_validation(self, quad, epsilon):
+        with pytest.raises(ValueError, match=r"^epsilon must be in \(0, 1\)"):
+            min_pulses("udd", OhmicBath(alpha=0.1), epsilon, 1.0, quad)
+
+    def test_range_exhausted_counts_as_reaching_the_target(self, quad):
+        # at alpha = 1e-6 free evolution never reaches epsilon inside the
+        # scan range, which holds the target, so no pulse is needed
+        with pytest.raises(RangeExhaustedError):
+            storage_time(udd(0), OhmicBath(alpha=1e-6), 1e-4, quad)
+        assert min_pulses("udd", OhmicBath(alpha=1e-6), 1e-4, 5.0, quad) == 0
+
+    def test_search_cap_exhausted(self, quad, monkeypatch):
+        monkeypatch.setattr("ddlab.analysis.N_SEARCH_CAP", 8)
+        with pytest.raises(SearchExhaustedError, match="no pulse count up to 8 reaches storage 50"):
+            min_pulses("udd", OhmicBath(alpha=0.25), 1e-4, 50.0, quad)
+
     def test_target_validation(self, quad):
         bath = OhmicBath(alpha=0.1)
         with pytest.raises(ValueError):

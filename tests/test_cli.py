@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -13,6 +14,7 @@ import pytest
 import ddlab
 import ddlab.analysis
 import ddlab.cli
+import ddlab.montecarlo
 from ddlab.cli import RunConfig, main
 
 
@@ -405,40 +407,92 @@ class TestMcCommand:
         assert out == ""
         assert "t / dt must be finite" in err
 
+    @staticmethod
+    def forbid_chi_and_draws(monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("chi evaluated or trajectories drawn")
+
+        monkeypatch.setattr(ddlab.cli, "chi", unreachable)
+        monkeypatch.setattr(ddlab.montecarlo, "_scaled_responses", unreachable)
+        monkeypatch.setattr(ddlab.montecarlo, "_batched_phases", unreachable)
+
     @pytest.mark.parametrize("flag, value, name", [("--samples", "10000001", "samples"),
                                                    ("--mode-count", "16385", "mode_count")])
     def test_work_ceilings_exit_2_before_any_draw(self, capsys, monkeypatch, flag, value, name):
-        def unreachable(*args, **kwargs):
-            raise AssertionError("mc_signal called")
-
-        monkeypatch.setattr(ddlab.cli, "mc_signal", unreachable)
+        # the ceilings are mc_signal's, checked before chi and any draw
+        self.forbid_chi_and_draws(monkeypatch)
         code, out, err = run_cli(["mc", "--scheme", "udd", "--n", "2", "--t", "1", flag, value,
                                   "--quiet"], capsys)
         assert code == 2
         assert out == ""
         assert f"{name} must be <= {int(value) - 1}" in err
 
-    def test_work_ceilings_themselves_allowed(self):
-        cfg = RunConfig(samples=10**7, mode_count=1 << 14)
-        assert (cfg.samples, cfg.mode_count) == (10**7, 1 << 14)
+    def test_work_ceilings_themselves_allowed(self, monkeypatch):
+        # the responses stop the run once the settings have passed
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+
+        monkeypatch.setattr(ddlab.montecarlo, "_scaled_responses", reached)
+        with pytest.raises(Reached):
+            main(["mc", "--scheme", "udd", "--n", "2", "--t", "1", "--samples", "10000000",
+                  "--mode-count", "16384", "--quiet"])
 
     def test_step_ceiling_exit_2_before_any_draw(self, capsys, monkeypatch):
         # 10^14 steps would ask for hundreds of TiB of grid
-        def unreachable(*args, **kwargs):
-            raise AssertionError("mc_signal called")
-
-        monkeypatch.setattr(ddlab.cli, "mc_signal", unreachable)
+        self.forbid_chi_and_draws(monkeypatch)
         code, out, err = run_cli(["mc", "--scheme", "udd", "--n", "2", "--t", "1e12", "--dt",
                                   "0.01", "--samples", "100", "--quiet"], capsys)
         assert code == 2
         assert out == ""
         assert "t / dt must be finite and <= 1048576" in err
 
-    def test_step_ceiling_itself_allowed(self):
-        # t / dt = 2^20 exactly; one dt more is refused
-        assert RunConfig(t=float(1 << 19), dt=0.5).t == float(1 << 19)
-        with pytest.raises(ValueError, match=r"t / dt must be finite and <= 1048576"):
-            RunConfig(t=(1 << 19) + 0.5, dt=0.5)
+    def test_step_ceiling_itself_allowed(self, capsys, monkeypatch):
+        # t / dt = 2^20 exactly passes on to chi; one dt more is refused
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+
+        monkeypatch.setattr(ddlab.cli, "chi", reached)
+        args = ["mc", "--scheme", "udd", "--n", "2", "--dt", "0.5", "--quiet"]
+        with pytest.raises(Reached):
+            main(args + ["--t", str(float(1 << 19))])
+        self.forbid_chi_and_draws(monkeypatch)
+        code, out, err = run_cli(args + ["--t", str((1 << 19) + 0.5)], capsys)
+        assert (code, out) == (2, "")
+        assert "t / dt must be finite and <= 1048576" in err
+
+    def test_analytic_reference_before_any_draw(self, capsys, monkeypatch):
+        # chi fails at 16 panels: no trajectory is drawn for it
+        def unreachable(*args, **kwargs):
+            raise AssertionError("trajectories drawn")
+
+        monkeypatch.setattr(ddlab.montecarlo, "_scaled_responses", unreachable)
+        monkeypatch.setattr(ddlab.montecarlo, "_batched_phases", unreachable)
+        code, out, err = run_cli(["mc", "--scheme", "udd", "--n", "8", "--t", "200",
+                                  "--max-panels", "16", "--samples", "100000", "--quiet"], capsys)
+        assert code == 3
+        assert out == ""
+        assert "chi(t=200): no convergence within 16 panels" in err
+
+    @pytest.mark.parametrize("args", [
+        ["signal", "--scheme", "udd", "--n", "2", "--tmin", "1", "--tmax", "2", "--points", "2"],
+        ["storage", "--scheme", "udd", "--n", "4"],
+        ["min-pulses", "--scheme", "udd", "--alpha", "1e-6", "--t-target", "5"],
+        ["compare", "--n", "2", "--alphas", "0.1", "--tmin", "1", "--tmax", "2",
+         "--points", "2"]])
+    def test_other_commands_ignore_monte_carlo_values(self, tmp_path, capsys, args):
+        # values beyond mc's ceilings are no error where no trajectory is drawn
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"samples": 2 * 10**7, "mode_count": 2**15, "t": 1e12,
+                                   "dt": 0.01}))
+        code, out, _ = run_cli(args + ["--config", str(cfg), "--quiet"], capsys)
+        assert code == 0
+        assert embedded_config(parse_csv(out)[0])["samples"] == 2 * 10**7
 
     def test_output_fields_unchanged(self, capsys):
         # McEstimate also carries the model mean; mc prints the same
@@ -715,3 +769,89 @@ class TestCustomSequenceInput:
             ["signal", "--bath-csv", str(path), "--n", "1", "--points", "2",
              "--tmin", "1", "--tmax", "2", "--quiet"], capsys)
         assert code == 0
+
+
+class TestTableWithPositiveJAtZero:
+    """A table with J(0) > 0: a named configuration error where an integrand
+    diverges at omega = 0, the same bytes where none does."""
+
+    @pytest.fixture
+    def flat_csv(self, tmp_path):
+        path = tmp_path / "flat.csv"
+        path.write_text("omega,J\n0.0,0.2\n1.0,0.2\n")
+        return str(path)
+
+    @pytest.mark.parametrize("args, moment", [
+        (["storage", "--scheme", "equidistant", "--n", "2", "--temperature", "0.1"],
+         "the chi integrand diverges like 1/omega at omega = 0 unless S1 = sum_j c_j d_j "
+         "vanishes, got S1 = -0.333333"),
+        (["signal", "--scheme", "udd", "--n", "2", "--tmin", "1", "--tmax", "2", "--points", "2"],
+         "the phase integrand diverges like 1/omega at omega = 0 unless x'(0) = ((-1)^n - S1)/2 "
+         "vanishes, got x'(0) = 0.5")])
+    def test_divergent_integrand_exit_2(self, capsys, flat_csv, args, moment):
+        temperature = "0.1" if "--temperature" in args else "0"
+        code, out, err = run_cli(args + ["--bath-csv", flat_csv, "--quiet"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == (f"ddlab: configuration error: J(0) = 0.2 > 0 at T = {temperature}: "
+                       f"{moment}\n")
+
+    @pytest.mark.parametrize("scheme, temperature, t_store", [
+        ("udd", "0.1", 1.3208569730336406), ("equidistant", "0", 0.09490367185809882)])
+    def test_convergent_integrand_solves(self, capsys, flat_csv, scheme, temperature, t_store):
+        # udd(2)'s S1 vanishes, and chi converges at T = 0 whatever S1
+        code, out, _ = run_cli(["storage", "--scheme", scheme, "--n", "2", "--bath-csv",
+                                flat_csv, "--temperature", temperature, "--quiet"], capsys)
+        assert code == 0
+        assert float(parse_csv(out)[1][0]["t_store"]) == t_store
+
+
+class TestParser:
+    """The flags are RunConfig's settings, declared once."""
+
+    @staticmethod
+    def subparsers():
+        parser = ddlab.cli._build_parser()
+        return next(a for a in parser._actions if a.dest == "command").choices
+
+    def test_every_setting_is_a_flag_named_after_it(self):
+        dests = set()
+        for sub in self.subparsers().values():
+            for action in sub._actions:
+                if action.dest not in ("help", "config"):
+                    assert action.option_strings == ["--" + action.dest.replace("_", "-")]
+                    dests.add(action.dest)
+        assert dests == {f.name for f in dataclasses.fields(RunConfig)}
+
+    def test_offered_choices_are_the_accepted_ones(self):
+        offered = {action.dest: action.choices
+                   for sub in self.subparsers().values() for action in sub._actions
+                   if action.choices is not None}
+        assert set(offered) == {"scheme", "spacing", "format"}
+        for name, choices in offered.items():
+            for value in choices:
+                extra = {"deltas": (0.5,)} if value == "custom" else {}
+                assert getattr(RunConfig(**{name: value}, **extra), name) == value
+            with pytest.raises(ValueError, match=name):
+                RunConfig(**{name: "bogus"})
+
+    @pytest.mark.parametrize("flag, value, expected", [
+        ("--n", "3", 3), ("--alpha", "0.5", 0.5), ("--epsilon", "0.001", 0.001),
+        ("--alphas", "0.1,0.2", (0.1, 0.2)), ("--deltas", "0.25,0.75", (0.25, 0.75)),
+        ("--out", "x.csv", "x.csv")])
+    def test_flags_convert_by_type_hint(self, flag, value, expected):
+        command = "compare" if flag == "--alphas" else "storage"
+        args = ddlab.cli._build_parser().parse_args([command, flag, value])
+        assert getattr(args, flag[2:].replace("-", "_")) == expected
+
+    def test_type_hints_read_once_per_process(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("type hints read again")
+
+        monkeypatch.setattr("typing.get_type_hints", unreachable)
+        assert RunConfig(n=3).n == 3
+
+    def test_bool_setting_is_a_bare_flag(self):
+        args = ddlab.cli._build_parser().parse_args(["storage", "--include-phase"])
+        assert args.include_phase is True
+        assert ddlab.cli._build_parser().parse_args(["storage"]).include_phase is None

@@ -170,6 +170,16 @@ class TestUddBesselOracle:
         ref = chi_udd_closed_form(n, 0.25, t)
         assert abs(chi(udd(n), OhmicBath(alpha=0.25), t, quad) - ref) <= 1e-12 * ref
 
+    @pytest.mark.parametrize("n", [10, 100, 300])
+    def test_chi_matches_closed_form_up_to_the_window_edge(self, quad, n):
+        # ten times from 0.1 (below it the float closed form underflows to 0
+        # for n = 100) to 0.95 of 2n+2, the Bessel window's edge; for n = 300
+        # the first four are below the double range in both and compare as 0
+        bath = OhmicBath(alpha=0.25)
+        for t in np.geomspace(0.1, 0.95, 10) * (2 * n + 2):
+            ref = chi_udd_closed_form(n, 0.25, float(t))
+            assert abs(chi(udd(n), bath, float(t), quad) - ref) <= 1e-12 * ref, t
+
     @pytest.mark.parametrize("alpha", [0.25, 0.001])
     @pytest.mark.parametrize("n", [10, 100, 300, 1000])
     def test_storage_bracket_straddles_closed_form_crossing(self, quad, n, alpha):
@@ -489,6 +499,58 @@ class TestTabulatedBathPath:
         for t in (0.5, 5.0):
             assert chi(udd(2), tab, t, quad) == pytest.approx(
                 chi(udd(2), bath, t, quad), rel=1e-11, abs=0.0)
+
+
+def flat_table(temperature: float) -> ddlab.TabulatedSpectralDensity:
+    """J = 0.2 on [0, 1]: J(0) > 0."""
+    return ddlab.TabulatedSpectralDensity([0.0, 1.0], [0.2, 0.2], temperature=temperature)
+
+
+def no_quadrature(*args, **kwargs):
+    raise AssertionError("quadrature reached")
+
+
+class TestPositiveJAtZero:
+    """A table holds its first value down to omega = 0, so J(0) > 0 is
+    possible; the integrands then go like 1/omega where the first-order
+    filter moments do not vanish."""
+
+    @pytest.mark.parametrize("seq", [equidistant(2), udd(0)])
+    def test_chi_at_positive_temperature_named(self, monkeypatch, seq):
+        monkeypatch.setattr(ddlab.decoherence, "integrate_adaptive", no_quadrature)
+        with pytest.raises(ValueError, match=r"^J\(0\) = 0\.2 > 0 at T = 0\.1: the chi "
+                                             r"integrand .* S1 = sum_j c_j d_j vanishes, got S1 = -"):
+            chi(seq, flat_table(0.1), 2.0)
+
+    @pytest.mark.parametrize("temperature", [0.0, 0.1])
+    @pytest.mark.parametrize("evaluate", [phase, signal])
+    def test_phase_at_any_temperature_named(self, monkeypatch, evaluate, temperature):
+        # x'(0) never vanishes, so phi diverges with udd(2)'s S1 = 0 too
+        monkeypatch.setattr(ddlab.decoherence, "integrate_adaptive", no_quadrature)
+        with pytest.raises(ValueError, match=rf"^J\(0\) = 0\.2 > 0 at T = {temperature:g}: the "
+                                             r"phase integrand .* got x'\(0\) = 0\.5$"):
+            evaluate(udd(2), flat_table(temperature), 2.0)
+
+    @pytest.mark.parametrize("seq", [udd(2), udd(6), custom(udd(9).deltas)])
+    def test_chi_converges_where_s1_vanishes(self, quad, seq):
+        # udd(2)'s S1 is exactly 0; those of udd(6) and the udd(9) instants
+        # are a few 1e-16 from the rounding of the instants
+        value = chi(seq, flat_table(0.1), 2.0, quad)
+        assert 0.0 < value < math.inf
+
+    def test_chi_converges_at_zero_temperature(self, quad):
+        value = chi(equidistant(2), flat_table(0.0), 2.0, quad)
+        assert 0.0 < value < math.inf
+
+    @pytest.mark.parametrize("bath", [OhmicBath(alpha=0.1, temperature=0.1),
+                                      ddlab.TabulatedSpectralDensity([0.0, 1.0], [0.0, 0.2],
+                                                                     temperature=0.1)])
+    def test_no_moments_where_j_vanishes_at_zero(self, quad, monkeypatch, bath):
+        def unreachable(seq):
+            raise AssertionError("moments taken")
+
+        monkeypatch.setattr(ddlab.decoherence, "_y_coefficients", unreachable)
+        assert signal(equidistant(2), bath, 2.0, quad).chi > 0.0
 
 
 class TestCoherenceCurve:

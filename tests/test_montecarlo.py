@@ -531,6 +531,36 @@ class TestMcSignal:
         with pytest.raises(ValueError, match=r"^t / dt must be finite and <= 1048576"):
             mc_signal(flat_bath(), udd(2), 1e12, 100, 1, 0.01, 16)
 
+    @pytest.mark.parametrize("t, samples, dt, mode_count, message", [
+        (1.0, 10**7 + 1, 0.5, 16, r"samples must be <= 10000000, got 10000001"),
+        (1.0, 100, 0.5, 2**14 + 1, r"mode_count must be <= 16384, got 16385"),
+        ((1 << 19) + 0.5, 100, 0.5, 16, r"t / dt must be finite and <= 1048576, "
+                                        r"got t = 524288, dt = 0.5")])
+    def test_work_ceilings_rejected_before_any_response(self, monkeypatch, t, samples, dt,
+                                                        mode_count, message):
+        def unreachable(*args):
+            raise AssertionError("responses built or trajectories drawn")
+
+        monkeypatch.setattr("ddlab.montecarlo._scaled_responses", unreachable)
+        monkeypatch.setattr("ddlab.montecarlo._batched_phases", unreachable)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            mc_signal(flat_bath(omega_max=1.0), udd(2), t, samples, 1, dt, mode_count)
+
+    @pytest.mark.parametrize("t, samples, mode_count", [(1.0, 10**7, 16), (1.0, 100, 2**14),
+                                                        (float(1 << 19), 100, 16)])
+    def test_work_ceilings_themselves_allowed(self, monkeypatch, t, samples, mode_count):
+        # each ceiling passes the checks and reaches the responses, which
+        # stop the call before anything is built or drawn
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+
+        monkeypatch.setattr("ddlab.montecarlo._scaled_responses", reached)
+        with pytest.raises(Reached):
+            mc_signal(flat_bath(omega_max=1.0), udd(2), t, samples, 1, 0.5, mode_count)
+
     def test_batched_peak_memory_bound(self, monkeypatch):
         # one response vector per mode and one block per worker, at the
         # worker ceiling: no samples x modes matrix (that alone would take
