@@ -196,8 +196,12 @@ def _progress(cfg: RunConfig, message: str):
 def _write_output(cfg: RunConfig, command: str, columns, rows) -> None:
     """Emit rows as CSV (config in a # header) or a single JSON object."""
     if cfg.format == "json":
-        payload = {"version": __version__, "command": command, "config": asdict(cfg),
-                   "rows": [dict(zip(columns, row)) for row in rows]}
+        payload = {
+            "version": __version__,
+            "command": command,
+            "config": asdict(cfg),
+            "rows": [dict(zip(columns, row)) for row in rows],
+        }
         text = json.dumps(payload, indent=2) + "\n"
     else:
         buf = io.StringIO()
