@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import Bath, OhmicBath
-from .decoherence import QuadratureError, QuadratureSpec, _checked_grid, _chi_raw, signal
+from .decoherence import (QuadratureError, QuadratureSpec, _checked_grid, _chi_diverges, _chi_raw,
+                          signal)
 from .sequences import _GENERATORS, PulseSequence
 
 __all__ = [
@@ -182,8 +183,13 @@ def min_pulses(scheme: str, bath: Bath, epsilon: float, t_target: float,
 
     @functools.cache
     def store(n: int) -> float:
+        seq = build(n)
+        if n == 0 and _chi_diverges(seq, bath):
+            # free evolution decays at once where its chi is infinite (a
+            # table with J(0) > 0 at T > 0), which udd(n >= 1) may not
+            return 0.0
         try:
-            return storage_time(build(n), bath, epsilon, quad, include_phase).t_store
+            return storage_time(seq, bath, epsilon, quad, include_phase).t_store
         except RangeExhaustedError:
             # error never reached epsilon inside the scan range, and the
             # target is inside that range, so the target is met

@@ -81,23 +81,35 @@ def _checked_grid(t_grid) -> np.ndarray:
     return ts
 
 
+def _chi_diverges(seq: PulseSequence, bath: Bath) -> bool:
+    """Whether chi's integrand goes like 1/w at w = 0, so chi is infinite at
+    every t > 0: on a table that holds J(0) = values[0] > 0 down to w = 0,
+    at T > 0 (coth ~ 2T/w), unless S1 = sum_j c_j d_j vanishes up to the
+    rounding of the instants (|y_n(wt)|^2 ~ (S1 wt)^2 there)."""
+    if not isinstance(bath, TabulatedSpectralDensity) or bath.values[0] == 0.0:
+        return False
+    c, d = _y_coefficients(seq)
+    # each c_j d_j is exact, the sum rounded once
+    return bath.temperature > 0 and abs(math.fsum(c * d)) > _EPS * math.fsum(np.abs(c * d))
+
+
 def _check_zero_frequency(seq: PulseSequence, bath: Bath, phi: bool) -> None:
     """ValueError, before any quadrature, where an integrand diverges at w = 0.
 
     A table holds J(0) = values[0] > 0 down to w = 0, where |y_n(wt)|^2 ~
     (S1 wt)^2 and x_n(wt) ~ x'(0) wt, with S1 = sum_j c_j d_j the first
     moment of y's terms and x'(0) = ((-1)^n - S1) / 2.  chi's integrand then
-    goes like 1/w at T > 0 (coth ~ 2T/w) unless S1 vanishes, up to the
-    rounding of the instants.  phi's (phi true) goes like 1/w at any T:
-    x'(0) is (-1)^n times the share of [0, 1] on which the toggled sign is
-    (-1)^n, the last interval (d_n, 1] among it, so it never vanishes.
+    diverges where _chi_diverges says.  phi's (phi true) goes like 1/w at
+    any T: x'(0) is (-1)^n times the share of [0, 1] on which the toggled
+    sign is (-1)^n, the last interval (d_n, 1] among it, so it never
+    vanishes.
     """
     if not isinstance(bath, TabulatedSpectralDensity) or bath.values[0] == 0.0:
         return
     c, d = _y_coefficients(seq)
-    s1 = math.fsum(c * d)  # each c_j d_j is exact, the sum rounded once
+    s1 = math.fsum(c * d)
     at = f"J(0) = {bath.values[0]:g} > 0 at T = {bath.temperature:g}"
-    if bath.temperature > 0 and abs(s1) > _EPS * math.fsum(np.abs(c * d)):
+    if _chi_diverges(seq, bath):
         raise ValueError(f"{at}: the chi integrand diverges like 1/omega at omega = 0 "
                          f"unless S1 = sum_j c_j d_j vanishes, got S1 = {s1:.6g}")
     if phi:

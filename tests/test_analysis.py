@@ -278,6 +278,31 @@ class TestMinPulses:
             storage_time(udd(0), OhmicBath(alpha=1e-6), 1e-4, quad)
         assert min_pulses("udd", OhmicBath(alpha=1e-6), 1e-4, 5.0, quad) == 0
 
+    FLAT = TabulatedSpectralDensity([0.0, 1.0], [0.2, 0.2], temperature=0.1)
+
+    def test_divergent_free_evolution_stores_at_zero(self, quad, monkeypatch):
+        # J(0) > 0 at T > 0: free evolution's chi diverges (S1 = -1), udd(1)
+        # and udd(2) converge (S1 = 0); store(0) reads 0 without a solve,
+        # both where the search starts and where it asks for n - 2
+        solves = []
+
+        def counted(seq, *args, **kwargs):
+            solves.append(seq.n)
+            return storage_time(seq, *args, **kwargs)
+
+        monkeypatch.setattr("ddlab.analysis.storage_time", counted)
+        assert storage_time(udd(1), self.FLAT, 1e-4, quad).t_store < 1.0
+        assert storage_time(udd(2), self.FLAT, 1e-4, quad).t_store >= 1.0
+        solves.clear()
+        assert min_pulses("udd", self.FLAT, 1e-4, 1.0, quad) == 2
+        assert 0 not in solves
+
+    def test_divergent_even_equidistant_still_raises(self, quad):
+        # equidistant(2)'s chi diverges as well (S1 = -1/3): that count is
+        # asked for, so the search ends with the configuration error
+        with pytest.raises(ValueError, match=r"got S1 = -0\.333333$"):
+            min_pulses("equidistant", self.FLAT, 1e-4, 1.0, quad)
+
     def test_search_cap_exhausted(self, quad, monkeypatch):
         monkeypatch.setattr("ddlab.analysis.N_SEARCH_CAP", 8)
         with pytest.raises(SearchExhaustedError, match="no pulse count up to 8 reaches storage 50"):

@@ -805,6 +805,22 @@ class TestTableWithPositiveJAtZero:
         assert code == 0
         assert float(parse_csv(out)[1][0]["t_store"]) == t_store
 
+    def test_min_pulses_passes_divergent_free_evolution(self, capsys, flat_csv):
+        # free evolution's chi diverges at T > 0 (S1 = -1), so it stores at
+        # 0; udd(1) stores at 0.467 and udd(2) at 1.3209
+        code, out, _ = run_cli(["min-pulses", "--scheme", "udd", "--bath-csv", flat_csv,
+                                "--temperature", "0.1", "--t-target", "1", "--quiet"], capsys)
+        assert code == 0
+        assert parse_csv(out)[1][0]["n_min"] == "2"
+
+    def test_min_pulses_divergent_even_equidistant_exit_2(self, capsys, flat_csv):
+        code, out, err = run_cli(["min-pulses", "--scheme", "equidistant", "--bath-csv",
+                                  flat_csv, "--temperature", "0.1", "--t-target", "1", "--quiet"],
+                                 capsys)
+        assert code == 2
+        assert out == ""
+        assert err.endswith("unless S1 = sum_j c_j d_j vanishes, got S1 = -0.333333\n")
+
 
 class TestParser:
     """The flags are RunConfig's settings, declared once."""

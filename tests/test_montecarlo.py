@@ -1,20 +1,16 @@
-import gc
 import math
 import sys
 import threading
 import tracemalloc
-import types
 
 import numpy as np
 import pytest
 
 import ddlab
 from ddlab import ClassicalBath, mc_signal, udd
-from ddlab.montecarlo import (_BLOCK, _LAYOUTS, _MAX_WORKERS, _RESPONSE_CHUNK, _SEED_CHUNK,
-                              _batched_phases, _draw_amplitudes, _generator, _layout_of,
-                              _mode_bins, _mode_responses, _scaled_responses, _segment_layout,
-                              _state_view, _trajectory_states, _trajectory_words, _word_order,
-                              trajectory_seed)
+from ddlab.montecarlo import (_BLOCK, _MAX_WORKERS, _RESPONSE_CHUNK, _batched_phases,
+                              _draw_amplitudes, _mode_bins, _mode_responses, _scaled_responses,
+                              _segment_layout)
 from conftest import classical_twin
 
 
@@ -43,16 +39,29 @@ def static_phase(value: float, seq, t: float) -> float:
     return t * math.fsum(weights * value)
 
 
-def reference_modes(bath: ClassicalBath, mode_count: int, seed: int):
-    """Mode frequencies and amplitudes of the trajectory seeded with seed,
-    straight from the spectrum and np.random.default_rng: midpoint bins of
+def reference_normals(seed: int, samples: int, width: int) -> np.ndarray:
+    """Each trajectory's row of width standard normals, straight from numpy:
+    block b of 64 trajectories draws from default_rng(SeedSequence(seed mod
+    2^64, spawn_key=(b,))), row by row, the width // 2 cosine normals of a
+    row first, then its sine normals."""
+    rows = []
+    for b in range(-(-samples // 64)):
+        rng = np.random.default_rng(np.random.SeedSequence(seed % 2**64, spawn_key=(b,)))
+        for _ in range(min(64, samples - 64 * b)):
+            cos_normals = rng.standard_normal(width // 2)
+            rows.append(np.concatenate([cos_normals, rng.standard_normal(width // 2)]))
+    return np.array(rows)
+
+
+def reference_modes(bath: ClassicalBath, mode_count: int, seed: int, k: int):
+    """Mode frequencies and amplitudes of trajectory k of the given seed,
+    straight from the spectrum and reference_normals: midpoint bins of
     width omega_max / mode_count, variances p dw / pi, cosines first."""
     dw = bath.omega_max / mode_count
     omegas = (np.arange(mode_count) + 0.5) * dw
     sigmas = np.sqrt(bath.power_spectrum(omegas) * dw / math.pi)
-    rng = np.random.default_rng(seed)
-    amp_cos = sigmas * rng.standard_normal(mode_count)
-    return omegas, amp_cos, sigmas * rng.standard_normal(mode_count)
+    normals = reference_normals(seed, k + 1, 2 * mode_count)[k]
+    return omegas, sigmas * normals[:mode_count], sigmas * normals[mode_count:]
 
 
 def reference_phase(omegas, amp_cos, amp_sin, seq, t: float, dt: float) -> float:
@@ -69,214 +78,55 @@ def reference_phase(omegas, amp_cos, amp_sin, seq, t: float, dt: float) -> float
     return phase
 
 
-class TestSeedSplitting:
-    def test_declared_mapping_is_stable(self):
-        assert trajectory_seed(0, 0) == 16294208416658607535
-        assert trajectory_seed(12345, 7) == 7959005890829367068
-
-    def test_distinct_across_index_and_base(self):
-        seeds = {trajectory_seed(1, k) for k in range(1000)}
-        assert len(seeds) == 1000
-        assert trajectory_seed(1, 5) != trajectory_seed(2, 5)
-
-
-def unmix64(z: int) -> int:
-    # inverse of splitmix64's finalizer
-    def unxorshift(z, s):
-        x = z
-        for _ in range(64 // s):
-            x = z ^ (x >> s)
-        return x
-    mask = (1 << 64) - 1
-    z = unxorshift(z, 31)
-    z = unxorshift(z * pow(0x94D049BB133111EB, -1, 1 << 64) & mask, 27)
-    return unxorshift(z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & mask, 30)
-
-
-def base_for(seed: int) -> int:
-    """The base seed whose trajectory 0 has the given seed."""
-    return (unmix64(seed) - 0x9E3779B97F4A7C15) % 2**64
-
-
 def force_workers(monkeypatch, workers: int) -> None:
     monkeypatch.setattr("ddlab.montecarlo._workers", lambda: workers)
 
 
-def reference_draw(base_seed, samples: int):
-    """_draw_amplitudes as np.random.default_rng(trajectory_seed(base_seed, k))
-    draws it, for the trajectory k < samples whose seeded state it is given,
-    in any order of calls: cosine normals into the first half of out, then
-    sine normals into the second."""
-    states = _trajectory_states(_trajectory_words(base_seed, 0, samples))
-    index = {row.tobytes(): k for k, row in enumerate(states)}
+class TestSeedSplitting:
+    """Block b of 64 trajectories draws from the b-th stream spawned from
+    SeedSequence(seed mod 2^64)."""
 
-    def draw(gen, state, row_state, out):
-        rng = np.random.default_rng(trajectory_seed(base_seed, index[row_state.tobytes()]))
-        m = len(out) // 2
-        out[:m] = rng.standard_normal(m)
-        out[m:] = rng.standard_normal(m)
-    return draw
+    @pytest.mark.parametrize("seed", [0, -1, 2**64 + 5])
+    @pytest.mark.parametrize("samples", [100, 137, 1000])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_batched_phases_match_the_block_reference(self, seed, samples, workers, monkeypatch):
+        force_workers(monkeypatch, workers)
+        v = np.random.default_rng(3).standard_normal(48)
+        expected = np.einsum("ij,j->i", reference_normals(seed, samples, 48), v)
+        assert np.array_equal(_batched_phases(v, samples, seed), expected)
 
+    def test_declared_mapping_is_stable(self):
+        # with 16 modes, seed 0's trajectory 0 and its first cosine normal,
+        # and seed 12345's trajectory 64 (block 1, row 0) and its first sine
+        # normal: numpy's stream policy fixes both, so ddlab mc's output too
+        v = np.zeros(32)
+        v[0] = 1.0
+        assert _batched_phases(v, 100, 0)[0] == 1.4436909546981256
+        v[0], v[16] = 0.0, 1.0
+        assert _batched_phases(v, 100, 12345)[64] == 0.25446512613639555
 
-def states_of(words) -> list:
-    """_trajectory_states of rows of words, as plain Python ints in the order
-    (state low, state high, inc low, inc high), whatever the memory layout
-    (each layout is its own inverse)."""
-    return [[int(row[j]) for j in _word_order()] for row in _trajectory_states(words)]
-
-
-def pcg64_words(state: dict) -> list:
-    """numpy's PCG64 state dict as (state low, state high, inc low, inc high)."""
-    s, inc = state["state"]["state"], state["state"]["inc"]
-    return [s & (2**64 - 1), s >> 64, inc & (2**64 - 1), inc >> 64]
-
-
-class FixedWords(np.random.bit_generator.ISeedSequence):
-    """A seed whose generate_state(4, np.uint64) gives the chosen words, so
-    that numpy's PCG64 seeds itself from them."""
-
-    def __init__(self, words):
-        self.words = np.array(words, dtype=np.uint64)
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        assert (n_words, dtype) == (4, np.uint64)
-        return self.words
-
-
-class TestSeedBatch:
-    """The batched SeedSequence hash and PCG64 seeding against numpy itself:
-    a numpy release that changed either would fail here."""
-
-    @pytest.mark.parametrize("base", [0, 12345, 2024, -1, 2**64 + 5, 2**64 - 1])
-    def test_words_match_seed_sequence(self, base):
-        words = _trajectory_words(base, 0, 1000)
-        expected = [np.random.SeedSequence(trajectory_seed(base, k)).generate_state(4, np.uint64)
-                    for k in range(1000)]
-        assert words.dtype == np.uint64
-        assert np.array_equal(words, np.array(expected))
-
-    def test_words_of_chosen_seeds(self):
-        # seeds below 2^32 enter SeedSequence as one word, the rest as two
-        rng = np.random.default_rng(2024)
-        seeds = ([0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
-                 + [int(s) for s in rng.integers(0, 2**32, 1000, dtype=np.uint64)])
-        for seed in seeds:
-            assert np.array_equal(_trajectory_words(base_for(seed), 0, 1)[0],
-                                  np.random.SeedSequence(seed).generate_state(4, np.uint64))
-
-    def test_draws_match_default_rng(self):
-        # into rows of a block from one reused generator, as _batched_phases
-        # draws
-        block = np.empty((8, 2 * 96))
-        gen, state = _generator()
-        for k, row_state in enumerate(_trajectory_states(_trajectory_words(31, 0, 1000))):
-            row = block[k % 8]
-            _draw_amplitudes(gen, state, row_state, row)
-            rng = np.random.default_rng(trajectory_seed(31, k))
-            assert np.array_equal(row[:96], rng.standard_normal(96))
-            assert np.array_equal(row[96:], rng.standard_normal(96))
-
-    @pytest.mark.parametrize("base", [0, 12345, -1, 2**64 - 1, 2**64 + 5])
-    def test_states_match_pcg64_seeding(self, base):
-        states = states_of(_trajectory_words(base, 0, 500))
-        for k, row in enumerate(states):
-            assert row == pcg64_words(np.random.PCG64(trajectory_seed(base, k)).state)
-
-    ONES = 2**64 - 1
-    CHOSEN_WORDS = [
-        [ONES] * 4,             # every word all ones: s + inc and every sum carry
-        [0, 0, 2**63, 0],       # top bit of w2 leaves inc
-        [0, 0, 0, 2**63],       # top bit of w3 moves into inc's high word
-        [0, ONES, 0, 0],        # s + inc carries from the low word
-        [ONES, ONES, 0, 0],     # s + inc overflows 2^128
-        [0, 0, 0, 0],
-        [1, 2, 3, 4],
-    ]
-
-    def test_states_of_chosen_words(self):
-        # numpy seeds a PCG64 from the same four words
-        rng = np.random.default_rng(7)
-        words = self.CHOSEN_WORDS + rng.integers(0, 2**64, (500, 4), dtype=np.uint64).tolist()
-        states = states_of(np.array(words, dtype=np.uint64))
-        for row, w in zip(states, words):
-            assert row == pcg64_words(np.random.PCG64(FixedWords(w)).state)
-
-    def test_state_matches_pcg64_seeding(self):
-        # the whole state of the reused generator after the write, has_uint32
-        # included, against numpy's own seeding
-        seeds = (0, 1, 2**32, 2**64 - 1, *(trajectory_seed(5, k) for k in range(200)))
-        words = np.array([np.random.SeedSequence(s).generate_state(4, np.uint64) for s in seeds])
-        gen, state = _generator()
-        for seed, row_state in zip(seeds, _trajectory_states(words)):
-            _draw_amplitudes(gen, state, row_state, np.empty(0))
-            assert gen.bit_generator.state == np.random.PCG64(seed).state
-
-    def test_reused_generator_keeps_nothing(self):
-        # a trajectory drawn after others of any length draws as a fresh
-        # default_rng: the ziggurat takes a varying count of words per normal
-        states = _trajectory_states(_trajectory_words(11, 0, 4))
-        gen, state = _generator()
-        for j, k, size in ((0, 1, 7), (2, 1, 1000), (3, 0, 1), (1, 1, 33)):
-            _draw_amplitudes(gen, state, states[j], np.empty(size))
-            out = np.empty(64)
-            _draw_amplitudes(gen, state, states[k], out)
-            assert np.array_equal(out, np.random.default_rng(trajectory_seed(11, k))
-                                  .standard_normal(64))
+    def test_distinct_across_index_and_base(self):
+        v = np.random.default_rng(5).standard_normal(32)
+        for seed in (7, 2**64 - 1):
+            assert np.array_equal(_batched_phases(v, 200, seed),
+                                  _batched_phases(v, 200, seed + 2**64))
+        phases = _batched_phases(v, 1000, 1)
+        assert len(set(phases.tolist())) == 1000
+        assert not np.any(phases == _batched_phases(v, 1000, 2))
 
 
 class TestStateLayout:
-    """The word order of PCG64's state in memory, checked once per process."""
+    """The phases of full Monte Carlo cells against a default_rng loop over
+    the block streams: seeds whose entropy is one 32-bit word (17,
+    2^64 + 5) and two (-1, 5246975980767324365)."""
 
-    STATE, INC = 0x0123456789ABCDEF_FEDCBA9876543210, 0x1111111122222222_3333333344444445
-    LOW_FIRST = [0xFEDCBA9876543210, 0x0123456789ABCDEF, 0x3333333344444445, 0x1111111122222222]
-    HIGH_FIRST = [0x0123456789ABCDEF, 0xFEDCBA9876543210, 0x1111111122222222, 0x3333333344444445]
-
-    def test_both_orders_are_read(self):
-        image = np.array(self.LOW_FIRST, dtype=np.uint64)
-        assert _layout_of(image, self.STATE, self.INC) == (0, 1, 2, 3)
-        image = np.array(self.HIGH_FIRST, dtype=np.uint64)
-        assert _layout_of(image, self.STATE, self.INC) == (1, 0, 3, 2)
-
-    @pytest.mark.parametrize("order", [(2, 3, 0, 1), (1, 0, 2, 3), (0, 1, 3, 2), (3, 2, 1, 0)])
-    def test_any_other_order_raises(self, order):
-        image = np.array([self.LOW_FIRST[j] for j in order], dtype=np.uint64)
-        with pytest.raises(RuntimeError, match="unknown PCG64 state layout"):
-            _layout_of(image, self.STATE, self.INC)
-
-    def test_this_process_reads_a_known_layout(self):
-        assert _word_order() in _LAYOUTS
-        bit_generator = np.random.PCG64(12345)
-        refs = sys.getrefcount(bit_generator)
-        view = _state_view(bit_generator)
-        assert view.dtype == np.uint64 and view.shape == (4,) and view.flags.writeable
-        assert [int(view[j]) for j in _word_order()] == pcg64_words(bit_generator.state)
-        # the view holds the bit generator whose memory it shows
-        assert sys.getrefcount(bit_generator) == refs + 1
-        del view
-        gc.collect()
-        assert sys.getrefcount(bit_generator) == refs
-
-    def test_state_outside_the_object_refused(self):
-        # a state struct outside the object given is not read through
-        fake = types.SimpleNamespace(ctypes=np.random.PCG64(1).ctypes)
-        with pytest.raises(RuntimeError, match="does not lie inside"):
-            _state_view(fake)
-
-
-    # a base seed whose first trajectory seed is below 2^32, where
-    # SeedSequence takes a one-word entropy
-    SHORT_SEED_BASE = base_for(12345)
-
-    @pytest.mark.parametrize("base", [-1, 2**64 + 5, SHORT_SEED_BASE, 17])
+    @pytest.mark.parametrize("base", [-1, 2**64 + 5, 5246975980767324365, 17])
     def test_batched_phases_match_the_default_rng_loop(self, base, monkeypatch):
+        force_workers(monkeypatch, 3)
         bath = classical_twin(0.1, 0.25)
-        args = (bath, udd(3), 2.0, 300, base, 0.02, 128)
-        phases = phases_of(*args)
-        monkeypatch.setattr("ddlab.montecarlo._draw_amplitudes", reference_draw(base, 300))
-        assert np.array_equal(phases, phases_of(*args))
-
-    def test_short_seed_base(self):
-        assert trajectory_seed(self.SHORT_SEED_BASE, 0) == 12345
+        v = _scaled_responses(bath, udd(3), 2.0, 0.02, 128)
+        expected = np.einsum("ij,j->i", reference_normals(base, 300, 256), v)
+        assert np.array_equal(phases_of(bath, udd(3), 2.0, 300, base, 0.02, 128), expected)
 
 
 class TestBlocks:
@@ -289,21 +139,6 @@ class TestBlocks:
         args = (bath, udd(3), 2.0)
         full = phases_of(*args, 4 * _BLOCK, 23, 0.02, 128)
         assert np.array_equal(phases_of(*args, samples, 23, 0.02, 128), full[:samples])
-
-    @pytest.mark.parametrize("chunk", [1, _BLOCK, 100])
-    def test_seed_chunks_match_one_chunk(self, chunk, monkeypatch):
-        # chunks of seed words that split blocks, or do not, or are single
-        # trajectories, give the phases of one chunk and one worker bit for
-        # bit, however many workers share the chunk
-        bath = classical_twin(0.1, 0.25)
-        args = (bath, udd(3), 2.0, 3 * _BLOCK + 5, 23, 0.02, 32)
-        assert args[3] <= _SEED_CHUNK
-        force_workers(monkeypatch, 1)
-        whole = phases_of(*args)
-        monkeypatch.setattr("ddlab.montecarlo._SEED_CHUNK", chunk)
-        for workers in (1, 2, 3, _MAX_WORKERS):
-            force_workers(monkeypatch, workers)
-            assert np.array_equal(phases_of(*args), whole)
 
     @pytest.mark.parametrize("cap", [_RESPONSE_CHUNK, 7 * 512 + 3])
     def test_chunked_responses_match_one_chunk(self, cap, monkeypatch):
@@ -353,24 +188,25 @@ class TestWorkers:
             sys.setswitchinterval(interval)
 
     @staticmethod
-    def failing_draw(base: int, index: int, exc):
-        """_draw_amplitudes that raises exc at trajectory index of base seed
-        base, and counts its calls."""
-        fail_state = _trajectory_states(_trajectory_words(base, index, index + 1))[0]
+    def failing_draw(seed: int, index: int, width: int, exc):
+        """_draw_amplitudes that raises exc once it has drawn trajectory
+        index of the given seed, with rows of width normals, and counts its
+        calls."""
+        fail_row = reference_normals(seed, index + 1, width)[index]
         calls = []
 
-        def draw(gen, state, row_state, out):
+        def draw(gen, out):
             calls.append(1)
-            if np.array_equal(row_state, fail_state):
+            _draw_amplitudes(gen, out)
+            if np.array_equal(out, fail_row):
                 raise exc
-            _draw_amplitudes(gen, state, row_state, out)
         return draw, calls
 
     def test_helper_error_reaches_the_caller(self, monkeypatch):
         # three runs of 1, 2 and 2 blocks of 64: trajectory 250 is in the
         # last helper's run
         force_workers(monkeypatch, 3)
-        draw, _ = self.failing_draw(5, 250, ZeroDivisionError("x"))
+        draw, _ = self.failing_draw(5, 250, 32, ZeroDivisionError("x"))
         monkeypatch.setattr("ddlab.montecarlo._draw_amplitudes", draw)
         threads = threading.active_count()
         with pytest.raises(ZeroDivisionError):
@@ -381,7 +217,7 @@ class TestWorkers:
         # the caller's run is interrupted at its first trajectory; the
         # helper stops at its next block, far short of its 10^4 trajectories
         force_workers(monkeypatch, 2)
-        draw, calls = self.failing_draw(5, 0, KeyboardInterrupt())
+        draw, calls = self.failing_draw(5, 0, 32, KeyboardInterrupt())
         monkeypatch.setattr("ddlab.montecarlo._draw_amplitudes", draw)
         threads = threading.active_count()
         with pytest.raises(KeyboardInterrupt):
@@ -425,12 +261,8 @@ class TestSynthesize:
         bath = flat_bath(p0=0.2, omega_max=20.0)
         g0 = 0.2 * 20.0 / math.pi
         _, sigmas = _mode_bins(bath, 512)
-        f0 = np.empty(10000)
-        buf = np.empty(2 * 512)
-        gen, state = _generator()
-        for k, row_state in enumerate(_trajectory_states(_trajectory_words(99, 0, 10000))):
-            _draw_amplitudes(gen, state, row_state, buf)
-            f0[k] = (sigmas * buf[:512]).sum()
+        # f(0) = sum_k sigma_k a_k: the phase of responses [sigma, 0]
+        f0 = _batched_phases(np.concatenate([sigmas, np.zeros(512)]), 10000, 99)
         assert np.var(f0) == pytest.approx(g0, rel=0.05, abs=0.0)
 
 
@@ -465,7 +297,7 @@ class TestToggledPhase:
         seq = udd(3)
         t = 2.0
         coarse = phases_of(bath, seq, t, 1, 11, 0.02, 64)[0]
-        fine = reference_phase(*reference_modes(bath, 64, trajectory_seed(11, 0)), seq, t, 0.002)
+        fine = reference_phase(*reference_modes(bath, 64, 11, 0), seq, t, 0.002)
         assert coarse == pytest.approx(fine, abs=1e-3)
 
 
@@ -513,7 +345,7 @@ class TestMcSignal:
         for seq, t, dt, modes in ((udd(2), 3.0, 0.05, 128), (udd(3), 5.0, 0.01, 512)):
             phases = phases_of(bath, seq, t, 4, 17, dt, modes)
             for k in range(4):
-                modes_k = reference_modes(bath, modes, trajectory_seed(17, k))
+                modes_k = reference_modes(bath, modes, 17, k)
                 assert phases[k] == pytest.approx(reference_phase(*modes_k, seq, t, dt),
                                                   rel=1e-10, abs=1e-12)
 
@@ -576,10 +408,9 @@ class TestMcSignal:
         assert peak < 8e6
 
     def test_seed_words_peak_memory_bound(self, monkeypatch):
-        # seed words are hashed _SEED_CHUNK trajectories at a time, shared
-        # among the workers (here at their ceiling): the 2e5 phases take
-        # 1.6 MB and one chunk's hash about 1.4 MB, where every trajectory's
-        # words at once would peak at 35 MB
+        # each block's generator is seeded when the block is drawn, by the
+        # workers (here at their ceiling): the 2e5 phases take 1.6 MB, and
+        # no memory is held per trajectory or per block beyond that
         force_workers(monkeypatch, _MAX_WORKERS)
         bath = classical_twin(0.1, 0.25)
         tracemalloc.start()
