@@ -23,7 +23,10 @@ hash and PCG64's seeding, so this mapping is part of the module contract
 and must not change.
 
 How the contract is served: each block seeds one generator, about 12 us or
-0.2 us per trajectory, and draws its rows into one reused block of normals.
+0.2 us per trajectory, and draws all its rows in one call into one reused
+block of normals.  standard_normal fills the block in C order, row by row
+from the one stream, so one call per block draws the same normals as one
+call per row, and releases the GIL once per block, not once per trajectory.
 A trajectory's phase is its row of normals dotted with the sigma-scaled
 responses v = [sigma u_cos, sigma u_sin], formed once per call.  Each block
 is reduced against v in one np.einsum("ij,j->i"): that sums each row on its
@@ -68,9 +71,9 @@ _RESPONSE_CHUNK = 1 << 20
 # ceilings on mc_signal's work, checked before any response or draw.  Memory
 # is about 16 B per trajectory (the phases, whose cosines are taken in place,
 # and np.std's temporary) plus one block of _BLOCK x 2 mode_count doubles per
-# drawing thread, and time is about 14.8 us per trajectory per core at 512
+# drawing thread, and time is about 13.2 us per trajectory per core at 512
 # modes, rising in step with the mode count.  10^7 samples then hold about
-# 160 MB and take about 150 s per core at 512 modes; 2^14 modes take 16.8 MB
+# 160 MB and take about 130 s per core at 512 modes; 2^14 modes take 16.8 MB
 # of block per thread (134 MB at _MAX_WORKERS threads) and about 0.47 ms per
 # trajectory per core.  At 2^20 steps of the toggled-phase grid, ceil(t / dt),
 # the mode responses peak at about 50 MB (the grid, the layout's instants and
@@ -79,9 +82,9 @@ _RESPONSE_CHUNK = 1 << 20
 _MAX_SAMPLES = 10**7
 _MAX_MODE_COUNT = 1 << 14
 _MAX_STEPS = 1 << 20
-# threads that draw at once: about 0.8 us of a trajectory's 14.8 us (512
-# modes) holds the GIL, the block's seeding 0.2 us of it, so beyond about
-# 18 threads they queue for it
+# threads that draw at once: about 0.5 us of a trajectory's 13.2 us (512
+# modes) holds the GIL, the block's seeding 0.2 us and its einsum at most
+# 0.35 us, so beyond about 25 threads they queue for it
 _MAX_WORKERS = 8
 
 
@@ -106,9 +109,9 @@ def _mode_bins(bath: ClassicalBath, mode_count: int):
 
 
 def _draw_amplitudes(gen, out: np.ndarray) -> None:
-    """Fill out with one trajectory's standard normals from gen, its block's
-    generator: the len(out) // 2 of its cosine amplitudes, then those of its
-    sine amplitudes."""
+    """Fill out, the rows of one block, with standard normals from gen, the
+    block's generator: row by row, each row the len(out[0]) // 2 cosine
+    amplitudes of its trajectory, then those of its sine amplitudes."""
     gen.standard_normal(out=out)
 
 
@@ -180,8 +183,8 @@ def _scaled_responses(bath: ClassicalBath, seq: PulseSequence, t: float, dt: flo
 def _batched_phases(v: np.ndarray, samples: int, seed: int) -> np.ndarray:
     """Toggled phases of `samples` independent trajectories with the scaled
     responses v: in each worker's run of whole blocks, each block's rows
-    filled by _draw_amplitudes from the block's own seeded generator and
-    reduced against v in one einsum."""
+    filled by one _draw_amplitudes call from the block's own seeded
+    generator and reduced against v in one einsum."""
     phases = np.empty(samples)
     entropy = seed % (1 << 64)
     n_blocks = -(-samples // _BLOCK)
@@ -198,8 +201,7 @@ def _batched_phases(v: np.ndarray, samples: int, seed: int) -> np.ndarray:
                 gen = np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(b,)))
                 lo = b * _BLOCK
                 rows = block[:samples - lo]
-                for row in rows:
-                    _draw_amplitudes(gen, row)
+                _draw_amplitudes(gen, rows)
                 phases[lo:lo + len(rows)] = np.einsum("ij,j->i", rows, v)
         except BaseException as exc:
             errors.append(exc)

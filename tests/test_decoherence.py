@@ -23,7 +23,7 @@ from ddlab import (
     udd,
 )
 from ddlab.quadrature import integrate_adaptive
-from conftest import STANDARD_GRID, classical_twin
+from conftest import STANDARD_GRID, classical_twin, thermal_chi
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -131,6 +131,26 @@ class TestClosedFormOracle:
         chi_ref, phi_ref = converged_closed_forms(instants, 0.25, t)
         assert abs(chi(seq, bath, t, quad) - chi_ref) <= 1e-12 * chi_ref
         assert abs(phase(seq, bath, t, quad) - phi_ref) <= 1e-12 * abs(phi_ref)
+
+
+THERMAL_CASES = [pytest.param(udd(n), t, id=f"udd{n}-{t:g}")
+                 for n in (0, 1, 3) for t in (0.5, 2.0, 5.0)] + [
+    pytest.param(equidistant(4), 2.0, id="equidistant4-2"),
+    pytest.param(custom((0.1, 0.3, 0.7)), 10.0, id="custom-10")]
+
+
+class TestThermalClosedForm:
+    """chi at T = 0.25 against conftest.thermal_chi's exact form."""
+
+    @pytest.mark.parametrize("bath", [classical_twin(0.1, 0.25),
+                                      OhmicBath(alpha=0.1, temperature=0.25)],
+                             ids=["twin", "ohmic"])
+    @pytest.mark.parametrize("seq,t", THERMAL_CASES)
+    def test_chi_matches_thermal_closed_form(self, quad, bath, seq, t):
+        # the bound of the T = 0 closed forms; the worst case here is
+        # udd(3) at t = 0.5, 1.0e-13 relative
+        exact = thermal_chi(seq.deltas, 0.1, 0.25, t)
+        assert abs(chi(seq, bath, t, quad) - exact) <= 1e-12 * exact
 
 
 def chi_udd_closed_form(n: int, alpha: float, t: float) -> float:

@@ -11,7 +11,7 @@ from ddlab import ClassicalBath, mc_signal, udd
 from ddlab.montecarlo import (_BLOCK, _MAX_WORKERS, _RESPONSE_CHUNK, _batched_phases,
                               _draw_amplitudes, _mode_bins, _mode_responses, _scaled_responses,
                               _segment_layout)
-from conftest import classical_twin
+from conftest import classical_twin, thermal_chi
 
 
 def phases_of(bath, seq, t: float, samples: int, seed: int, dt: float, mode_count: int):
@@ -189,22 +189,22 @@ class TestWorkers:
 
     @staticmethod
     def failing_draw(seed: int, index: int, width: int, exc):
-        """_draw_amplitudes that raises exc once it has drawn trajectory
-        index of the given seed, with rows of width normals, and counts its
-        calls."""
+        """_draw_amplitudes that raises exc once it has drawn the block that
+        holds trajectory index of the given seed, with rows of width normals,
+        and lists the rows of every block it draws."""
         fail_row = reference_normals(seed, index + 1, width)[index]
-        calls = []
+        rows = []
 
         def draw(gen, out):
-            calls.append(1)
+            rows.append(len(out))
             _draw_amplitudes(gen, out)
-            if np.array_equal(out, fail_row):
+            if np.any(np.all(out == fail_row, axis=1)):
                 raise exc
-        return draw, calls
+        return draw, rows
 
     def test_helper_error_reaches_the_caller(self, monkeypatch):
-        # three runs of 1, 2 and 2 blocks of 64: trajectory 250 is in the
-        # last helper's run
+        # three runs of 1, 2 and 2 blocks of 64: trajectory 250 is row 58 of
+        # block 3, in the last helper's run
         force_workers(monkeypatch, 3)
         draw, _ = self.failing_draw(5, 250, 32, ZeroDivisionError("x"))
         monkeypatch.setattr("ddlab.montecarlo._draw_amplitudes", draw)
@@ -214,16 +214,16 @@ class TestWorkers:
         assert threading.active_count() == threads
 
     def test_interrupt_in_the_caller_stops_the_helpers(self, monkeypatch):
-        # the caller's run is interrupted at its first trajectory; the
-        # helper stops at its next block, far short of its 10^4 trajectories
+        # the caller's run is interrupted at its first block; the helper
+        # stops at its next block, far short of its 10^4 trajectories
         force_workers(monkeypatch, 2)
-        draw, calls = self.failing_draw(5, 0, 32, KeyboardInterrupt())
+        draw, rows = self.failing_draw(5, 0, 32, KeyboardInterrupt())
         monkeypatch.setattr("ddlab.montecarlo._draw_amplitudes", draw)
         threads = threading.active_count()
         with pytest.raises(KeyboardInterrupt):
             mc_signal(flat_bath(), udd(2), 1.0, 20000, 5, 0.02, 16)
         assert threading.active_count() == threads
-        assert len(calls) < 10000
+        assert sum(rows) < 10000
 
 
 class TestSynthesize:
@@ -451,20 +451,21 @@ class TestMcSignal:
 
     @pytest.mark.parametrize("n", [0, 1, 3])
     @pytest.mark.parametrize("t", [0.5, 2.0, 5.0])
-    def test_model_mean_matches_chi(self, n, t, quad):
+    def test_model_mean_matches_chi(self, n, t):
         # the toggled phase is Gaussian with variance |v|^2, so the mode
         # bins and the trapezoid have the exact mean exp(-|v|^2 / 2): within
         # 1e-5 of exp(-2 chi) (5.5e-6 at udd(1), t = 5), far below what the
-        # 3 sigma sampling checks can see
+        # 3 sigma sampling checks can see; chi is the twin's exact closed
+        # form, so no quadrature enters the check
         bath, seq = classical_twin(0.1, 0.25), udd(n)
         est = mc_signal(bath, seq, t, 100, 7, 0.01, 512)
-        target = math.exp(-2.0 * ddlab.chi(seq, bath, t, quad))
+        target = math.exp(-2.0 * thermal_chi(seq.deltas, 0.1, 0.25, t))
         assert est.model_mean == pytest.approx(target, rel=1e-5, abs=0.0)
 
-    def test_oracle_agreement_single_cell(self, quad):
+    def test_oracle_agreement_single_cell(self):
         bath = classical_twin(0.1, 0.25)
         seq = udd(3)
         t = 5.0
         est = mc_signal(bath, seq, t, 10000, 7, 0.01, 512)
-        target = math.exp(-2.0 * ddlab.chi(seq, bath, t, quad))
+        target = math.exp(-2.0 * thermal_chi(seq.deltas, 0.1, 0.25, t))
         assert abs(est.mean - target) <= 3.0 * est.stderr

@@ -7,6 +7,7 @@ import importlib
 import importlib.util
 import pathlib
 import sys
+import threading
 
 import pytest
 
@@ -89,19 +90,20 @@ def test_filter_seam_sees_every_round_in_full(monkeypatch, evaluate):
 
 
 def test_draw_seam_sees_every_trajectory(monkeypatch):
-    # the tracer counts montecarlo.trajectories at
-    # ddlab.montecarlo._draw_amplitudes: every trajectory must reach it
-    # through the module attribute, once, from whichever of the three
-    # drawing threads runs it
+    # the tracer's montecarlo.draw spans sit at
+    # ddlab.montecarlo._draw_amplitudes: every block of trajectories must
+    # reach it through the module attribute, once, with all of its rows,
+    # from whichever of the three drawing threads runs it
     monkeypatch.setattr("ddlab.montecarlo._workers", lambda: 3)
     bath = ClassicalBath(power_spectrum=lambda w: 0.2 + 0.0 * w, omega_max=4.0)
     calls = []
     draw = ddlab.montecarlo._draw_amplitudes
 
-    def spy(*args):
-        calls.append(1)
-        return draw(*args)
+    def spy(gen, out):
+        calls.append((threading.get_ident(), len(out)))
+        return draw(gen, out)
 
     monkeypatch.setattr("ddlab.montecarlo._draw_amplitudes", spy)
     mc_signal(bath, udd(2), 1.0, 137, 5, 0.05, 32)
-    assert len(calls) == 137
+    assert len({ident for ident, _ in calls}) == 3
+    assert sorted(rows for _, rows in calls) == [9, 64, 64]
