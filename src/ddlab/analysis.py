@@ -255,19 +255,20 @@ def compare_schemes(n: int, alphas, temperatures, t_grid,
     cells, so any other exception, ValueError too, is a fault and propagates.
     """
     ts = _checked_grid(t_grid)
+    baths = [OhmicBath(alpha=alpha, omega_d=omega_d, temperature=temp)
+             for alpha in alphas for temp in temperatures]
     rows = []
     for scheme, build in _GENERATORS.items():
         seq = build(n)
-        for alpha in alphas:
-            for temp in temperatures:
-                bath = OhmicBath(alpha=alpha, omega_d=omega_d, temperature=temp)
-                for t in ts:
-                    try:
-                        pt = signal(seq, bath, float(t), quad)
-                        rows.append(SweepRow(scheme, n, float(alpha), float(temp),
-                                             float(t), pt.signal, 1.0 - pt.signal))
-                    except QuadratureError as exc:
-                        rows.append(SweepRow(scheme, n, float(alpha), float(temp),
-                                             float(t), math.nan, math.nan,
-                                             error=f"{type(exc).__name__}: {exc}"))
+        for bath in baths:
+            alpha, temp = float(bath.alpha), float(bath.temperature)
+            for t in ts:
+                try:
+                    pt = signal(seq, bath, float(t), quad)
+                    rows.append(SweepRow(scheme, n, alpha, temp,
+                                         float(t), pt.signal, 1.0 - pt.signal))
+                except QuadratureError as exc:
+                    rows.append(SweepRow(scheme, n, alpha, temp,
+                                         float(t), math.nan, math.nan,
+                                         error=f"{type(exc).__name__}: {exc}"))
     return tuple(rows)

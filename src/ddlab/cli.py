@@ -103,6 +103,8 @@ class RunConfig:
         for name in ("deltas", "deltas_file"):
             if getattr(self, name) is not None and self.scheme != "custom":
                 raise ValueError(f"{name} needs scheme custom, got {self.scheme!r}")
+        if self.n != 0 and self.scheme == "custom":
+            raise ValueError("n needs scheme udd or equidistant, got 'custom'")
         if self.deltas is not None and self.deltas_file is not None:
             raise ValueError("deltas and deltas_file exclude each other; give one")
         for name in ("alphas", "temperatures"):
@@ -250,8 +252,6 @@ def cmd_storage(cfg: RunConfig) -> int:
 
 
 def cmd_min_pulses(cfg: RunConfig) -> int:
-    if cfg.scheme not in _GENERATORS:
-        raise ValueError("min-pulses needs scheme udd or equidistant")
     bath = _bath(cfg)
     _progress(cfg, f"min-pulses: scheme={cfg.scheme}, target {cfg.t_target} t_C")
     epsilon = _epsilon(cfg)
@@ -264,15 +264,6 @@ def cmd_min_pulses(cfg: RunConfig) -> int:
 
 
 def cmd_compare(cfg: RunConfig) -> int:
-    for name in ("bath_csv", "deltas", "deltas_file"):
-        if getattr(cfg, name) is not None:
-            raise ValueError(f"compare sweeps udd and equidistant over ohmic baths; "
-                             f"{name} is not supported")
-    for name, sweep in (("alpha", "alphas"), ("temperature", "temperatures")):
-        # a single-bath value would be recorded in the embedded config and
-        # then ignored by the sweep
-        if getattr(cfg, name) != getattr(RunConfig, name):
-            raise ValueError(f"compare sweeps {sweep}; set {sweep} instead of {name}")
     grid = _time_grid(cfg)
     _progress(cfg, f"compare: n={cfg.n}, {len(cfg.alphas)} alphas, "
                    f"{len(cfg.temperatures)} temperatures, {len(grid)} times")
@@ -312,9 +303,6 @@ def cmd_compare(cfg: RunConfig) -> int:
 
 
 def cmd_mc(cfg: RunConfig) -> int:
-    if cfg.bath_csv:
-        raise ValueError("mc builds its classical bath from alpha, omega_d and "
-                         "temperature; bath_csv is not supported")
     seq = _sequence(cfg)
     cbath = _classical_bath(cfg)
     # the settings, then the analytic reference, before any trajectory is drawn
@@ -334,24 +322,30 @@ def _parse_floats(text: str) -> tuple:
     return tuple(float(x) for x in text.split(",") if x.strip() != "")
 
 
-# per subcommand: its handler, its --help line and the settings it takes,
-# in --help order; compare sweeps its own alphas and temperatures, so it
-# takes no single alpha or temperature
-_COMMON = ("scheme", "n", "alpha", "temperature", "omega_d", "deltas", "deltas_file",
-           "bath_csv", "rel_tol", "max_panels", "format", "out", "quiet")
+# the settings that pick the sequence and the bath, in --help order; a
+# command takes those it does not read only at their defaults (_resolve_config)
+_SOURCES = ("scheme", "n", "alpha", "temperature", "omega_d", "deltas", "deltas_file",
+            "bath_csv")
+_INPUTS = (*_SOURCES, "alphas", "temperatures")
+_RUN = ("rel_tol", "max_panels", "format", "out", "quiet")
 _GRID = ("tmin", "tmax", "points", "spacing")
 _STORAGE = ("epsilon", "include_phase")
+# per subcommand: its handler, its --help line and the settings it takes,
+# in --help order; min-pulses generates its own sequences, compare sweeps
+# both generated schemes over the ohmic baths of alphas and temperatures,
+# and mc has only the ohmic classical bath
 _COMMANDS = {
-    "signal": (cmd_signal, "signal curve over a time grid", (*_COMMON, *_GRID)),
+    "signal": (cmd_signal, "signal curve over a time grid", (*_SOURCES, *_RUN, *_GRID)),
     "storage": (cmd_storage, "first time the storage error hits epsilon",
-                (*_COMMON, *_STORAGE)),
+                (*_SOURCES, *_RUN, *_STORAGE)),
     "min-pulses": (cmd_min_pulses, "smallest pulse count reaching a storage time",
-                   (*_COMMON, *_STORAGE, "t_target")),
+                   ("scheme", "alpha", "temperature", "omega_d", "bath_csv", *_RUN, *_STORAGE,
+                    "t_target")),
     "compare": (cmd_compare, "equidistant vs optimized sweep table",
-                (*(s for s in _COMMON if s not in ("alpha", "temperature")), *_GRID, *_STORAGE,
-                 "alphas", "temperatures")),
+                ("n", "omega_d", *_RUN, *_GRID, *_STORAGE, "alphas", "temperatures")),
     "mc": (cmd_mc, "Monte Carlo cross-check of the classical signal",
-           (*_COMMON, "t", "samples", "dt", "mode_count", "seed")),
+           ("scheme", "n", "alpha", "temperature", "omega_d", "deltas", "deltas_file", *_RUN,
+            "t", "samples", "dt", "mode_count", "seed")),
 }
 _HELP = {
     "deltas": "comma-separated custom pulse instants in (0,1)",
@@ -396,7 +390,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Merge defaults, config file, and explicit flags into a RunConfig."""
+    """Merge defaults, config file, and explicit flags into a RunConfig.
+
+    A sequence or bath input that the command does not read must keep its
+    default, so that no run records an input it did not use; only a config
+    file can set one, since the command has no flag for it.
+    """
     merged: dict = {}
     if args.config:
         with open(args.config) as fh:
@@ -410,6 +409,11 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
                        for key, value in file_cfg.items()})
     merged.update((key, value) for key, value in vars(args).items()
                   if value is not None and key not in ("command", "config"))
+    read = _COMMANDS[args.command][2]
+    for name in (s for s in _INPUTS if s in merged and s not in read):
+        if merged[name] != getattr(RunConfig, name):
+            raise ValueError(f"{args.command} does not read {name}; its sequence and bath "
+                             f"inputs are {', '.join(s for s in _INPUTS if s in read)}")
     return RunConfig(**merged)
 
 

@@ -167,6 +167,23 @@ class TestStorageOracle:
         bath = TabulatedSpectralDensity(om, 0.5 * om * np.exp(-om ** 2), temperature=0.05)
         assert_matches_reference(seq, bath, 1e-4, quad)
 
+    # a bump in W(w)/w: the error reaches epsilon, dips below it and
+    # returns, so the grid search can miss the first crossing (ROADMAP item 1)
+    BUMP_OMEGA = np.linspace(0.0, 1.0, 101)
+    BUMP = TabulatedSpectralDensity(
+        BUMP_OMEGA, 0.25 * BUMP_OMEGA ** 3 * np.exp(-((BUMP_OMEGA - 0.8) / 0.05) ** 2))
+
+    @pytest.mark.xfail(strict=True, raises=(AssertionError, RangeExhaustedError),
+                       reason="the grid search assumes one crossing; a bump table "
+                              "breaks it (ROADMAP item 1)")
+    @pytest.mark.parametrize("epsilon, t_first", [(0.0275, 3.63028), (0.053, 4.51840)])
+    def test_bump_table_first_crossing(self, quad, epsilon, t_first):
+        res = storage_time(udd(1), self.BUMP, epsilon, quad)
+        t_ref, _, _ = reference_storage(lambda t: decay_error(udd(1), self.BUMP, t, quad),
+                                        epsilon)
+        assert t_ref == pytest.approx(t_first, rel=1e-5)
+        assert res.t_store == pytest.approx(t_ref, rel=1e-6)
+
     def test_udd100_work_counter(self, quad):
         # machine-independent cost: the linear scan needed 65 evaluations
         res = storage_time(udd(100), OhmicBath(alpha=0.25), 1e-4, quad)
@@ -373,6 +390,22 @@ class TestCompareSchemes:
     def test_grid_validation(self, quad):
         with pytest.raises(ValueError):
             compare_schemes(2, [0.25], [0.0], [2.0, 1.0], quad)
+
+    @pytest.mark.parametrize("alphas, temperatures, match", [
+        ([0.25, -1.0], [0.0], "alpha must be >= 0"),
+        ([0.25], [0.0, -0.5], "temperature must be >= 0")], ids=["alpha", "temperature"])
+    def test_baths_checked_before_any_cell(self, quad, monkeypatch, alphas, temperatures,
+                                           match):
+        cells = []
+
+        def counted(*args):
+            cells.append(args)
+            return signal(*args)
+
+        monkeypatch.setattr(ddlab.analysis, "signal", counted)
+        with pytest.raises(ValueError, match=match):
+            compare_schemes(2, alphas, temperatures, [1.0, 2.0], quad)
+        assert cells == []
 
     @pytest.mark.parametrize("t", [math.inf, math.nan])
     def test_non_finite_grid_rejected(self, quad, t):

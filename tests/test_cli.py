@@ -31,6 +31,17 @@ def parse_csv(text):
     return comments, rows
 
 
+def unrecognized(args, capsys):
+    """Run a command line that argparse refuses: exit 2, before any work."""
+    with pytest.raises(SystemExit) as exc_info:
+        main(args)
+    assert exc_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
+    return captured.err
+
+
 def embedded_config(comments):
     line = next(ln for ln in comments if ln.startswith("# config: "))
     return json.loads(line[len("# config: "):])
@@ -225,11 +236,14 @@ class TestMinPulsesCommand:
         assert len(solves) <= 8
 
     def test_custom_scheme_exit_2(self, capsys):
-        code, out, err = run_cli(
+        # min-pulses generates its sequences: it has no deltas flag, and
+        # min_pulses refuses scheme custom before any solve
+        assert "--deltas 0.5" in unrecognized(
             ["min-pulses", "--scheme", "custom", "--deltas", "0.5", "--quiet"], capsys)
+        code, out, err = run_cli(["min-pulses", "--scheme", "custom", "--quiet"], capsys)
         assert code == 2
         assert out == ""
-        assert "min-pulses needs scheme udd or equidistant" in err
+        assert "scheme must be one of ['equidistant', 'udd'], got 'custom'" in err
 
 
 class TestCompareCommand:
@@ -272,6 +286,17 @@ class TestCompareCommand:
             assert r["t"] == ""
             assert r["error"].startswith("RangeExhaustedError: storage error stayed below")
         assert [r["alpha"] for r in rows if r["kind"] == "ratio"] == ["0.25"]
+
+    @pytest.mark.parametrize("flag", ["--alphas=0.25,-1", "--temperatures=0,-0.5"])
+    def test_bad_bath_exit_2_before_any_cell(self, capsys, monkeypatch, flag):
+        cells = []
+        monkeypatch.setattr(ddlab.analysis, "signal", lambda *args: cells.append(args))
+        code, out, err = run_cli(["compare", "--n", "2", flag, "--tmin", "1", "--tmax", "2",
+                                  "--points", "2", "--quiet"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "must be >= 0" in err
+        assert cells == []
 
     @pytest.mark.parametrize("epsilon", ["2", "0", "-1e-4", "1"])
     def test_bad_epsilon_exit_2_before_any_cell(self, capsys, monkeypatch, epsilon):
@@ -321,16 +346,21 @@ class TestCompareCommand:
         ("--bath-csv", "missing.csv", "bath_csv"),
         ("--deltas", "0.5", "deltas"),
         ("--deltas-file", "missing.csv", "deltas_file")])
-    def test_unused_sequence_and_bath_inputs_rejected(self, capsys, flag, value, field):
+    def test_unused_sequence_and_bath_inputs_rejected(self, tmp_path, capsys, flag, value,
+                                                      field):
         # compare sweeps the ohmic baths of --alphas with the generated
-        # schemes; a custom sequence or a table would be silently ignored
-        code, out, err = run_cli(
-            ["compare", "--scheme", "custom", "--n", "2", "--alphas", "0.25",
-             "--tmin", "1", "--tmax", "2", "--points", "2", flag, value, "--quiet"],
-            capsys)
+        # schemes; a custom sequence or a table would be silently ignored,
+        # so it has no flag for them, and a config file may not set them
+        args = ["compare", "--n", "2", "--alphas", "0.25", "--tmin", "1", "--tmax", "2",
+                "--points", "2", "--quiet"]
+        assert f"{flag} {value}" in unrecognized(args + [flag, value], capsys)
+        assert "--scheme custom" in unrecognized(args + ["--scheme", "custom"], capsys)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({field: [0.5] if field == "deltas" else value}))
+        code, out, err = run_cli(args + ["--config", str(cfg)], capsys)
         assert code == 2
         assert out == ""
-        assert f"{field} is not supported" in err
+        assert f"compare does not read {field};" in err
 
     @pytest.mark.parametrize("flags", [["--alpha", "0.5"], ["--temperature", "0.3"],
                                        ["--alpha", "0.5", "--temperature", "0.3"]],
@@ -376,6 +406,58 @@ class TestCompareCommand:
         assert code == 2
         assert out == ""
         assert f"{field} must not be empty" in err
+
+
+class TestUnreadInputs:
+    """A command offers exactly the sequence and bath inputs it reads; a
+    config file may set any other only to its RunConfig default."""
+
+    READS = {
+        "signal": ddlab.cli._SOURCES,
+        "storage": ddlab.cli._SOURCES,
+        "min-pulses": ("scheme", "alpha", "temperature", "omega_d", "bath_csv"),
+        "compare": ("n", "omega_d", "alphas", "temperatures"),
+        "mc": ("scheme", "n", "alpha", "temperature", "omega_d", "deltas", "deltas_file"),
+    }
+    # a value other than the default for each input
+    OTHER = {"scheme": "equidistant", "n": 5, "alpha": 0.5, "temperature": 0.3,
+             "deltas": [0.5], "deltas_file": "seq.csv", "bath_csv": "bath.csv",
+             "alphas": [0.5], "temperatures": [0.3]}
+
+    @pytest.mark.parametrize("command", list(READS))
+    def test_offered_flags_are_the_read_inputs(self, command):
+        parser = TestParser.subparsers()[command]
+        offered = [a.dest for a in parser._actions if a.dest in ddlab.cli._INPUTS]
+        assert tuple(offered) == self.READS[command]
+
+    @pytest.mark.parametrize("command, name", [
+        (command, name) for command, reads in READS.items()
+        for name in ddlab.cli._INPUTS if name not in reads])
+    def test_unread_input_in_config_exit_2(self, tmp_path, capsys, monkeypatch, command,
+                                           name):
+        def unreachable(cfg):
+            raise AssertionError("the command ran")
+
+        entry = ddlab.cli._COMMANDS[command]
+        monkeypatch.setitem(ddlab.cli._COMMANDS, command, (unreachable, *entry[1:]))
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({name: self.OTHER[name]}))
+        code, out, err = run_cli([command, "--config", str(cfg), "--quiet"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == (f"ddlab: configuration error: {command} does not read {name}; its "
+                       f"sequence and bath inputs are {', '.join(self.READS[command])}\n")
+
+    def test_rule_comes_before_the_settings_checks(self, tmp_path, capsys):
+        # compare reads n but not scheme: the scheme is named, not the n
+        # that scheme custom would refuse
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"scheme": "custom"}))
+        code, out, err = run_cli(["compare", "--config", str(cfg), "--n", "5", "--quiet"],
+                                 capsys)
+        assert code == 2
+        assert out == ""
+        assert "compare does not read scheme;" in err
 
 
 class TestMcCommand:
@@ -511,15 +593,14 @@ class TestMcCommand:
                 "--samples", "200", "--quiet"]
         missing = str(tmp_path / "missing.csv")
         if source == "flag":
-            args += ["--bath-csv", missing]
-        else:
-            cfg = tmp_path / "run.json"
-            cfg.write_text(json.dumps({"bath_csv": missing}))
-            args += ["--config", str(cfg)]
-        code, out, err = run_cli(args, capsys)
+            unrecognized(args + ["--bath-csv", missing], capsys)
+            return
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"bath_csv": missing}))
+        code, out, err = run_cli(args + ["--config", str(cfg)], capsys)
         assert code == 2
         assert out == ""
-        assert "bath_csv" in err
+        assert "mc does not read bath_csv;" in err
 
 
 class TestConfigHandling:
@@ -572,7 +653,9 @@ class TestConfigHandling:
     def test_wrongly_typed_config_value_exit_2(self, tmp_path, capsys, field, value):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({field: value}))
-        code, out, err = run_cli(["storage", "--config", str(cfg), "--epsilon", "1e-3"],
+        # storage does not read alphas, so it refuses any value; compare does
+        command = "compare" if field == "alphas" else "storage"
+        code, out, err = run_cli([command, "--config", str(cfg), "--epsilon", "1e-3"],
                                  capsys)
         assert code == 2
         assert out == ""
@@ -595,12 +678,36 @@ class TestConfigHandling:
         ("--deltas", "0.3,0.6", "deltas"), ("--deltas-file", "missing.csv", "deltas_file")])
     def test_deltas_need_custom_scheme(self, capsys, command, flag, value, field):
         # a generated scheme builds its own instants; the deltas would be
-        # recorded in the embedded config but never used
-        code, out, err = run_cli(command + ["--scheme", "udd", flag, value, "--quiet"],
-                                 capsys)
+        # recorded in the embedded config but never used; min-pulses only
+        # generates, so it has no flag for them
+        args = command + ["--scheme", "udd", flag, value, "--quiet"]
+        if command[0] == "min-pulses":
+            unrecognized(args, capsys)
+            return
+        code, out, err = run_cli(args, capsys)
         assert code == 2
         assert out == ""
         assert f"{field} needs scheme custom" in err
+
+    @pytest.mark.parametrize("command", [
+        ["signal", "--points", "2", "--tmin", "1", "--tmax", "2"], ["storage"],
+        ["mc", "--t", "1", "--samples", "100"]], ids=["signal", "storage", "mc"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_n_needs_generated_scheme(self, tmp_path, capsys, command, source):
+        # custom instants fix the pulse count; an n would be recorded in the
+        # embedded config but never used
+        args = command + ["--scheme", "custom", "--deltas", "0.5", "--quiet"]
+        if source == "flag":
+            args += ["--n", "5"]
+        else:
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps({"n": 5}))
+            args += ["--config", str(cfg)]
+        code, out, err = run_cli(args, capsys)
+        assert code == 2
+        assert out == ""
+        assert "n needs scheme udd or equidistant, got 'custom'" in err
+        assert RunConfig(scheme="custom", deltas=(0.5,), n=0).n == 0
 
     def test_inline_and_file_deltas_exclude_each_other(self, tmp_path, capsys):
         path = tmp_path / "seq.csv"
