@@ -233,6 +233,11 @@ def min_pulses(scheme: str, bath: Bath, epsilon: float, t_target: float,
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One row of compare_schemes.  kind "signal" gives s_n(t) at t, kind
+    "storage" the scheme's storage time as t, and kind "ratio" the
+    udd/equidistant storage-time ratio; a cell that the kind does not fill
+    is NaN."""
+
     scheme: str
     n: int
     alpha: float
@@ -241,34 +246,59 @@ class SweepRow:
     s: float
     one_minus_s: float
     error: str = ""
+    kind: str = "signal"
+    ratio: float = math.nan
 
 
 def compare_schemes(n: int, alphas, temperatures, t_grid,
                     quad: QuadratureSpec = QuadratureSpec(),
-                    omega_d: float = 1.0) -> tuple[SweepRow, ...]:
-    """Rows of s_n(t) for both schemes over the Cartesian parameter grid.
+                    omega_d: float = 1.0, epsilon: float | None = None,
+                    include_phase: bool = False) -> tuple[SweepRow, ...]:
+    """Rows of s_n(t) for both schemes over the Cartesian parameter grid,
+    then, with epsilon, their storage times and the udd/equidistant ratio.
 
     Row order is deterministic: scheme (equidistant, udd), then alpha and
-    temperature in the order given, then t ascending.  A cell whose
-    signal raises QuadratureError records it in the row's error field
-    rather than aborting the sweep.  Baths and grid are checked before the
-    cells, so any other exception, ValueError too, is a fault and propagates.
+    temperature in the order given, then t ascending.  With epsilon the
+    storage rows follow, per bath (alpha, then temperature): one row per
+    scheme with storage_time's t_store as t, then the ratio row where both
+    schemes solved.  include_phase selects the storage error as in
+    storage_time, so it needs epsilon.  A signal cell that raises
+    QuadratureError, or a solve that raises it or RangeExhaustedError,
+    records it in the row's error field rather than aborting the sweep.
+    Settings, baths and grid are checked before the cells, so any other
+    exception, ValueError too, is a fault and propagates.
     """
+    if include_phase and epsilon is None:
+        raise ValueError("include_phase needs epsilon, since only the storage rows read it")
+    if epsilon is not None and not (0.0 < epsilon < 1.0):
+        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     ts = _checked_grid(t_grid)
     baths = [OhmicBath(alpha=alpha, omega_d=omega_d, temperature=temp)
              for alpha in alphas for temp in temperatures]
+    seqs = {scheme: build(n) for scheme, build in _GENERATORS.items()}
+
+    def row(scheme, bath, t=math.nan, s=math.nan, **cells):
+        return SweepRow(scheme, n, float(bath.alpha), float(bath.temperature), t, s, 1.0 - s,
+                        **cells)
+
     rows = []
-    for scheme, build in _GENERATORS.items():
-        seq = build(n)
+    for scheme, seq in seqs.items():
         for bath in baths:
-            alpha, temp = float(bath.alpha), float(bath.temperature)
-            for t in ts:
+            for t in ts.tolist():
                 try:
-                    pt = signal(seq, bath, float(t), quad)
-                    rows.append(SweepRow(scheme, n, alpha, temp,
-                                         float(t), pt.signal, 1.0 - pt.signal))
+                    rows.append(row(scheme, bath, t, signal(seq, bath, t, quad).signal))
                 except QuadratureError as exc:
-                    rows.append(SweepRow(scheme, n, alpha, temp,
-                                         float(t), math.nan, math.nan,
-                                         error=f"{type(exc).__name__}: {exc}"))
+                    rows.append(row(scheme, bath, t, error=f"{type(exc).__name__}: {exc}"))
+    for bath in baths if epsilon is not None else ():
+        stores = {}
+        for scheme, seq in seqs.items():
+            try:
+                stores[scheme] = storage_time(seq, bath, epsilon, quad, include_phase).t_store
+                rows.append(row(scheme, bath, stores[scheme], kind="storage"))
+            except (RangeExhaustedError, QuadratureError) as exc:
+                rows.append(row(scheme, bath, error=f"{type(exc).__name__}: {exc}",
+                                kind="storage"))
+        if stores.keys() == seqs.keys():
+            rows.append(row("udd/equidistant", bath, kind="ratio",
+                            ratio=stores["udd"] / stores["equidistant"]))
     return tuple(rows)

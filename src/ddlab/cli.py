@@ -49,9 +49,11 @@ EXIT_CONFIG = 2
 EXIT_QUADRATURE = 3
 EXIT_RANGE = 4
 
-# the values a setting may take, checked by RunConfig and offered by --help
+# the values a setting may take, checked by RunConfig and offered by --help;
+# a (command, setting) key narrows what that command offers: min-pulses
+# searches over the generated schemes only
 _CHOICES = {"scheme": ("udd", "equidistant", "custom"), "spacing": ("log", "linear"),
-            "format": ("csv", "json")}
+            "format": ("csv", "json"), ("min-pulses", "scheme"): ("udd", "equidistant")}
 
 
 @dataclass(frozen=True)
@@ -263,41 +265,27 @@ def cmd_min_pulses(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _blank(value: float):
+    return "" if math.isnan(value) else value
+
+
 def cmd_compare(cfg: RunConfig) -> int:
     grid = _time_grid(cfg)
     _progress(cfg, f"compare: n={cfg.n}, {len(cfg.alphas)} alphas, "
                    f"{len(cfg.temperatures)} temperatures, {len(grid)} times")
-    table = compare_schemes(cfg.n, cfg.alphas, cfg.temperatures, grid,
-                            _quad(cfg), omega_d=cfg.omega_d)
-    cols = ["kind", "scheme", "n", "alpha", "temperature", "t", "s", "one_minus_s",
-            "ratio", "error"]
-    rows = [("signal", r.scheme, r.n, r.alpha, r.temperature, r.t,
-             r.s, r.one_minus_s, "", r.error) for r in table]
-    any_ok = any(not r.error for r in table)
-    if cfg.epsilon is not None:
-        quad = _quad(cfg)
-        for alpha in cfg.alphas:
-            for temp in cfg.temperatures:
-                bath = OhmicBath(alpha=alpha, omega_d=cfg.omega_d, temperature=temp)
-                stores = {}
-                for scheme, build in _GENERATORS.items():
-                    try:
-                        res = storage_time(build(cfg.n), bath, cfg.epsilon, quad,
-                                           include_phase=cfg.include_phase)
-                        stores[scheme] = res.t_store
-                        rows.append(("storage", scheme, cfg.n, alpha, temp,
-                                     res.t_store, "", "", "", ""))
-                    except (RangeExhaustedError, QuadratureError) as exc:
-                        rows.append(("storage", scheme, cfg.n, alpha, temp,
-                                     "", "", "", "", f"{type(exc).__name__}: {exc}"))
-                if "udd" in stores and "equidistant" in stores:
-                    ratio = stores["udd"] / stores["equidistant"]
-                    rows.append(("ratio", "udd/equidistant", cfg.n, alpha,
-                                 temp, "", "", "", ratio, ""))
-                    any_ok = True
-    if not any_ok:
+    table = compare_schemes(cfg.n, cfg.alphas, cfg.temperatures, grid, _quad(cfg),
+                            omega_d=cfg.omega_d, epsilon=cfg.epsilon,
+                            include_phase=cfg.include_phase)
+    # a storage row counts only through its bath's ratio row
+    if all(r.error or r.kind == "storage" for r in table):
         raise QuadratureError("every sweep cell failed", estimate=math.nan,
                               error_bound=math.nan)
+    cols = ["kind", "scheme", "n", "alpha", "temperature", "t", "s", "one_minus_s",
+            "ratio", "error"]
+    # a signal row shows its NaN s; other kinds leave the cells they do not fill empty
+    rows = [(r.kind, r.scheme, r.n, r.alpha, r.temperature, _blank(r.t),
+             *((r.s, r.one_minus_s) if r.kind == "signal" else ("", "")),
+             _blank(r.ratio), r.error) for r in table]
     _write_output(cfg, "compare", cols, rows)
     return EXIT_OK
 
@@ -359,16 +347,16 @@ _HELP = {
 }
 
 
-def _flag_kwargs(name: str) -> dict:
-    """add_argument's keywords for a setting: its help, and the conversion
-    its type hint asks for (X | None as X, a bool a bare flag, a tuple
-    comma-separated floats) with its choices."""
+def _flag_kwargs(command: str, name: str) -> dict:
+    """add_argument's keywords for a setting of a command: its help, and the
+    conversion its type hint asks for (X | None as X, a bool a bare flag, a
+    tuple comma-separated floats) with the choices the command offers."""
     hint = _HINTS[name]
     if typing.get_origin(hint) is not tuple and typing.get_args(hint):
         hint = typing.get_args(hint)[0]  # X | None
     if hint is bool:
         return {"help": _HELP.get(name), "action": "store_const", "const": True}
-    return {"help": _HELP.get(name), "choices": _CHOICES.get(name),
+    return {"help": _HELP.get(name), "choices": _CHOICES.get((command, name), _CHOICES.get(name)),
             "type": _parse_floats if typing.get_origin(hint) is tuple else hint}
 
 
@@ -385,7 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=help_line, allow_abbrev=command != "compare")
         p.add_argument("--config", help="JSON file mirroring the flags; flags override")
         for name in settings:
-            p.add_argument("--" + name.replace("_", "-"), **_flag_kwargs(name))
+            p.add_argument("--" + name.replace("_", "-"), **_flag_kwargs(command, name))
     return parser
 
 

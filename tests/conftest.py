@@ -76,6 +76,48 @@ def thermal_chi(deltas: tuple, alpha: float, temperature: float, t: float) -> fl
     raise AssertionError("thermal closed form did not settle below 2000 digits")
 
 
+@functools.lru_cache(maxsize=None)
+def table_chi(deltas: tuple, omegas: tuple, values: tuple, t: float) -> float:
+    """Exact chi of the instants deltas on a tabulated bath at T = 0, at 40
+    digits: J linear between the knots, held at values[0] below the first
+    and 0 past the last (TabulatedSpectralDensity).
+
+    With c_j the filter's term weights over (0, d_1..d_n, 1), a = t |d_j - d_k|
+    and J = p + q w on each segment [u, v]:
+        chi = -(1/4) sum_{j,k} c_j c_k sum_segments I(a),
+        I(a) = p [G(v) - G(u)] + q [Cin(a v) - Cin(a u)],
+        G(w) = -(1 - cos a w)/w + a Si(a w),
+    since G' = (1 - cos a w)/w^2 and (d/dw) Cin(a w) = (1 - cos a w)/w.
+    """
+    with mpmath.workdps(40):
+        n = len(deltas)
+        d = [mpmath.mpf(0)] + [mpmath.mpf(x) for x in deltas] + [mpmath.mpf(1)]
+        c = [1] + [2 * (-1) ** m for m in range(1, n + 1)] + [(-1) ** (n + 1)]
+        om = [mpmath.mpf(x) for x in omegas]
+        jv = [mpmath.mpf(x) for x in values]
+        # (u, v, p, q) per segment, the held first value included
+        segments = [(mpmath.mpf(0), om[0], jv[0], 0)] if om[0] > 0 else []
+        for i in range(len(om) - 1):
+            q = (jv[i + 1] - jv[i]) / (om[i + 1] - om[i])
+            segments.append((om[i], om[i + 1], jv[i] - q * om[i], q))
+
+        def g(a, w):
+            return -(1 - mpmath.cos(a * w)) / w + a * mpmath.si(a * w) if w else 0
+
+        def cin(x):
+            return mpmath.euler + mpmath.log(x) - mpmath.ci(x) if x else 0
+
+        pairs = mpmath.mpf(0)
+        for j in range(n + 2):
+            for k in range(j + 1, n + 2):
+                a = t * (d[k] - d[j])
+                knots = {w: (g(a, w), cin(a * w)) for seg in segments for w in seg[:2]}
+                pairs += c[j] * c[k] * mpmath.fsum(
+                    p * (knots[v][0] - knots[u][0]) + q * (knots[v][1] - knots[u][1])
+                    for u, v, p, q in segments)
+        return float(-pairs / 2)
+
+
 # grid shared by the path-equality and quadrature-consistency checks
 STANDARD_GRID = [
     (build, n, alpha, temp, t)

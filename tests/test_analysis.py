@@ -411,3 +411,82 @@ class TestCompareSchemes:
     def test_non_finite_grid_rejected(self, quad, t):
         with pytest.raises(ValueError, match="finite"):
             compare_schemes(2, [0.25], [0.0], [1.0, t], quad)
+
+    @pytest.mark.parametrize("include_phase", [False, True])
+    def test_storage_rows_are_storage_time(self, quad, include_phase):
+        # per bath, alpha then temperature: one storage row per scheme, then
+        # the udd/equidistant ratio, after every signal row
+        table = compare_schemes(2, [0.25, 0.1], [0.0, 0.1], [1.0], quad, epsilon=1e-3,
+                                include_phase=include_phase)
+        assert [r.kind for r in table] == ["signal"] * 8 + ["storage", "storage", "ratio"] * 4
+        storage = iter(table[8:])
+        for alpha in (0.25, 0.1):
+            for temp in (0.0, 0.1):
+                bath = OhmicBath(alpha=alpha, temperature=temp)
+                eq, ud, ratio = next(storage), next(storage), next(storage)
+                stores = []
+                for row, scheme, seq in ((eq, "equidistant", equidistant(2)),
+                                         (ud, "udd", udd(2))):
+                    t_store = storage_time(seq, bath, 1e-3, quad, include_phase).t_store
+                    assert (row.scheme, row.n, row.alpha, row.temperature, row.t, row.error) == (
+                        scheme, 2, alpha, temp, t_store, "")
+                    assert math.isnan(row.s) and math.isnan(row.one_minus_s)
+                    assert math.isnan(row.ratio)
+                    stores.append(t_store)
+                assert (ratio.scheme, ratio.alpha, ratio.temperature, ratio.error) == (
+                    "udd/equidistant", alpha, temp, "")
+                assert ratio.ratio == stores[1] / stores[0]
+                assert math.isnan(ratio.t) and math.isnan(ratio.s)
+
+    def test_without_epsilon_only_signal_rows(self, quad):
+        table = compare_schemes(2, [0.25], [0.0], [1.0, 2.0], quad)
+        assert [r.kind for r in table] == ["signal"] * 4
+        assert all(math.isnan(r.ratio) for r in table)
+
+    def test_each_bath_built_once(self, quad, monkeypatch):
+        built = []
+
+        def counted(**kwargs):
+            built.append(kwargs)
+            return OhmicBath(**kwargs)
+
+        monkeypatch.setattr(ddlab.analysis, "OhmicBath", counted)
+        compare_schemes(1, [0.25, 0.1], [0.0, 0.1], [1.0], quad, epsilon=1e-2)
+        assert [(b["alpha"], b["temperature"]) for b in built] == [
+            (0.25, 0.0), (0.25, 0.1), (0.1, 0.0), (0.1, 0.1)]
+
+    def test_failed_solve_becomes_row_error(self, quad, monkeypatch):
+        # alpha = 0 never reaches epsilon; a QuadratureError in a solve is
+        # recorded too; a bath without both solves has no ratio row
+        table = compare_schemes(2, [0.0, 0.25], [0.0], [1.0], quad, epsilon=1e-4)
+        storage = [r for r in table if r.kind == "storage"]
+        assert [(r.alpha, r.scheme) for r in storage] == [
+            (0.0, "equidistant"), (0.0, "udd"), (0.25, "equidistant"), (0.25, "udd")]
+        for r in storage[:2]:
+            assert r.error.startswith("RangeExhaustedError: storage error stayed below")
+            assert math.isnan(r.t)
+        assert [r.alpha for r in table if r.kind == "ratio"] == [0.25]
+
+        def failing(seq, *args):
+            if seq == udd(2):
+                raise QuadratureError("no convergence", estimate=0.0, error_bound=1.0)
+            return storage_time(seq, *args)
+
+        monkeypatch.setattr(ddlab.analysis, "storage_time", failing)
+        table = compare_schemes(2, [0.25], [0.0], [1.0], quad, epsilon=1e-4)
+        assert [(r.kind, r.scheme, r.error) for r in table[2:]] == [
+            ("storage", "equidistant", ""),
+            ("storage", "udd", "QuadratureError: no convergence")]
+
+    @pytest.mark.parametrize("settings, match", [
+        ({"include_phase": True}, "include_phase needs epsilon"),
+        ({"epsilon": 0.0}, r"epsilon must be in \(0, 1\)"),
+        ({"epsilon": 1.0, "include_phase": True}, r"epsilon must be in \(0, 1\)")],
+        ids=["phase-without-epsilon", "epsilon-0", "epsilon-1"])
+    def test_storage_settings_checked_before_any_cell(self, quad, monkeypatch, settings,
+                                                      match):
+        cells = []
+        monkeypatch.setattr(ddlab.analysis, "signal", lambda *args: cells.append(args))
+        with pytest.raises(ValueError, match=match):
+            compare_schemes(2, [0.25], [0.0], [1.0, 2.0], quad, **settings)
+        assert cells == []

@@ -235,15 +235,38 @@ class TestMinPulsesCommand:
         assert "storage time stalls at 0.05657908389" in err
         assert len(solves) <= 8
 
-    def test_custom_scheme_exit_2(self, capsys):
-        # min-pulses generates its sequences: it has no deltas flag, and
-        # min_pulses refuses scheme custom before any solve
-        assert "--deltas 0.5" in unrecognized(
-            ["min-pulses", "--scheme", "custom", "--deltas", "0.5", "--quiet"], capsys)
-        code, out, err = run_cli(["min-pulses", "--scheme", "custom", "--quiet"], capsys)
+    def test_custom_scheme_exit_2(self, tmp_path, capsys):
+        # min-pulses generates its sequences: it has no deltas flag, its
+        # --scheme offers no custom, and min_pulses refuses scheme custom
+        # from a config file before any solve
+        assert "--deltas 0.5" in unrecognized(["min-pulses", "--deltas", "0.5", "--quiet"],
+                                              capsys)
+        with pytest.raises(SystemExit) as exc_info:
+            main(["min-pulses", "--scheme", "custom", "--t-target", "1", "--quiet"])
+        assert exc_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --scheme: invalid choice: 'custom'" in captured.err
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"scheme": "custom"}))
+        code, out, err = run_cli(["min-pulses", "--config", str(cfg), "--quiet"], capsys)
         assert code == 2
         assert out == ""
         assert "scheme must be one of ['equidistant', 'udd'], got 'custom'" in err
+
+    def test_help_offers_the_generated_schemes(self, capsys):
+        # min-pulses offers udd and equidistant; the commands that take a
+        # custom sequence still offer custom
+        offered = {command: next(a.choices for a in parser._actions if a.dest == "scheme")
+                   for command, parser in TestParser.subparsers().items()
+                   if command != "compare"}
+        assert offered == {"signal": ("udd", "equidistant", "custom"),
+                           "storage": ("udd", "equidistant", "custom"),
+                           "min-pulses": ("udd", "equidistant"),
+                           "mc": ("udd", "equidistant", "custom")}
+        with pytest.raises(SystemExit):
+            main(["min-pulses", "--help"])
+        assert "--scheme {udd,equidistant}]" in capsys.readouterr().out
 
 
 class TestCompareCommand:
@@ -298,6 +321,50 @@ class TestCompareCommand:
         assert "must be >= 0" in err
         assert cells == []
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_include_phase_needs_epsilon_exit_2(self, tmp_path, capsys, monkeypatch, source):
+        # include_phase selects only the storage rows' error, which need
+        # epsilon; without it the flag would be recorded and ignored
+        cells = []
+        monkeypatch.setattr(ddlab.analysis, "signal", lambda *args: cells.append(args))
+        args = ["compare", "--n", "2", "--alphas", "0.25", "--tmin", "1", "--tmax", "2",
+                "--points", "2", "--quiet"]
+        if source == "flag":
+            args.append("--include-phase")
+        else:
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps({"include_phase": True}))
+            args += ["--config", str(cfg)]
+        code, out, err = run_cli(args, capsys)
+        assert code == 2
+        assert out == ""
+        assert err == ("ddlab: configuration error: include_phase needs epsilon, since only "
+                       "the storage rows read it\n")
+        assert cells == []
+
+    def test_rows_come_from_compare_schemes(self, capsys, monkeypatch):
+        # the command formats compare_schemes' rows: it builds no bath and
+        # solves nothing itself
+        def unreachable(*args, **kwargs):
+            raise AssertionError("cmd_compare built a bath or solved")
+
+        monkeypatch.setattr(ddlab.cli, "storage_time", unreachable)
+        monkeypatch.setattr(ddlab.cli, "OhmicBath", unreachable)
+        code, out, _ = run_cli(
+            ["compare", "--n", "2", "--alphas", "0.25", "--temperatures", "0,0.1",
+             "--tmin", "0.5", "--tmax", "1", "--points", "2", "--epsilon", "1e-3",
+             "--include-phase", "--quiet"], capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        table = ddlab.compare_schemes(2, (0.25,), (0.0, 0.1), np.geomspace(0.5, 1.0, 2),
+                                      epsilon=1e-3, include_phase=True)
+        assert [r["kind"] for r in rows] == [r.kind for r in table]
+        for cells, r in zip(rows, table):
+            if r.kind == "storage":
+                assert (float(cells["t"]), cells["s"], cells["ratio"]) == (r.t, "", "")
+            if r.kind == "ratio":
+                assert (cells["t"], float(cells["ratio"])) == ("", r.ratio)
+
     @pytest.mark.parametrize("epsilon", ["2", "0", "-1e-4", "1"])
     def test_bad_epsilon_exit_2_before_any_cell(self, capsys, monkeypatch, epsilon):
         def unreachable(*args, **kwargs):
@@ -341,6 +408,18 @@ class TestCompareCommand:
         else:
             assert kinds[4:] == []
 
+
+    def test_config_integers_print_as_floats_in_every_row(self, tmp_path, capsys):
+        # every row takes alpha and temperature from the bath compare_schemes
+        # built, so an integer in a config file prints alike in all kinds
+        path = tmp_path / "compare.json"
+        path.write_text(json.dumps({"n": 2, "alphas": [1], "temperatures": [0],
+                                    "epsilon": 1e-3, "tmin": 0.5, "tmax": 1.0, "points": 2}))
+        code, out, _ = run_cli(["compare", "--config", str(path), "--quiet"], capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [r["kind"] for r in rows] == ["signal"] * 4 + ["storage", "storage", "ratio"]
+        assert {(r["alpha"], r["temperature"]) for r in rows} == {("1.0", "0.0")}
 
     @pytest.mark.parametrize("flag, value, field", [
         ("--bath-csv", "missing.csv", "bath_csv"),
@@ -947,11 +1026,12 @@ class TestParser:
         assert dests == {f.name for f in dataclasses.fields(RunConfig)}
 
     def test_offered_choices_are_the_accepted_ones(self):
-        offered = {action.dest: action.choices
+        # every command's list: min-pulses offers fewer schemes than the others
+        offered = [(action.dest, action.choices)
                    for sub in self.subparsers().values() for action in sub._actions
-                   if action.choices is not None}
-        assert set(offered) == {"scheme", "spacing", "format"}
-        for name, choices in offered.items():
+                   if action.choices is not None]
+        assert {name for name, _ in offered} == {"scheme", "spacing", "format"}
+        for name, choices in offered:
             for value in choices:
                 extra = {"deltas": (0.5,)} if value == "custom" else {}
                 assert getattr(RunConfig(**{name: value}, **extra), name) == value

@@ -23,7 +23,7 @@ from ddlab import (
     udd,
 )
 from ddlab.quadrature import integrate_adaptive
-from conftest import STANDARD_GRID, classical_twin, thermal_chi
+from conftest import STANDARD_GRID, classical_twin, table_chi, thermal_chi
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -150,6 +150,32 @@ class TestThermalClosedForm:
         # the bound of the T = 0 closed forms; the worst case here is
         # udd(3) at t = 0.5, 1.0e-13 relative
         exact = thermal_chi(seq.deltas, 0.1, 0.25, t)
+        assert abs(chi(seq, bath, t, quad) - exact) <= 1e-12 * exact
+
+
+_BUMP_OMEGA = np.linspace(0.0, 1.0, 101)
+# (omegas, values) at T = 0: ROADMAP item 1's bump in W(w)/w on 101 knots,
+# the ohmic J = 0.5 w on 2 knots, and 3 knots with J held at 0.05 below 0.1
+TABLES = {
+    "bump": (_BUMP_OMEGA, 0.25 * _BUMP_OMEGA ** 3 * np.exp(-((_BUMP_OMEGA - 0.8) / 0.05) ** 2)),
+    "ohmic": (np.array([0.0, 1.0]), np.array([0.0, 0.5])),
+    "held": (np.array([0.1, 0.5, 1.0]), np.array([0.05, 0.4, 0.2])),
+}
+
+
+class TestTableClosedForm:
+    """chi on tabulated baths at T = 0 against conftest.table_chi's exact
+    segment form."""
+
+    @pytest.mark.parametrize("table", list(TABLES))
+    @pytest.mark.parametrize("seq", [udd(1), udd(3), custom((0.1, 0.3, 0.7))],
+                             ids=["udd1", "udd3", "custom"])
+    @pytest.mark.parametrize("t", [0.7, 3.63028, 20.0])
+    def test_chi_matches_table_closed_form(self, quad, table, seq, t):
+        # worst seen: the bump table, udd(3) at t = 20, 4.6e-13 relative
+        omegas, values = TABLES[table]
+        exact = table_chi(seq.deltas, tuple(omegas.tolist()), tuple(values.tolist()), t)
+        bath = ddlab.TabulatedSpectralDensity(omegas, values)
         assert abs(chi(seq, bath, t, quad) - exact) <= 1e-12 * exact
 
 

@@ -100,10 +100,12 @@ def test_draw_seam_sees_every_trajectory(monkeypatch):
     draw = ddlab.montecarlo._draw_amplitudes
 
     def spy(gen, out):
-        calls.append((threading.get_ident(), len(out)))
+        # the Thread object, not its ident: CPython may hand a finished
+        # thread's ident to the next one, and calls keeps each object alive
+        calls.append((threading.current_thread(), len(out)))
         return draw(gen, out)
 
     monkeypatch.setattr("ddlab.montecarlo._draw_amplitudes", spy)
     mc_signal(bath, udd(2), 1.0, 137, 5, 0.05, 32)
-    assert len({ident for ident, _ in calls}) == 3
+    assert len({thread for thread, _ in calls}) == 3
     assert sorted(rows for _, rows in calls) == [9, 64, 64]
