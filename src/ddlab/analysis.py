@@ -265,13 +265,17 @@ def compare_schemes(n: int, alphas, temperatures, t_grid,
     storage_time, so it needs epsilon.  A signal cell that raises
     QuadratureError, or a solve that raises it or RangeExhaustedError,
     records it in the row's error field rather than aborting the sweep.
-    Settings, baths and grid are checked before the cells, so any other
-    exception, ValueError too, is a fault and propagates.
+    Settings (an empty alphas or temperatures among them), baths and grid
+    are checked before the cells, so any other exception, ValueError too,
+    is a fault and propagates.
     """
     if include_phase and epsilon is None:
         raise ValueError("include_phase needs epsilon, since only the storage rows read it")
     if epsilon is not None and not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+    for name, axis in (("alphas", alphas), ("temperatures", temperatures)):
+        if not len(axis):
+            raise ValueError(f"{name} must not be empty")
     ts = _checked_grid(t_grid)
     baths = [OhmicBath(alpha=alpha, omega_d=omega_d, temperature=temp)
              for alpha in alphas for temp in temperatures]

@@ -102,18 +102,6 @@ class RunConfig:
                     raise ValueError(f"{f.name} must be finite, got {value}")
         if self.scheme not in _CHOICES["scheme"]:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        for name in ("deltas", "deltas_file"):
-            if getattr(self, name) is not None and self.scheme != "custom":
-                raise ValueError(f"{name} needs scheme custom, got {self.scheme!r}")
-        if self.n != 0 and self.scheme == "custom":
-            raise ValueError("n needs scheme udd or equidistant, got 'custom'")
-        if self.deltas is not None and self.deltas_file is not None:
-            raise ValueError("deltas and deltas_file exclude each other; give one")
-        for name in ("alphas", "temperatures"):
-            if not getattr(self, name):
-                raise ValueError(f"{name} must not be empty")
-        if self.n < 0:
-            raise ValueError(f"n must be >= 0, got {self.n}")
         if self.epsilon is not None and not (0.0 < self.epsilon < 1.0):
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
         if self.points < 1:
@@ -152,11 +140,9 @@ def _quad(cfg: RunConfig) -> QuadratureSpec:
 def _sequence(cfg: RunConfig):
     if cfg.scheme in _GENERATORS:
         return _GENERATORS[cfg.scheme](cfg.n)
-    if cfg.deltas_file:
-        return deltas_from_csv(cfg.deltas_file)
-    if cfg.deltas is not None:
-        return custom(cfg.deltas)
-    raise ValueError("scheme=custom needs --deltas or --deltas-file")
+    if (cfg.deltas is None) == (cfg.deltas_file is None):
+        raise ValueError("scheme custom needs exactly one of deltas and deltas_file")
+    return custom(cfg.deltas) if cfg.deltas_file is None else deltas_from_csv(cfg.deltas_file)
 
 
 def _bath(cfg: RunConfig):
@@ -380,9 +366,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults, config file, and explicit flags into a RunConfig.
 
-    A sequence or bath input that the command does not read must keep its
-    default, so that no run records an input it did not use; only a config
-    file can set one, since the command has no flag for it.
+    A sequence or bath input that the run does not read must keep its
+    default, so that no run records an input it did not use.  The run reads
+    the inputs its command offers, less n under scheme custom (the instants
+    fix the pulse count), less deltas and deltas_file under a generated
+    scheme, and less alpha and omega_d where a --bath-csv table sets the bath.
     """
     merged: dict = {}
     if args.config:
@@ -397,11 +385,16 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
                        for key, value in file_cfg.items()})
     merged.update((key, value) for key, value in vars(args).items()
                   if value is not None and key not in ("command", "config"))
-    read = _COMMANDS[args.command][2]
+    offered = _COMMANDS[args.command][2]
+    custom_scheme = "scheme" in offered and merged.get("scheme") == "custom"
+    unread = {"n"} if custom_scheme else {"deltas", "deltas_file"}
+    if "bath_csv" in offered and merged.get("bath_csv"):
+        unread |= {"alpha", "omega_d"}
+    read = [s for s in _INPUTS if s in offered and s not in unread]
     for name in (s for s in _INPUTS if s in merged and s not in read):
         if merged[name] != getattr(RunConfig, name):
             raise ValueError(f"{args.command} does not read {name}; its sequence and bath "
-                             f"inputs are {', '.join(s for s in _INPUTS if s in read)}")
+                             f"inputs are {', '.join(read)}")
     return RunConfig(**merged)
 
 

@@ -55,7 +55,8 @@ _W7[1:14:2] = np.concatenate([_WG[:3], _WG[::-1][:4]])
 _EPS = np.finfo(float).eps
 
 # the most panels one round may split: a round hands f at most
-# 2 * _SPLIT_MAX * 15 nodes, which bounds the memory of f's batch
+# 2 * _SPLIT_MAX * 15 nodes, which bounds the memory of f's batch; the
+# first round, of any number of panels, comes in slices of that size
 _SPLIT_MAX = 4096
 
 
@@ -136,7 +137,8 @@ def integrate_adaptive(f, a: float, b: float, spec: QuadratureSpec,
     itself.  Every panel is one of the n0 = min(initial_panels, max_panels)
     equal panels of [a, b] (edges from np.linspace) bisected L >= 0 times.
     If panels is given, each round calls panels(centres, half_widths)
-    once, before f sees that round's nodes: centres are the round's c_p,
+    once, before f sees that round's nodes (the first round once per slice
+    of at most 2 * _SPLIT_MAX consecutive panels): centres are the c_p,
     and half_widths the nominal (b - a) / (2 n0) * 2^-L, which h_p matches
     up to the rounding of the edges.  Each row must meet its own target
     max(rel_tol * |value|, 50 eps * integral of |row|), the second
@@ -163,7 +165,10 @@ def integrate_adaptive(f, a: float, b: float, spec: QuadratureSpec,
     edges = np.linspace(a, b, n0 + 1)
     lefts, rights = edges[:-1], edges[1:]
     widths = np.full(n0, (b - a) / (2 * n0))
-    est, rows = _eval_panels(f, lefts, rights, widths, panels)
+    step = 2 * _SPLIT_MAX
+    parts = [_eval_panels(f, lefts[i:i + step], rights[i:i + step], widths[i:i + step], panels)
+             for i in range(0, n0, step)]
+    est, rows = np.concatenate([p for p, _ in parts], axis=2), parts[0][1]
     nevals = 15 * n0
 
     while True:

@@ -407,6 +407,23 @@ class TestCompareSchemes:
             compare_schemes(2, alphas, temperatures, [1.0, 2.0], quad)
         assert cells == []
 
+    @pytest.mark.parametrize("alphas, temperatures, name", [
+        ([], [0.0], "alphas"), ([0.25], np.array([]), "temperatures")],
+        ids=["alphas", "temperatures"])
+    def test_empty_axis_rejected_before_any_cell(self, quad, monkeypatch, alphas,
+                                                 temperatures, name):
+        # an empty axis would sweep nothing and return no rows
+        cells = []
+
+        def counted(*args):
+            cells.append(args)
+            return signal(*args)
+
+        monkeypatch.setattr(ddlab.analysis, "signal", counted)
+        with pytest.raises(ValueError, match=f"{name} must not be empty"):
+            compare_schemes(2, alphas, temperatures, [1.0], quad)
+        assert cells == []
+
     @pytest.mark.parametrize("t", [math.inf, math.nan])
     def test_non_finite_grid_rejected(self, quad, t):
         with pytest.raises(ValueError, match="finite"):

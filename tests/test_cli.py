@@ -14,6 +14,7 @@ import pytest
 import ddlab
 import ddlab.analysis
 import ddlab.cli
+import ddlab.decoherence
 import ddlab.montecarlo
 from ddlab.cli import RunConfig, main
 
@@ -175,7 +176,8 @@ class TestStorageCommand:
 
 
 class TestTableBathAlphaColumn:
-    """A table sets the bath, so the data row leaves alpha empty."""
+    """A table sets the bath, so the data row leaves alpha empty, and the run
+    takes alpha and omega_d only at their defaults."""
 
     @pytest.fixture
     def linear_table(self, tmp_path):
@@ -184,13 +186,16 @@ class TestTableBathAlphaColumn:
         path.write_text("omega,J\n0.0,0.0\n0.5,0.1\n1.0,0.2\n")
         return str(path)
 
-    @pytest.mark.parametrize("args", [
-        ["storage", "--n", "2"],
-        ["min-pulses", "--scheme", "udd", "--epsilon", "1e-3", "--t-target", "2"],
-    ], ids=["storage", "min-pulses"])
-    def test_alpha_empty_whatever_the_flag(self, capsys, linear_table, args):
-        args = args + ["--bath-csv", linear_table, "--quiet"]
-        code, out, _ = run_cli(args + ["--alpha", "0.7"], capsys)
+    ARGS = {
+        "storage": ["storage", "--n", "2"],
+        "min-pulses": ["min-pulses", "--scheme", "udd", "--epsilon", "1e-3", "--t-target", "2"],
+    }
+
+    @pytest.mark.parametrize("command", list(ARGS))
+    def test_alpha_empty_whatever_the_flag(self, capsys, linear_table, command):
+        # the default alpha, given as a flag or not, leaves the cell empty
+        args = self.ARGS[command] + ["--bath-csv", linear_table, "--quiet"]
+        code, out, _ = run_cli(args + ["--alpha", "0.1"], capsys)
         assert code == 0
         _, (row,) = parse_csv(out)
         assert row["alpha"] == ""
@@ -201,6 +206,29 @@ class TestTableBathAlphaColumn:
         code, out, _ = run_cli(args + ["--format", "json"], capsys)
         assert code == 0
         assert json.loads(out)["rows"][0]["alpha"] is None
+
+    @pytest.mark.parametrize("command, name, value", [
+        ("storage", "alpha", 0.7), ("storage", "omega_d", 2.0), ("min-pulses", "alpha", 0.7),
+        ("min-pulses", "omega_d", 2.0)])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_other_alpha_or_omega_d_exit_2(self, tmp_path, capsys, linear_table, command,
+                                           name, value, source):
+        # the table's J replaces the ohmic bath: another alpha or omega_d
+        # would be recorded in the embedded config but never used
+        args = self.ARGS[command] + ["--bath-csv", linear_table, "--quiet"]
+        if source == "flag":
+            args += ["--" + name.replace("_", "-"), repr(value)]
+        else:
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps({name: value}))
+            args += ["--config", str(cfg)]
+        code, out, err = run_cli(args, capsys)
+        assert code == 2
+        assert out == ""
+        reads = "scheme, n, temperature, bath_csv" if command == "storage" else \
+            "scheme, temperature, bath_csv"
+        assert err == (f"ddlab: configuration error: {command} does not read {name}; its "
+                       f"sequence and bath inputs are {reads}\n")
 
     def test_ohmic_bath_keeps_alpha(self, capsys):
         code, out, _ = run_cli(["storage", "--n", "2", "--alpha", "0.25", "--quiet"], capsys)
@@ -524,8 +552,10 @@ class TestUnreadInputs:
         code, out, err = run_cli([command, "--config", str(cfg), "--quiet"], capsys)
         assert code == 2
         assert out == ""
+        # under the default scheme udd the deltas are not read either
+        reads = [s for s in self.READS[command] if s not in ("deltas", "deltas_file")]
         assert err == (f"ddlab: configuration error: {command} does not read {name}; its "
-                       f"sequence and bath inputs are {', '.join(self.READS[command])}\n")
+                       f"sequence and bath inputs are {', '.join(reads)}\n")
 
     def test_rule_comes_before_the_settings_checks(self, tmp_path, capsys):
         # compare reads n but not scheme: the scheme is named, not the n
@@ -749,7 +779,25 @@ class TestConfigHandling:
         assert type(resolved["alpha"]) is int
 
     def test_custom_scheme_needs_deltas(self, capsys):
-        assert run_cli(["signal", "--scheme", "custom", "--quiet"], capsys)[0] == 2
+        code, out, err = run_cli(["signal", "--scheme", "custom", "--quiet"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "scheme custom needs exactly one of deltas and deltas_file" in err
+
+    @pytest.mark.parametrize("args", [
+        ["signal", "--points", "2", "--tmin", "1", "--tmax", "2"], ["storage"],
+        ["compare", "--alphas", "0.25", "--points", "2", "--tmin", "1", "--tmax", "2"],
+        ["mc", "--t", "1", "--samples", "100"]], ids=["signal", "storage", "compare", "mc"])
+    def test_negative_n_exit_2_before_any_work(self, capsys, monkeypatch, args):
+        # the generators refuse a negative count before any quadrature
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a quadrature ran")
+
+        monkeypatch.setattr(ddlab.decoherence, "integrate_adaptive", unreachable)
+        code, out, err = run_cli(args + ["--n", "-1", "--quiet"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "n must be >= 0, got -1" in err
 
     @pytest.mark.parametrize("command", [
         ["storage", "--n", "2"], ["min-pulses", "--t-target", "1"]])
@@ -766,7 +814,9 @@ class TestConfigHandling:
         code, out, err = run_cli(args, capsys)
         assert code == 2
         assert out == ""
-        assert f"{field} needs scheme custom" in err
+        assert err == (f"ddlab: configuration error: storage does not read {field}; its "
+                       "sequence and bath inputs are scheme, n, alpha, temperature, omega_d, "
+                       "bath_csv\n")
 
     @pytest.mark.parametrize("command", [
         ["signal", "--points", "2", "--tmin", "1", "--tmax", "2"], ["storage"],
@@ -785,7 +835,10 @@ class TestConfigHandling:
         code, out, err = run_cli(args, capsys)
         assert code == 2
         assert out == ""
-        assert "n needs scheme udd or equidistant, got 'custom'" in err
+        tables = ", bath_csv" if command[0] != "mc" else ""
+        assert err == (f"ddlab: configuration error: {command[0]} does not read n; its "
+                       "sequence and bath inputs are scheme, alpha, temperature, omega_d, "
+                       f"deltas, deltas_file{tables}\n")
         assert RunConfig(scheme="custom", deltas=(0.5,), n=0).n == 0
 
     def test_inline_and_file_deltas_exclude_each_other(self, tmp_path, capsys):
@@ -796,7 +849,7 @@ class TestConfigHandling:
              "--points", "2", "--tmin", "1", "--tmax", "2", "--quiet"], capsys)
         assert code == 2
         assert out == ""
-        assert "deltas and deltas_file exclude each other" in err
+        assert "scheme custom needs exactly one of deltas and deltas_file" in err
 
     def test_quadrature_failure_exit_3(self, capsys):
         code, _, err = run_cli(

@@ -22,7 +22,7 @@ from ddlab import (
     storage_time,
     udd,
 )
-from ddlab.quadrature import integrate_adaptive
+from ddlab.quadrature import _SPLIT_MAX, NODES, integrate_adaptive
 from conftest import STANDARD_GRID, classical_twin, table_chi, thermal_chi
 
 EULER_GAMMA = 0.5772156649015329
@@ -152,6 +152,21 @@ class TestThermalClosedForm:
         exact = thermal_chi(seq.deltas, 0.1, 0.25, t)
         assert abs(chi(seq, bath, t, quad) - exact) <= 1e-12 * exact
 
+    # each bracket end lies 1e-9 relative or more from epsilon in the exact
+    # error (the closest, equidistant(8)'s hi end, 9.97e-10), above chi's
+    # 1e-10 tolerance; equidistant(4)'s lo end lies 2.9e-12 below it and
+    # udd(20)'s hi end 6.8e-11 above it, so those are left out
+    @pytest.mark.parametrize("seq", [udd(1), udd(4), udd(8), equidistant(8)],
+                             ids=["udd1", "udd4", "udd8", "equidistant8"])
+    def test_storage_bracket_straddles_thermal_crossing(self, quad, seq):
+        lo, hi = storage_time(seq, OhmicBath(alpha=0.25, temperature=0.1), 1e-4,
+                              quad).bracket
+
+        def err(t):
+            return -math.expm1(-2.0 * thermal_chi(seq.deltas, 0.25, 0.1, t))
+
+        assert err(lo) < 1e-4 <= err(hi)
+
 
 _BUMP_OMEGA = np.linspace(0.0, 1.0, 101)
 # (omegas, values) at T = 0: ROADMAP item 1's bump in W(w)/w on 101 knots,
@@ -177,6 +192,18 @@ class TestTableClosedForm:
         exact = table_chi(seq.deltas, tuple(omegas.tolist()), tuple(values.tolist()), t)
         bath = ddlab.TabulatedSpectralDensity(omegas, values)
         assert abs(chi(seq, bath, t, quad) - exact) <= 1e-12 * exact
+
+    @pytest.mark.parametrize("epsilon, t_first", [(0.0275, 3.63028), (0.053, 4.51840)])
+    def test_bump_table_first_crossings(self, epsilon, t_first):
+        # the first crossings that test_analysis's strict xfail
+        # test_bump_table_first_crossing pins, from ddlab's own linear scan,
+        # lie within 2e-6 relative of the exact ones
+        omegas, values = (tuple(a.tolist()) for a in TABLES["bump"])
+
+        def err(t):
+            return -math.expm1(-2.0 * table_chi(udd(1).deltas, omegas, values, t))
+
+        assert err(t_first * (1 - 2e-6)) < epsilon <= err(t_first * (1 + 2e-6))
 
 
 def chi_udd_closed_form(n: int, alpha: float, t: float) -> float:
@@ -421,6 +448,38 @@ class TestPanelKernelMemory:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+
+class TestBatchBound:
+    @pytest.mark.parametrize("t", [3e4, 1e6])
+    def test_integrand_batch_and_memory_bounded(self, quad, monkeypatch, t):
+        # the first round of a long time has ceil(t / pi) panels, more than
+        # a round's 2 * 4096 above t = 25 736: it comes in slices of that
+        # size, so no call gets more than 122 880 nodes (4 774 650 at
+        # t = 1e6, with a 306 MB peak, when it came at once)
+        import tracemalloc
+
+        sizes = []
+
+        def counting(f, *args, **kwargs):
+            def counted(x):
+                sizes.append(x.size)
+                return f(x)
+
+            return integrate_adaptive(counted, *args, **kwargs)
+
+        monkeypatch.setattr(ddlab.decoherence, "integrate_adaptive", counting)
+        tracemalloc.start()
+        try:
+            value = chi(udd(2), OhmicBath(alpha=0.25), t, quad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(sizes) >= NODES.size * t / math.pi
+        assert max(sizes) <= 2 * _SPLIT_MAX * NODES.size == 122_880
+        assert peak < 64e6
+        exact = float(converged_closed_forms(udd_instants(2), 0.25, t)[0])
+        assert abs(value - exact) <= 1e-10 * exact
 
 
 class TestClassicalPath:

@@ -118,6 +118,30 @@ def test_round_size_is_bounded():
     assert val == pytest.approx(3.0 / math.pi, rel=1e-12, abs=0.0)
 
 
+def test_first_round_comes_in_bounded_slices():
+    # a first round of more than 2 _SPLIT_MAX panels hands f consecutive
+    # slices of at most that many, each after its own panels call
+    n0 = 2 * _SPLIT_MAX + 3
+    calls, centres = [], []
+
+    def f(x):
+        calls.append(("f", x.size))
+        return np.cos(x)
+
+    def panels(c, h):
+        calls.append(("panels", c.size))
+        centres.append(c)
+
+    val, _, nev = integrate_adaptive(f, 0.0, 1.0, QuadratureSpec(), initial_panels=n0,
+                                     panels=panels)
+    assert calls == [("panels", 2 * _SPLIT_MAX), ("f", 2 * _SPLIT_MAX * NODES.size),
+                     ("panels", 3), ("f", 3 * NODES.size)]
+    edges = np.linspace(0.0, 1.0, n0 + 1)
+    assert np.array_equal(np.concatenate(centres), 0.5 * (edges[:-1] + edges[1:]))
+    assert nev == n0 * NODES.size
+    assert val == pytest.approx(math.sin(1.0), rel=1e-14, abs=0.0)
+
+
 def test_tolerance_refinement():
     # piecewise structure forces splitting beyond the initial panels
     def f(x):
